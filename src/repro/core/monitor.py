@@ -139,38 +139,39 @@ class BudgetInvariantMonitor:
         """
         lo_seq = _per_rank_bounds(node_lo_w, len(caps))
         hi_seq = _per_rank_bounds(node_hi_w, len(caps))
+        # one walk: the ledger's copy of the caps, and each node's total
+        # taken once for both the cluster sum and the range checks
+        rows = tuple([tuple(map(float, cap)) for cap in caps])
+        totals = [sum(row) for row in rows]
         violations: list[str] = []
-        total = float(sum(sum(cap) for cap in caps))
+        total = float(sum(totals))
         slack = tolerance_w + 1e-9 * max(abs(cluster_budget_w), 1.0)
         if total > cluster_budget_w + slack:
             violations.append(
                 f"sum of caps {total:.3f} W exceeds cluster budget "
                 f"{cluster_budget_w:.3f} W"
             )
-        for rank, cap in enumerate(caps):
-            node_total = sum(cap)
-            lo = lo_seq[rank] if lo_seq is not None else None
-            hi = hi_seq[rank] if hi_seq is not None else None
-            if any(c < -tolerance_w for c in cap):
-                listed = ", ".join(f"{c:.3f}" for c in cap)
+        for rank, (row, node_total) in enumerate(zip(rows, totals)):
+            if row and min(row) < -tolerance_w:
+                listed = ", ".join(f"{c:.3f}" for c in row)
                 violations.append(
                     f"node {rank}: negative cap ({listed}) W"
                 )
-            if lo is not None and node_total < lo - slack:
+            if lo_seq is not None and node_total < lo_seq[rank] - slack:
                 violations.append(
                     f"node {rank}: cap {node_total:.3f} W below the "
-                    f"acceptable floor {lo:.3f} W"
+                    f"acceptable floor {lo_seq[rank]:.3f} W"
                 )
-            if hi is not None and node_total > hi + slack:
+            if hi_seq is not None and node_total > hi_seq[rank] + slack:
                 violations.append(
                     f"node {rank}: cap {node_total:.3f} W above the "
-                    f"acceptable ceiling {hi:.3f} W"
+                    f"acceptable ceiling {hi_seq[rank]:.3f} W"
                 )
         audit = CapAudit(
             source=source,
             app_name=app_name,
             cluster_budget_w=cluster_budget_w,
-            caps=tuple(tuple(float(c) for c in cap) for cap in caps),
+            caps=rows,
             node_lo_w=_bound_field(node_lo_w),
             node_hi_w=_bound_field(node_hi_w),
             violations=tuple(violations),

@@ -736,16 +736,17 @@ class RecommendStage:
                         budget, base.n_threads
                     )
                     f = power_model.max_freq_under(pkg, base.n_threads)
-                    cfg = replace(
-                        base,
+                    # the GPU fields keep their zero defaults: this rank
+                    # has no device, whatever class slot 0 is
+                    cfg = NodeConfig(
+                        n_threads=base.n_threads,
+                        affinity=base.affinity,
                         pkg_cap_w=pkg,
                         dram_cap_w=dram,
                         predicted_frequency_hz=(
                             f if f is not None else base.predicted_frequency_hz
                         ),
-                        # this rank has no device, whatever class slot 0 is
-                        gpu_cap_w=0.0,
-                        predicted_gpu_clock_hz=0.0,
+                        predicted_perf=base.predicted_perf,
                     )
                 split_memo[key] = cfg
             configs.append(cfg)
@@ -1245,7 +1246,8 @@ class DecisionPipeline:
                 rack_budgets,
             )
             rack_of = self._rack_of
-            caps = list(decision.per_node_caps)
+            # the audit's float copy of the caps, reused per rack
+            caps = audit.caps
             # slots fill in rack order, so each rack's caps are one
             # contiguous run — a single walk audits every rack
             n, i, k = decision.n_nodes, 0, 0
@@ -1258,7 +1260,7 @@ class DecisionPipeline:
                     f"pipeline.rack/{self._rack_names[r]}",
                     decision.app_name,
                     rack_budgets[k],
-                    tuple(caps[i:j]),
+                    caps[i:j],
                 )
                 i, k = j, k + 1
         if trace is not None:

@@ -143,6 +143,23 @@ class ClipPowerModel:
         # profiling) or leaves it idling.
         self._has_gpu = node.has_gpu
         self._gpu_offloaded = profile.gpu_offloaded
+        if not self._has_gpu:
+            self._gpu_range = (0.0, 0.0)
+        elif not self._gpu_offloaded:
+            self._gpu_range = (node.p_gpu_idle_w, node.p_gpu_idle_w)
+        else:
+            self._gpu_range = (node.p_gpu_min_w, node.p_gpu_max_w)
+
+        # --- constants derived from the fit ----------------------------
+        # The model is immutable once fitted (a refit builds a new
+        # bundle), so everything below is computed once: the dynamic
+        # curve's end points, the highest measured DRAM power, and a
+        # per-concurrency memo (bounded by the core count) filled by
+        # :meth:`_at`.
+        self._g_lo = self._freq_factor(self._f_min)
+        self._g_hi = self._freq_factor(self._f_max)
+        self._dram_peak = max(v for _, v in self._dram_hi_samples)
+        self._memo: dict[int, tuple[PowerRange, float, float]] = {}
 
     # ------------------------------------------------------------------
 
@@ -232,19 +249,20 @@ class ClipPowerModel:
         """
         if n_threads < 1:
             raise ProfilingError("n_threads must be >= 1")
-        p_lo = self._interp(self._pkg_lo_samples, n_threads, self._p_base)
-        p_hi = max(self.cpu_power(n_threads, self._f_max), p_lo + 1e-6)
+        rng, p_hi, _ = self._at(n_threads)
+        p_lo = rng.cpu_lo_w
         if pkg_budget_w < p_lo:
             return None
         if pkg_budget_w >= p_hi:
             return self._f_max
         # interpolate on the dynamic-power curve: p(f) = p_lo +
         # (p_hi - p_lo) * (g(f) - g(f_min)) / (g(f_max) - g(f_min))
-        g_lo, g_hi = self._freq_factor(self._f_min), self._freq_factor(self._f_max)
+        g_lo, g_hi = self._g_lo, self._g_hi
         g = g_lo + (pkg_budget_w - p_lo) / (p_hi - p_lo) * (g_hi - g_lo)
         rel_dyn = (g - LEAKAGE_SHARE) / (1.0 - LEAKAGE_SHARE)
         f = self._f_nom * rel_dyn ** (1.0 / DYN_EXPONENT)
-        return float(np.clip(f, self._f_min, self._f_max))
+        # the scalar clip np.clip would do, without its array dispatch
+        return float(min(max(f, self._f_min), self._f_max))
 
     # ------------------------------------------------------------------
 
@@ -262,11 +280,7 @@ class ClipPowerModel:
         grant must cover it, but more is wasted.  Zero-width zero on
         CPU-only nodes (the domain is absent).
         """
-        if not self._has_gpu:
-            return (0.0, 0.0)
-        if not self._gpu_offloaded:
-            return (self._node.p_gpu_idle_w, self._node.p_gpu_idle_w)
-        return (self._node.p_gpu_min_w, self._node.p_gpu_max_w)
+        return self._gpu_range
 
     def gpu_shift_candidates(
         self, lo_w: float, hi_w: float
@@ -300,22 +314,47 @@ class ClipPowerModel:
         more faithful than re-predicting them through the fitted model
         (the measurements embed the application's true activity).
         """
-        cpu_hi = self.cpu_power(n_threads, self._f_max)
+        return self._at(n_threads)[0]
+
+    def _at(self, n_threads: int) -> tuple[PowerRange, float, float]:
+        """Memoized per-concurrency constants ``(range, pkg_hi, dram_grant)``.
+
+        ``pkg_hi`` is the PKG power :meth:`max_freq_under` anchors the
+        top of the dynamic curve on; ``dram_grant`` is the DRAM cap
+        :meth:`_split_host` grants before the budget clamps it.  Both
+        are pure functions of the fit and *n_threads*.  Invalid thread
+        counts raise on every call (errors are never memoized).  Threads
+        racing on one key store equal values, so the memo needs no lock.
+        """
+        hit = self._memo.get(n_threads)
+        if hit is not None:
+            return hit
+        cpu_max_f = self.cpu_power(n_threads, self._f_max)
         cpu_lo = self._interp(self._pkg_lo_samples, n_threads, self._p_base)
-        cpu_hi = max(cpu_hi, cpu_lo)
         mem_hi = self.mem_power(n_threads)
         mem_lo = min(
             self._interp(self._dram_lo_samples, n_threads, self._mem_base), mem_hi
         )
-        gpu_lo, gpu_hi = self.gpu_power_range()
-        return PowerRange(
+        gpu_lo, gpu_hi = self._gpu_range
+        rng = PowerRange(
             cpu_lo_w=cpu_lo,
-            cpu_hi_w=cpu_hi,
+            cpu_hi_w=max(cpu_max_f, cpu_lo),
             mem_lo_w=mem_lo,
             mem_hi_w=mem_hi,
             gpu_lo_w=gpu_lo,
             gpu_hi_w=gpu_hi,
         )
+        pkg_hi = max(cpu_max_f, cpu_lo + 1e-6)
+        # Anchor the DRAM grant on the highest *measured* DRAM power —
+        # demand can only fall with fewer threads or a slower clock —
+        # plus headroom; the model estimate alone can overshoot and
+        # steal budget the CPU needs.
+        target = self._mem_base + (
+            min(mem_hi, self._dram_peak) - self._mem_base
+        ) * DRAM_CAP_MARGIN
+        dram_grant = max(target, mem_lo) * DRAM_FLOOR_HEADROOM
+        hit = self._memo[n_threads] = (rng, pkg_hi, dram_grant)
+        return hit
 
     def split_node_budget(
         self, node_budget_w: float, n_threads: int
@@ -330,7 +369,7 @@ class ClipPowerModel:
         Raises :class:`InfeasibleBudgetError` when the budget cannot
         cover the floor of both domains.
         """
-        rng = self.power_range(n_threads)
+        rng, _, dram_grant = self._at(n_threads)
         if node_budget_w < rng.node_lo_w:
             raise InfeasibleBudgetError(
                 f"node budget {node_budget_w:.1f} W below acceptable floor "
@@ -340,21 +379,14 @@ class ClipPowerModel:
         # zero on CPU nodes — `x - 0.0` leaves host arithmetic
         # bit-identical) comes off the top before the host split.
         host = node_budget_w - rng.gpu_lo_w
-        pkg, dram = self._split_host(host, rng)
-        return pkg, dram
+        return self._split_host(host, rng, dram_grant)
 
-    def _split_host(self, host_budget_w: float, rng: PowerRange) -> tuple[float, float]:
+    @staticmethod
+    def _split_host(
+        host_budget_w: float, rng: PowerRange, dram_grant_w: float
+    ) -> tuple[float, float]:
         """PKG/DRAM split of the host share of a node budget."""
-        # Anchor the DRAM grant on the highest *measured* DRAM power —
-        # demand can only fall with fewer threads or a slower clock —
-        # plus headroom; the model estimate alone can overshoot and
-        # steal budget the CPU needs.
-        measured_peak = max(v for _, v in self._dram_hi_samples)
-        target = self._mem_base + (
-            min(rng.mem_hi_w, measured_peak) - self._mem_base
-        ) * DRAM_CAP_MARGIN
-        dram = max(target, rng.mem_lo_w) * DRAM_FLOOR_HEADROOM
-        dram = min(dram, host_budget_w - rng.cpu_lo_w)
+        dram = min(dram_grant_w, host_budget_w - rng.cpu_lo_w)
         pkg = min(host_budget_w - dram, rng.cpu_hi_w)
         return float(pkg), float(dram)
 
@@ -370,7 +402,7 @@ class ClipPowerModel:
         :class:`InfeasibleBudgetError` when the host remainder cannot
         cover the host floors.
         """
-        rng = self.power_range(n_threads)
+        rng, _, dram_grant = self._at(n_threads)
         host = node_budget_w - gpu_cap_w
         host_lo = rng.cpu_lo_w + rng.mem_lo_w
         if host < host_lo:
@@ -379,7 +411,7 @@ class ClipPowerModel:
                 f"minus GPU grant {gpu_cap_w:.1f} W) below host floor "
                 f"{host_lo:.1f} W at {n_threads} threads"
             )
-        pkg, dram = self._split_host(host, rng)
+        pkg, dram = self._split_host(host, rng, dram_grant)
         return pkg, dram, float(gpu_cap_w)
 
     def cap_ceiling_w(self, n_threads: int) -> float:

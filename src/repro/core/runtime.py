@@ -680,7 +680,9 @@ class PowerBoundedRuntime:
         pipeline = self._scheduler.pipeline
         specs = pipeline.node_specs
         id_specs = [specs[i] for i in job.node_ids]
-        if all(s == id_specs[0] for s in id_specs):
+        # same rule as _plan: the recommender's model is the slot-0
+        # class's, so it only serves jobs living wholly on that class
+        if all(s == specs[0] for s in id_specs):
             models = [recommender.power_model] * len(job.node_ids)
         else:
             entry = pipeline.ensure_knowledge(job.app)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.powermodel import ClipPowerModel
+from repro.core.powermodel import ClipPowerModel, PowerRange
 from repro.errors import InfeasibleBudgetError, ProfilingError
 from repro.units import ghz
 from repro.workloads.apps import get_app
@@ -176,3 +176,92 @@ class TestBudgetSplit:
         m = model_for("ep.C")
         pkg, _ = m.split_node_budget(500.0, 24)
         assert pkg <= m.power_range(24).cpu_hi_w * (1 + 1e-9)
+
+
+_PROFILES: dict = {}
+
+
+def _profile_and_node(name):
+    """Module-level (profile, node) per app for hypothesis tests: GPU
+    apps profile on the GPU testbed, the rest on the paper's testbed."""
+    if name not in _PROFILES:
+        from repro.core.profile import SmartProfiler
+        from repro.hw.cluster import SimulatedCluster
+        from repro.hw.specs import gpu_testbed, haswell_testbed
+        from repro.sim.engine import ExecutionEngine
+
+        spec = gpu_testbed() if name.endswith("-gpu") else haswell_testbed()
+        engine = ExecutionEngine(SimulatedCluster(spec), seed=42)
+        profile = SmartProfiler(engine).profile(get_app(name))
+        _PROFILES[name] = (profile, engine.cluster.spec.node_specs[0])
+    return _PROFILES[name]
+
+
+def _bits(value):
+    """Bit-exact view of a model result (floats, tuples, ranges, errors)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, PowerRange):
+        return _bits(
+            (value.cpu_lo_w, value.cpu_hi_w, value.mem_lo_w, value.mem_hi_w,
+             value.gpu_lo_w, value.gpu_hi_w)
+        )
+    return value
+
+
+def _answers(model, n, budgets):
+    """Every memoized method's answer at one concurrency."""
+    out = [_bits(model.power_range(n)), _bits(model.cap_ceiling_w(n))]
+    for budget in budgets:
+        try:
+            out.append(_bits(model.split_node_budget(budget, n)))
+        except InfeasibleBudgetError as exc:
+            out.append(("infeasible", str(exc)))
+        # PKG budgets straddling the floor exercise the None branch
+        out.append(_bits(model.max_freq_under(budget / 2.0, n)))
+    return out
+
+
+class TestMemoizedConstants:
+    """The per-concurrency memo is invisible: a warm model answers
+    bit for bit like a freshly fitted one, whatever the call order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        app=st.sampled_from(["comd", "stream", "sp-mz.C", "minife-gpu"]),
+        order=st.permutations(list(range(1, 25))),
+        budgets=st.lists(
+            st.floats(min_value=40.0, max_value=420.0), min_size=1, max_size=5
+        ),
+    )
+    def test_warm_model_matches_fresh_fit(self, app, order, budgets):
+        profile, node = _profile_and_node(app)
+        warm = ClipPowerModel(profile, node)
+        for n in order:  # fill the memo in a shuffled order first
+            warm.power_range(n)
+            warm.max_freq_under(budgets[0], n)
+        for n in reversed(order):
+            fresh = ClipPowerModel(profile, node)
+            assert _answers(warm, n, budgets) == _answers(fresh, n, budgets)
+
+    def test_invalid_concurrency_raises_on_every_call(self, model_for):
+        m = model_for("comd")
+        for _ in range(2):
+            with pytest.raises(ProfilingError):
+                m.max_freq_under(100.0, 0)
+            with pytest.raises(ProfilingError):
+                m.power_range(-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        f=st.floats(allow_nan=False, allow_infinity=False),
+        a=st.floats(allow_nan=False, allow_infinity=False),
+        b=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_scalar_min_max_clip_matches_np_clip(self, f, a, b):
+        import numpy as np
+
+        lo, hi = min(a, b), max(a, b)
+        assert float(min(max(f, lo), hi)).hex() == float(np.clip(f, lo, hi)).hex()

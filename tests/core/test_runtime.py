@@ -152,3 +152,36 @@ class TestDegradation:
             fresh_job.segments[0].performance
             >= stale_job.segments[0].performance
         )
+
+
+class TestEmergencyThrottleClassFloor:
+    def test_throttle_lands_each_node_on_its_own_class_floor(self):
+        """A job living wholly on a non-slot-0 class is throttled to
+        that class's floor, not the slot-0 (GPU) class's."""
+        from repro.analysis.experiments import build_trained_inflection
+        from repro.hw.cluster import SimulatedCluster
+        from repro.hw.specs import mixed_gpu_testbed
+        from repro.sim.engine import ExecutionEngine
+
+        engine = ExecutionEngine(SimulatedCluster(mixed_gpu_testbed()), seed=42)
+        clip = ClipScheduler(
+            engine,
+            inflection=build_trained_inflection(engine),
+            knowledge=KnowledgeDB(),
+        )
+        runtime = PowerBoundedRuntime(clip)
+        for slot in range(4):  # the GPU slots
+            runtime.fail_node(slot)
+        job = runtime.launch(get_app("comd"), 1400.0, n_nodes=4)
+        assert job.node_ids == (4, 5, 6, 7)
+        runtime.emergency_throttle(job)
+
+        pipeline = clip.pipeline
+        entry = pipeline.ensure_knowledge(job.app)
+        for slot, caps in zip(job.node_ids, job.per_node_caps):
+            model = pipeline.class_bundle(
+                entry, pipeline.node_specs[slot]
+            ).power_model
+            floor = model.power_range(job.n_threads).node_lo_w
+            assert sum(caps) == pytest.approx(floor, abs=1e-9)
+        assert runtime.monitor.n_violations == 0
