@@ -17,7 +17,10 @@ preserving the paper's methodology.
 Everything here is pure and vectorization-friendly: frequency arguments
 may be scalars or NumPy arrays (per the HPC guides, avoid Python-level
 loops in hot paths — parameter sweeps evaluate thousands of operating
-points).
+points).  Scalar arguments take a plain-float branch that performs the
+same IEEE operations in the same order as the array path, so both
+return the same bits; the one transcendental, ``(f / f_nom) ** k``, is
+always evaluated by :func:`freq_power_factor` (see its docstring).
 """
 
 from __future__ import annotations
@@ -30,7 +33,38 @@ from repro.errors import SpecError
 from repro.hw.specs import MemorySpec, NodeSpec, SocketSpec
 from repro.units import check_fraction, check_non_negative
 
-__all__ = ["PowerModel", "PowerBreakdown"]
+__all__ = [
+    "PowerModel",
+    "PowerBreakdown",
+    "freq_power_factor",
+    "ladder_power_factors",
+]
+
+#: Argument types that take the plain-float branch.  ``np.float64`` is
+#: a ``float`` subclass; every other NumPy type goes the array path.
+_SCALAR = (float, int)
+
+
+def freq_power_factor(socket: SocketSpec, f) -> float:
+    """``(f / f_nominal) ** dyn_exponent`` through the 0-d ``np.power`` path.
+
+    This is the one place the simulator evaluates the dynamic-power
+    frequency factor on a scalar, and the rule it fixes is what keeps
+    the scalar engine and the batch evaluator bit-identical.  Python's
+    ``**`` and ``math.pow`` call the C library's ``pow``, and NumPy's
+    vectorized (SIMD) ``np.power`` kernel is yet another
+    implementation; all three may disagree in the last ulp.  So every
+    scalar use goes through here, and the batch evaluator gathers its
+    per-ladder values from :func:`ladder_power_factors` instead of
+    calling ``np.power`` on arrays.
+    """
+    rel = np.asarray(f, dtype=np.float64) / socket.f_nominal
+    return float(np.power(rel, socket.core.dyn_exponent))
+
+
+def ladder_power_factors(socket: SocketSpec) -> tuple[float, ...]:
+    """:func:`freq_power_factor` at every frequency of the socket's ladder."""
+    return tuple(freq_power_factor(socket, f) for f in socket.freq_ladder)
 
 
 @dataclass(frozen=True)
@@ -104,6 +138,10 @@ class PowerModel:
             raise SpecError(f"efficiency must be > 0, got {efficiency}")
         self._node = node
         self._efficiency = float(efficiency)
+        # frequency -> freq_power_factor, for f = 0 and the socket's
+        # ladder (the only frequencies cap resolution produces); built
+        # on the first scalar call, so it never outgrows the ladder
+        self._factors: dict[float, float] | None = None
 
     @property
     def node(self) -> NodeSpec:
@@ -119,6 +157,21 @@ class PowerModel:
     # forward model: configuration -> watts
     # ------------------------------------------------------------------
 
+    def _freq_factor(self, f) -> float:
+        """:func:`freq_power_factor` at *f*, tabled on the ladder."""
+        factors = self._factors
+        socket = self._node.socket
+        if factors is None:
+            factors = dict(
+                zip(socket.freq_ladder, ladder_power_factors(socket))
+            )
+            factors[0.0] = freq_power_factor(socket, 0.0)
+            self._factors = factors
+        factor = factors.get(f)
+        if factor is None:  # off-ladder: same computation, not kept
+            factor = freq_power_factor(socket, f)
+        return factor
+
     def core_power(self, f, activity=1.0):
         """Power of one active core at frequency *f* (Hz).
 
@@ -127,6 +180,13 @@ class PowerModel:
         Accepts scalars or arrays and broadcasts.
         """
         spec = self._node.socket.core
+        if isinstance(f, _SCALAR) and isinstance(activity, _SCALAR):
+            if f < 0:
+                raise SpecError("frequency must be >= 0")
+            if activity < 0 or activity > 1:
+                raise SpecError("activity must lie in [0, 1]")
+            dyn = spec.p_dyn_w * self._freq_factor(f) * activity
+            return float(spec.p_leak_w + dyn)
         f = np.asarray(f, dtype=np.float64)
         act = np.asarray(activity, dtype=np.float64)
         if np.any(f < 0):
@@ -151,8 +211,10 @@ class PowerModel:
                 f"n_active {n_active} outside [0, {socket.n_cores}]"
             )
         base = socket.p_base_w
-        out = (base + n_active * np.asarray(self.core_power(f, activity))) * self._efficiency
-        out = np.asarray(out)
+        core_w = self.core_power(f, activity)
+        if isinstance(f, _SCALAR) and isinstance(activity, _SCALAR):
+            return float((base + n_active * core_w) * self._efficiency)
+        out = np.asarray((base + n_active * np.asarray(core_w)) * self._efficiency)
         return float(out) if out.ndim == 0 else out
 
     def pkg_power_percore(self, freqs: np.ndarray, activities: np.ndarray) -> float:
@@ -173,6 +235,13 @@ class PowerModel:
     def dram_power(self, bandwidth, memory: MemorySpec | None = None):
         """DRAM power of one socket's memory (Eq. 9) at *bandwidth* B/s."""
         mem = memory or self._node.socket.memory
+        if isinstance(bandwidth, _SCALAR):
+            if bandwidth < 0:
+                raise SpecError("bandwidth must be >= 0")
+            util = min(bandwidth / mem.peak_bandwidth, 1.0)
+            return float(
+                (mem.p_base_w + mem.p_load_max_w * util) * self._efficiency
+            )
         bw = np.asarray(bandwidth, dtype=np.float64)
         if np.any(bw < 0):
             raise SpecError("bandwidth must be >= 0")
@@ -255,7 +324,10 @@ class PowerModel:
         ) * self._efficiency
         if n_total == 0:
             return socket.f_max if static <= cap_w else None
-        act = float(np.mean(activity))
+        if isinstance(activity, _SCALAR):
+            act = float(activity)  # the mean of one value is the value
+        else:
+            act = float(np.mean(activity))
         dyn_budget = cap_w - static
         if dyn_budget < 0:
             return None

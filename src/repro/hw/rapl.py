@@ -23,8 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ActuationError, PowerDomainError
 from repro.hw.actuation import PERFECT_ACTUATION, ActuationPolicy
 from repro.hw.dvfs import FrequencyLadder
@@ -528,23 +526,22 @@ class RaplInterface:
         f_cont = self._model.max_freq_under_pkg_cap(pkg_cap, active, activity)
         cpu_cap_violated = False
         duty = 1.0
+        if f_cont is None and strict:
+            raise PowerDomainError(
+                f"PKG cap {pkg_cap:.1f} W below static power of "
+                f"{sum(active)} active cores; cannot honor"
+            )
+        # each socket's static draw: pkg_power at f = 0, where the
+        # dynamic term vanishes
+        static_w = [self._model.pkg_power(n, 0.0, activity) for n in active]
         if f_cont is None:
-            if strict:
-                raise PowerDomainError(
-                    f"PKG cap {pkg_cap:.1f} W below static power of "
-                    f"{sum(active)} active cores; cannot honor"
-                )
             # Below the lowest P-state's power RAPL falls back to clock
             # modulation: run at f_min but gate the clock for part of
             # each window.  Gating scales the dynamic term only; if the
             # cap is below static power even at the deepest duty cycle,
             # the limit is genuinely violated.
             f_cont = self._ladder.f_min
-            static = float(
-                sum(
-                    self._model.pkg_power(n, 0.0, activity) for n in active
-                )
-            )
+            static = float(sum(static_w))
             dyn_fmin = (
                 float(
                     sum(
@@ -556,7 +553,7 @@ class RaplInterface:
             )
             if dyn_fmin > 0:
                 duty = (pkg_cap - static) / dyn_fmin
-            duty = float(np.clip(duty, MIN_DUTY_CYCLE, 1.0))
+            duty = min(max(float(duty), MIN_DUTY_CYCLE), 1.0)
             cpu_cap_violated = pkg_cap < static + MIN_DUTY_CYCLE * max(dyn_fmin, 0.0)
         f_allowed = self._ladder.quantize_down(f_cont)
         cpu_throttled = duty < 1.0 or cpu_cap_violated or f_allowed < f_demand
@@ -565,13 +562,8 @@ class RaplInterface:
         f = min(f_demand, f_allowed)
         pkg_w = float(
             sum(
-                self._model.pkg_power(n, 0.0, activity)
-                + (
-                    self._model.pkg_power(n, f, activity)
-                    - self._model.pkg_power(n, 0.0, activity)
-                )
-                * duty
-                for n in active
+                s_w + (self._model.pkg_power(n, f, activity) - s_w) * duty
+                for n, s_w in zip(active, static_w)
             )
         )
         return OperatingPoint(

@@ -42,6 +42,7 @@ import numpy as np
 from repro.errors import SchedulingError
 from repro.hw.counters import CACHE_LINE_BYTES, READ_FRACTION, EventCounters
 from repro.hw.dvfs import FrequencyLadder
+from repro.hw.power import freq_power_factor, ladder_power_factors
 from repro.hw.rapl import MIN_DUTY_CYCLE, OperatingPoint
 from repro.sim.affinity import make_placement, placement_for
 from repro.sim.trace import NodeRunRecord, RunResult
@@ -187,33 +188,20 @@ class BatchEvaluator:
             for lad in self._ladders
         ]
 
-        def scalar_pow(f: float, f_nom: float, k: float) -> float:
-            # the scalar np.power code path core_power uses on 0-d
-            # input (the vectorized SIMD pow can differ from it by 1 ulp)
-            return float(np.power(np.asarray(f, dtype=np.float64) / f_nom, k))
-
         def per_class(fn) -> np.ndarray:
             return np.array([fn(s) for s in class_list], dtype=np.float64)
 
         self._inv_k_list = [
             1.0 / s.socket.core.dyn_exponent for s in class_list
         ]
-        # (f / f_nom) ** k per ladder frequency, per class
+        # (f / f_nom) ** k per ladder frequency, per class, from the
+        # power model's scalar rule (the vectorized SIMD pow can differ
+        # from it by 1 ulp)
         self._pow_ladder_k = [
-            np.array(
-                [
-                    scalar_pow(
-                        f, s.socket.f_nominal, s.socket.core.dyn_exponent
-                    )
-                    for f in lad.frequencies
-                ]
-            )
-            for s, lad in zip(class_list, self._ladders)
+            np.array(ladder_power_factors(s.socket)) for s in class_list
         ]
         self._c_relmin = per_class(
-            lambda s: scalar_pow(
-                s.socket.f_min, s.socket.f_nominal, s.socket.core.dyn_exponent
-            )
+            lambda s: freq_power_factor(s.socket, s.socket.f_min)
         )
         self._c_f_min = per_class(lambda s: s.socket.f_min)
         self._c_f_max = per_class(lambda s: s.socket.f_max)

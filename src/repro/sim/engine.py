@@ -261,11 +261,6 @@ class ExecutionEngine:
             If a cap is below the hardware floor for the requested
             concurrency (propagated from cap resolution).
         """
-        if self._cache is not None:
-            key = self.cache_key(app, config)
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
         cluster = self._cluster
         if config.n_nodes > cluster.n_nodes:
             raise SchedulingError(
@@ -280,6 +275,19 @@ class ExecutionEngine:
             raise SchedulingError(
                 f"{config.n_threads} threads requested, node has {min_cores} cores"
             )
+        down = [n.node_id for n in participants if not cluster.is_available(n.node_id)]
+        if down:
+            raise NodeFailureError(
+                f"cannot run on failed node(s) {down}; "
+                f"available: {list(cluster.available_node_ids)}"
+            )
+        # Validate before the lookup: the key does not cover the failed
+        # set, so a hit must not answer for a run that cannot execute.
+        if self._cache is not None:
+            key = self.cache_key(app, config)
+            hit = self._cache.get(key)
+            if hit is not None:
+                return hit
 
         # Placement is identical on every node of one hardware class
         # (homogeneous job launch); mixed clusters place per class.
@@ -318,13 +326,6 @@ class ExecutionEngine:
         work_fraction = (
             1.0 / config.n_nodes if config.scaling == "strong" else 1.0
         )
-
-        down = [n.node_id for n in participants if not cluster.is_available(n.node_id)]
-        if down:
-            raise NodeFailureError(
-                f"cannot run on failed node(s) {down}; "
-                f"available: {list(cluster.available_node_ids)}"
-            )
 
         records: list[NodeRunRecord] = []
         rng = self._run_rng(app, config)

@@ -140,11 +140,11 @@ class GroundTruthModel:
     def _effective_bandwidth(
         self,
         chars: WorkloadCharacteristics,
-        threads_per_socket: np.ndarray,
-        bw_limit_per_socket: np.ndarray,
+        threads_per_socket: tuple[int, ...],
+        bw_limit_per_socket: tuple[float, ...],
         remote_fraction: float,
         frequency_hz: float,
-    ) -> np.ndarray:
+    ) -> tuple[float, ...]:
         """Deliverable DRAM bandwidth per socket (B/s).
 
         A socket only serves traffic if it hosts threads (first-touch
@@ -155,16 +155,17 @@ class GroundTruthModel:
         capped core clock also costs bandwidth); the remote-access
         fraction then degrades throughput.
         """
-        extract = threads_per_socket * chars.per_thread_bw_limit
         uncore = min(
             1.0,
             UNCORE_BW_FLOOR
             + (1.0 - UNCORE_BW_FLOOR) * frequency_hz / self._node.socket.f_nominal,
         )
         peak = self._node.socket.memory.peak_bandwidth * uncore
-        bw = np.minimum(np.minimum(bw_limit_per_socket, extract), peak)
         penalty = 1.0 - remote_fraction * (1.0 - REMOTE_EFFICIENCY)
-        return bw * penalty
+        return tuple(
+            min(min(limit, n * chars.per_thread_bw_limit), peak) * penalty
+            for n, limit in zip(threads_per_socket, bw_limit_per_socket)
+        )
 
     def phase_time(
         self,
@@ -206,12 +207,16 @@ class GroundTruthModel:
             transfer stream to and from the board rides the same
             controllers.
         """
-        tps = np.asarray(threads_per_socket, dtype=np.int64)
-        if tps.ndim != 1 or len(tps) != self._node.n_sockets:
+        tps = _per_socket(
+            threads_per_socket, int,
+            "threads_per_socket must have one entry per socket",
+        )
+        if len(tps) != self._node.n_sockets:
             raise WorkloadError("threads_per_socket must have one entry per socket")
-        if np.any(tps < 0) or np.any(tps > self._node.socket.n_cores):
+        n_cores = self._node.socket.n_cores
+        if any(c < 0 or c > n_cores for c in tps):
             raise WorkloadError("thread counts must fit each socket")
-        n = int(tps.sum())
+        n = sum(tps)
         if n < 1:
             raise WorkloadError("need at least one thread")
         if frequency_hz <= 0:
@@ -220,8 +225,11 @@ class GroundTruthModel:
             raise WorkloadError("work_fraction must lie in (0, 1]")
         if not 0.0 <= remote_fraction <= 1.0:
             raise WorkloadError("remote_fraction must lie in [0, 1]")
-        bw_lim = np.asarray(bw_limit_per_socket, dtype=np.float64)
-        if bw_lim.shape != tps.shape:
+        bw_lim = _per_socket(
+            bw_limit_per_socket, float,
+            "bw_limit_per_socket must match socket count",
+        )
+        if len(bw_lim) != len(tps):
             raise WorkloadError("bw_limit_per_socket must match socket count")
 
         instr = chars.instructions_per_iter * work_fraction
@@ -238,7 +246,7 @@ class GroundTruthModel:
         bw = self._effective_bandwidth(
             chars, tps, bw_lim, remote_fraction, frequency_hz
         )
-        total_bw = float(bw.sum())
+        total_bw = _sum_in_order(bw)
         t_mem = dram_bytes / total_bw if dram_bytes > 0 else 0.0
 
         t_sync = chars.sync_cost_s * max(n - 1, 0)
@@ -251,15 +259,14 @@ class GroundTruthModel:
         # spin-waiting (OpenMP barriers default to active spinning) at
         # roughly half power; memory stalls clock-gate the pipeline.
         busy = t_serial + t_comp + 0.5 * t_sync
-        activity = float(np.clip(busy / t_iter if t_iter > 0 else 1.0, 0.05, 1.0))
+        activity = min(max(busy / t_iter if t_iter > 0 else 1.0, 0.05), 1.0)
 
         # Demand is what the workload would consume at this pace,
         # apportioned by each socket's share of deliverable bandwidth.
         if dram_bytes > 0 and t_iter > 0 and total_bw > 0:
-            shares = bw / total_bw
-            demand = tuple(float(s * dram_bytes / t_iter) for s in shares)
+            demand = tuple(b / total_bw * dram_bytes / t_iter for b in bw)
         else:
-            demand = tuple(0.0 for _ in range(len(tps)))
+            demand = tuple(0.0 for _ in tps)
 
         return NodePhaseTiming(
             t_iter_s=t_iter,
@@ -299,23 +306,31 @@ class GroundTruthModel:
             instr=0.0, bytes_=0.0, dev=0.0,
         )
         busy_weighted = 0.0
-        n_sockets = self._node.n_sockets
-        demand = np.zeros(n_sockets)
+        demand = (0.0,) * self._node.n_sockets
         phase_breakdown: list[tuple[str, float]] = []
         for phase in chars.effective_phases():
-            tps = np.asarray(
+            tps = _per_socket(
                 (phase_threads or {}).get(phase.name, threads_per_socket),
-                dtype=np.int64,
+                int,
+                "threads_per_socket must have one entry per socket",
             )
             oversub = 1.0
             if phase.max_useful_threads is not None:
-                excess = int(tps.sum()) - phase.max_useful_threads
+                excess = sum(tps) - phase.max_useful_threads
                 if excess > 0:
                     oversub = 1.0 + PHASE_OVERSUBSCRIPTION_PENALTY * (
                         excess / phase.max_useful_threads
                     )
-                tps = _clip_total_threads(tps, phase.max_useful_threads)
-            view = chars.phase_view(phase)
+                    tps = tuple(
+                        _clip_total_threads(
+                            np.asarray(tps, dtype=np.int64),
+                            phase.max_useful_threads,
+                        ).tolist()
+                    )
+            # the implicit whole-app phase (weight 1, no overrides) sees
+            # the app's own numbers: phase_view would only multiply them
+            # by 1.0, which changes no bit
+            view = chars.phase_view(phase) if chars.phases else chars
             pt = self.phase_time(
                 view, tps, frequency_hz, bw_limit_per_socket,
                 remote_fraction=remote_fraction, work_fraction=work_fraction,
@@ -333,7 +348,10 @@ class GroundTruthModel:
             totals["bytes_"] += pt.dram_bytes
             totals["dev"] += pt.device_s
             busy_weighted += pt.activity * pt.t_iter_s
-            demand += np.asarray(pt.bw_demand_per_socket) * pt.t_iter_s
+            demand = tuple(
+                d + b * pt.t_iter_s
+                for d, b in zip(demand, pt.bw_demand_per_socket)
+            )
         t = totals["t"]
         return NodePhaseTiming(
             t_iter_s=t,
@@ -344,11 +362,44 @@ class GroundTruthModel:
             activity=float(busy_weighted / t) if t > 0 else 1.0,
             instructions=totals["instr"],
             dram_bytes=totals["bytes_"],
-            bw_demand_per_socket=tuple(demand / t if t > 0 else demand),
+            bw_demand_per_socket=tuple(d / t for d in demand) if t > 0 else demand,
             remote_fraction=remote_fraction,
             phase_times=tuple(phase_breakdown),
             device_s=totals["dev"],
         )
+
+
+def _per_socket(values, kind: type, message: str) -> tuple:
+    """*values* as a tuple of Python ``int`` or ``float``, one per socket.
+
+    A tuple already of *kind* (what the engine passes) is returned as
+    is.  Anything else goes through the ``np.asarray`` cast the model
+    has always applied -- so floats still truncate to thread counts --
+    and must come out 1-D, else :class:`WorkloadError` (*message*).
+    """
+    if type(values) is tuple and all(type(v) is kind for v in values):
+        return values
+    arr = np.asarray(values, dtype=np.int64 if kind is int else np.float64)
+    if arr.ndim != 1:
+        raise WorkloadError(message)
+    return tuple(arr.tolist())
+
+
+def _sum_in_order(values: tuple[float, ...]) -> float:
+    """The float sum ``ndarray.sum`` would return, without the array.
+
+    Below eight elements NumPy adds left to right onto ``0.0`` (which
+    also turns an all ``-0.0`` sum into ``0.0``); above, it sums
+    pairwise, so only short tuples -- every real socket count -- are
+    added here.  Python's ``sum`` is no substitute: from 3.12 it
+    compensates float rounding.
+    """
+    if len(values) >= 8:
+        return float(np.asarray(values, dtype=np.float64).sum())
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _clip_total_threads(tps: np.ndarray, limit: int) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SpecError
 from repro.hw.power import PowerModel
-from repro.hw.specs import haswell_node
+from repro.hw.specs import broadwell_node, gpu_node, haswell_node
 from repro.units import ghz
 
 NODE = haswell_node()
@@ -218,3 +218,136 @@ class TestPowerBreakdownDomains:
         table = set(PowerBreakdown.CAPPED_DOMAIN_FIELDS)
         assert table <= names
         assert names - table == {"other_w"}
+
+
+# ----------------------------------------------------------------------
+# float branch vs 0-d array branch: bit identity
+# ----------------------------------------------------------------------
+
+#: Every hardware class the testbeds use.
+_HW_NODES = (haswell_node(), broadwell_node(), gpu_node())
+
+
+def _outcome(fn, *args):
+    """What a call produced: its exact value (NaN-aware) or its error."""
+    try:
+        out = fn(*args)
+    except (SpecError, ValueError) as exc:
+        return ("raises", type(exc), str(exc))
+    if out is None:
+        return ("none",)
+    assert type(out) is float
+    return ("nan",) if out != out else ("value", out, np.signbit(out))
+
+
+def _freqs(node):
+    """Ladder frequencies (tabled), f = 0, and arbitrary off-ladder ones."""
+    return st.one_of(
+        st.sampled_from(node.socket.freq_ladder + (0.0,)),
+        st.floats(min_value=-1e9, max_value=5e9),
+        st.just(float("nan")),
+    )
+
+
+_activities = st.one_of(
+    st.floats(min_value=-0.5, max_value=1.5),
+    st.sampled_from([0.0, 0.05, 1.0, float("nan")]),
+)
+
+
+@st.composite
+def _power_cases(draw):
+    node = draw(st.sampled_from(_HW_NODES))
+    efficiency = draw(
+        st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=1.6))
+    )
+    return PowerModel(node, efficiency=efficiency), draw(_freqs(node))
+
+
+class TestFloatBranchBitIdentity:
+    """Scalar inputs give exactly what 0-d arrays (the array path) give.
+
+    The array branch is the reference: it is the code the scalar engine
+    ran before scalars got their own branch, and the batch evaluator is
+    pinned to it.  Errors must match too -- NaN inputs pass the range
+    checks on both branches, as they always have.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_power_cases(), act=_activities)
+    def test_core_power(self, case, act):
+        model, f = case
+        assert _outcome(model.core_power, f, act) == _outcome(
+            model.core_power, np.asarray(f), np.asarray(act)
+        )
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=_power_cases(), act=_activities,
+           n=st.integers(min_value=-1, max_value=21))
+    def test_pkg_power(self, case, act, n):
+        model, f = case
+        assert _outcome(model.pkg_power, n, f, act) == _outcome(
+            model.pkg_power, n, np.asarray(f), np.asarray(act)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        node=st.sampled_from(_HW_NODES),
+        efficiency=st.floats(min_value=0.5, max_value=1.6),
+        bw=st.one_of(
+            st.floats(min_value=-1e9, max_value=1.5e11),
+            st.sampled_from([0.0, -0.0, float("nan"), float("inf")]),
+        ),
+    )
+    def test_dram_power(self, node, efficiency, bw):
+        model = PowerModel(node, efficiency=efficiency)
+        assert _outcome(model.dram_power, bw) == _outcome(
+            model.dram_power, np.asarray(bw)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        node=st.sampled_from(_HW_NODES),
+        efficiency=st.floats(min_value=0.5, max_value=1.6),
+        cap=st.one_of(
+            st.floats(min_value=-10.0, max_value=400.0),
+            st.just(float("nan")),
+        ),
+        tps=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        act=_activities,
+    )
+    def test_max_freq_under_pkg_cap(self, node, efficiency, cap, tps, act):
+        model = PowerModel(node, efficiency=efficiency)
+        assert _outcome(model.max_freq_under_pkg_cap, cap, tps, act) == (
+            _outcome(model.max_freq_under_pkg_cap, cap, tps, np.asarray(act))
+        )
+
+    @pytest.mark.parametrize("node", _HW_NODES, ids=lambda n: n.name)
+    def test_dense_frequency_sweep(self, node):
+        """A fixed off-ladder grid: where a libm ``pow`` would show.
+
+        ``**`` differs from the 0-d ``np.power`` in the last ulp for a
+        few percent of arguments on some hosts, too rarely for a
+        few hundred random draws to catch every time.
+        """
+        model = PowerModel(node, efficiency=0.93)
+        for f in np.linspace(node.socket.f_min, node.socket.f_max, 3001):
+            f = float(f)
+            assert model.core_power(f, 0.7) == model.core_power(
+                np.asarray(f), np.asarray(0.7)
+            )
+
+    def test_ladder_table_is_bounded_by_the_ladder(self):
+        model = PowerModel(NODE)
+        for f in np.linspace(0.0, 4e9, 257):
+            model.core_power(float(f))
+        assert len(model._factors) == len(NODE.socket.freq_ladder) + 1
+
+    def test_table_and_batch_share_one_rule(self):
+        from repro.hw.power import freq_power_factor, ladder_power_factors
+
+        socket = NODE.socket
+        for f, factor in zip(socket.freq_ladder, ladder_power_factors(socket)):
+            rel = np.asarray(f, dtype=np.float64) / socket.f_nominal
+            assert factor == float(np.power(rel, socket.core.dyn_exponent))
+            assert freq_power_factor(socket, f) == factor

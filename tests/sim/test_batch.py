@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro.errors import NodeFailureError
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.numa import AffinityKind
 from repro.sim.batch import BatchEvaluator, RunCache, config_cache_key
@@ -317,6 +318,28 @@ class TestRunCache:
         after = engine.run(app, cfg)
         assert cache.misses == 2 and cache.hits == 0
         assert after.energy_j != before.energy_j
+
+    def test_hit_does_not_bypass_validation(self, cluster):
+        """A run cached before a node failed must not answer after it.
+
+        The key leaves out the failed set, so the availability check
+        has to run before the lookup, as on an uncached engine.
+        """
+        engine = ExecutionEngine(cluster, seed=42, cache=RunCache())
+        plain = ExecutionEngine(SimulatedCluster.testbed(), seed=42)
+        app = get_app("comd")
+        cfg = ExecutionConfig(n_nodes=4, n_threads=12)
+        first = engine.run(app, cfg)
+        cluster.fail_node(1)
+        plain.cluster.fail_node(1)
+        with pytest.raises(NodeFailureError):
+            plain.run(app, cfg)
+        with pytest.raises(NodeFailureError):
+            engine.run(app, cfg)
+        # what-if evaluation keeps ignoring availability
+        assert engine.evaluate(app, cfg) is first
+        cluster.recover_node(1)
+        assert engine.run(app, cfg) is first
 
     def test_stats_and_clear(self, cluster):
         cache = RunCache()

@@ -1,15 +1,19 @@
 """Unit and property tests for the ground-truth performance model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
-from repro.hw.specs import haswell_node
+from repro.hw.specs import broadwell_node, gpu_node, haswell_node
 from repro.units import ghz
+from repro.workloads.apps import GPU_APPS, all_apps
 from repro.workloads.characteristics import Phase, WorkloadCharacteristics
 from repro.workloads.model import (
     GroundTruthModel,
+    _sum_in_order,
     scalability_curve,
     true_inflection_point,
     true_scalability_class,
@@ -217,3 +221,136 @@ class TestCurveAnalysis:
         )
         assert list(ns) == [4, 8, 16]
         assert len(perfs) == 3
+
+
+# ----------------------------------------------------------------------
+# per-socket inputs: tuples, lists and arrays time identically
+# ----------------------------------------------------------------------
+
+_APPS = all_apps() + GPU_APPS
+_NODES = (haswell_node(), broadwell_node(), gpu_node())
+
+
+def _timing_or_error(fn, *args, **kw) -> str:
+    """The call's result or error as text: ``repr`` round-trips every
+    float exactly and, unlike ``==``, equates NaN with NaN (a denormal
+    bandwidth limit makes the iteration time infinite)."""
+    try:
+        return repr(fn(*args, **kw))
+    except (WorkloadError, ZeroDivisionError) as exc:  # 0 B/s: dram / 0.0
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def _timing_cases(draw):
+    node = draw(st.sampled_from(_NODES))
+    cores = node.socket.n_cores
+    tps = draw(st.tuples(*(st.integers(0, cores) for _ in range(node.n_sockets))))
+    peak = node.socket.memory.peak_bandwidth
+    bw = draw(st.tuples(*(
+        st.floats(min_value=0.0, max_value=peak) for _ in range(node.n_sockets)
+    )))
+    return {
+        "model": GroundTruthModel(node),
+        "app": draw(st.sampled_from(_APPS)),
+        "tps": tps,
+        "f": draw(st.sampled_from(node.socket.freq_ladder)),
+        "bw": bw,
+        "remote": draw(st.floats(min_value=0.0, max_value=1.0)),
+        "work": draw(st.floats(min_value=1e-3, max_value=1.0)),
+        "gpu_rate": draw(st.sampled_from([0.0, 1e12, 3.7e13])),
+    }
+
+
+class TestPerSocketInputForms:
+    """The model times per-socket tuples on Python floats; arrays and
+    lists are cast to the same tuples, so every input form gives the
+    same bits (and the same errors)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_timing_cases())
+    def test_phase_time_tuple_equals_ndarray(self, case):
+        model, app = case["model"], case["app"]
+        kw = dict(remote_fraction=case["remote"], work_fraction=case["work"],
+                  gpu_rate=case["gpu_rate"])
+        as_tuple = _timing_or_error(
+            model.phase_time, app, case["tps"], case["f"], case["bw"], **kw
+        )
+        as_array = _timing_or_error(
+            model.phase_time, app, np.asarray(case["tps"]), case["f"],
+            np.asarray(case["bw"]), **kw
+        )
+        as_list = _timing_or_error(
+            model.phase_time, app, list(case["tps"]), case["f"],
+            list(case["bw"]), **kw
+        )
+        assert as_tuple == as_array == as_list
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_timing_cases(), solve=st.integers(1, 12))
+    def test_iteration_time_tuple_equals_ndarray(self, case, solve):
+        model, app = case["model"], case["app"]
+        kw = dict(remote_fraction=case["remote"], work_fraction=case["work"],
+                  gpu_rate=case["gpu_rate"])
+        over = {p.name: (solve, 0) for p in app.phases[:1]}
+        as_tuple = _timing_or_error(
+            model.iteration_time, app, case["tps"], case["f"], case["bw"],
+            phase_threads=over, **kw
+        )
+        as_array = _timing_or_error(
+            model.iteration_time, app, np.asarray(case["tps"]), case["f"],
+            np.asarray(case["bw"]),
+            phase_threads={k: np.asarray(v) for k, v in over.items()}, **kw
+        )
+        assert as_tuple == as_array
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_timing_cases())
+    def test_implicit_phase_equals_explicit_phase_view(self, case):
+        """A phase-less app is timed on its own numbers, skipping the
+        ``phase_view`` copy; an explicit weight-1 phase takes the copy."""
+        model, app = case["model"], case["app"]
+        if app.phases or sum(case["tps"]) == 0:
+            return
+        explicit = replace(app, phases=(Phase("main", 1.0),))
+        args = (case["tps"], case["f"], case["bw"])
+        kw = dict(remote_fraction=case["remote"], work_fraction=case["work"],
+                  gpu_rate=case["gpu_rate"])
+        assert _timing_or_error(model.iteration_time, app, *args, **kw) == (
+            _timing_or_error(model.iteration_time, explicit, *args, **kw)
+        )
+
+    @pytest.mark.parametrize(
+        "tps,bw",
+        [
+            ([[6, 6]], FULL_BW),          # 2-D threads
+            (6, FULL_BW),                 # 0-D threads
+            ([6, 6, 6], FULL_BW),         # wrong socket count
+            ([13, 0], FULL_BW),           # over a socket's cores
+            ([-1, 6], FULL_BW),           # negative
+            ([0, 0], FULL_BW),            # no threads
+            ([6, 6], np.full((1, 2), 1e10)),  # 2-D bandwidth
+            ([6, 6], [1e10]),             # short bandwidth
+        ],
+    )
+    def test_bad_input_raises_workload_error(self, tps, bw):
+        for form in (lambda x: x, np.asarray):
+            with pytest.raises(WorkloadError):
+                MODEL.phase_time(compute_app(), form(tps), ghz(2.3), bw)
+            with pytest.raises(WorkloadError):
+                MODEL.iteration_time(compute_app(), form(tps), ghz(2.3), bw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, width=64),
+            st.sampled_from([0.0, -0.0]),
+        ),
+        min_size=1, max_size=12,
+    ))
+    def test_socket_sum_matches_ndarray_sum(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
+            ref = np.asarray(values, dtype=np.float64).sum()
+            got = _sum_in_order(tuple(values))
+        assert (got == ref or (got != got and ref != ref))
+        assert np.signbit(got) == np.signbit(ref)
