@@ -11,9 +11,10 @@ This is also the upper bound the Conductor-style related work would
 approach at much higher search cost — CLIP's claim is getting close
 with 2–3 profiling runs.
 
-The search runs on the engine's batched evaluation path
+The search runs on the engine's what-if evaluation
 (:meth:`ExecutionEngine.evaluate_many`): all surviving candidates are
-scored as one ``(n_candidates, n_nodes)`` array program, and
+scored in one call — as one ``(n_candidates, n_nodes)`` array program
+unless they span only a handful of node-cells — and
 candidates whose *analytic power floor* already exceeds the budget are
 pruned before simulation.  The floor comes from the Eq. 4–9 power
 model: a node hosting ``n`` threads draws at least

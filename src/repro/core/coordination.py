@@ -69,8 +69,10 @@ def measure_node_factors(engine: ExecutionEngine, n_threads: int | None = None) 
     legitimately draws different watts than a Haswell, and only the
     within-class silicon spread is manufacturing variability.
 
-    The per-node kernels are scored as **one batched array program**
-    (:meth:`ExecutionEngine.evaluate_many`), and the resulting factors
+    The per-node kernels are scored in **one what-if call**
+    (:meth:`ExecutionEngine.evaluate_many`; an array program on any
+    fleet above :data:`~repro.sim.batch.FLOAT_PATH_MAX_CELLS`
+    available nodes), and the resulting factors
     are cached on the engine keyed by the cluster fingerprint (specs,
     per-node efficiencies, failed set) — ``fail_node`` /
     ``recover_node`` / ``degrade_node`` all change the fingerprint, so

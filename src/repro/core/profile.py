@@ -263,9 +263,10 @@ class SmartProfiler:
         would conflate frequency headroom with thread scalability.
         """
         socket = self._node_spec.socket
-        # Both frequency points of the sample go through the batched
-        # evaluation path as one candidate set: a single array program,
-        # memoized via the engine cache when one is attached.
+        # Both frequency points of the sample are one what-if candidate
+        # set: two node-cells, so evaluate_many answers them on the
+        # engine's float code, memoized via the engine cache when one
+        # is attached.
         result, low_result = self._engine.evaluate_many(
             app,
             [

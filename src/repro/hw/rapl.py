@@ -108,9 +108,14 @@ class RaplDomain:
     @property
     def effective_cap_w(self) -> float:
         """Cap actually enforced: the limit, clipped to the domain max."""
-        if self._enforced_w is None:
+        return self.clip(self._enforced_w)
+
+    def clip(self, limit_w: float | None) -> float:
+        """A limit as the silicon honours it: ``None`` is the domain
+        max, anything else is clipped to it."""
+        if limit_w is None:
             return self._max_power_w
-        return min(self._enforced_w, self._max_power_w)
+        return min(float(limit_w), self._max_power_w)
 
     @property
     def throttle_events(self) -> int:
@@ -456,7 +461,48 @@ class RaplInterface:
         demanded_frequency_hz: float | None = None,
         strict: bool = False,
     ) -> OperatingPoint:
-        """Find the operating point hardware capping would settle at.
+        """Find the operating point under the caps enforced now.
+
+        Calls :meth:`resolve_under` with the enforced PKG/DRAM limits,
+        then records one throttle event on each domain the result
+        throttles.  A ``strict`` floor error propagates before any
+        event is recorded.
+        """
+        pkg_reg = self._domains[Domain.PKG]
+        dram_reg = self._domains[Domain.DRAM]
+        op = self.resolve_under(
+            pkg_reg.enforced_w,
+            dram_reg.enforced_w,
+            active_per_socket,
+            activity,
+            demanded_bandwidth_per_socket,
+            demanded_frequency_hz,
+            strict,
+        )
+        if op.mem_throttled:
+            dram_reg.note_throttled()
+        if op.cpu_throttled:
+            pkg_reg.note_throttled()
+        return op
+
+    def resolve_under(
+        self,
+        pkg_limit_w: float | None,
+        dram_limit_w: float | None,
+        active_per_socket,
+        activity: float,
+        demanded_bandwidth_per_socket,
+        demanded_frequency_hz: float | None = None,
+        strict: bool = False,
+    ) -> OperatingPoint:
+        """Find the operating point hardware capping would settle at
+        under the given PKG/DRAM limits.
+
+        Side-effect free: the limits are arguments (``None`` = the
+        domain max, larger values clipped to it, as
+        :attr:`RaplDomain.effective_cap_w` does), and no register is
+        read or written.  What-if evaluation calls this directly;
+        :meth:`resolve` calls it with the enforced caps.
 
         The PKG limit is honored by stepping down the shared frequency;
         the DRAM limit by stepping down the memory power level, which
@@ -492,8 +538,7 @@ class RaplInterface:
         # The returned ``bandwidth_per_socket`` is the *allowed* ceiling
         # (what a memory power level grants), not the delivered traffic;
         # power is accounted from the delivered estimate min(demand, cap).
-        dram_reg = self._domains[Domain.DRAM]
-        dram_cap = dram_reg.effective_cap_w
+        dram_cap = self._domains[Domain.DRAM].clip(dram_limit_w)
         per_socket_cap = dram_cap / node.n_sockets
         limit = self._model.max_bandwidth_under_dram_cap(per_socket_cap)
         mem_cap_violated = False
@@ -511,13 +556,10 @@ class RaplInterface:
         mem_throttled = mem_cap_violated or any(
             b > limit * (1 + 1e-9) for b in demand_bw
         )
-        if mem_throttled:
-            dram_reg.note_throttled()
         dram_w = float(sum(self._model.dram_power(b) for b in delivered))
 
         # --- PKG: highest ladder frequency fitting under the cap ---
-        pkg_reg = self._domains[Domain.PKG]
-        pkg_cap = pkg_reg.effective_cap_w
+        pkg_cap = self._domains[Domain.PKG].clip(pkg_limit_w)
         f_demand = (
             self._ladder.quantize_down(demanded_frequency_hz)
             if demanded_frequency_hz is not None
@@ -557,8 +599,6 @@ class RaplInterface:
             cpu_cap_violated = pkg_cap < static + MIN_DUTY_CYCLE * max(dyn_fmin, 0.0)
         f_allowed = self._ladder.quantize_down(f_cont)
         cpu_throttled = duty < 1.0 or cpu_cap_violated or f_allowed < f_demand
-        if cpu_throttled:
-            pkg_reg.note_throttled()
         f = min(f_demand, f_allowed)
         pkg_w = float(
             sum(
@@ -579,7 +619,24 @@ class RaplInterface:
         )
 
     def resolve_gpu(self, strict: bool = False) -> tuple[float, bool, bool]:
-        """Highest device clock whose full-utilization power fits the cap.
+        """Device clock under the enforced GPU cap.
+
+        Calls :meth:`resolve_gpu_under` with the enforced limit; a
+        throttled result records one throttle event.
+        """
+        reg = self.domain(Domain.GPU)
+        clock, throttled, violated = self.resolve_gpu_under(
+            reg.enforced_w, strict
+        )
+        if throttled:
+            reg.note_throttled()
+        return clock, throttled, violated
+
+    def resolve_gpu_under(
+        self, gpu_limit_w: float | None, strict: bool = False
+    ) -> tuple[float, bool, bool]:
+        """Highest device clock whose full-utilization power fits the
+        given GPU limit (side effect free, like :meth:`resolve_under`).
 
         The GPU cap is honoured by stepping the device clock down its
         ladder, sized against *worst-case* (fully-busy) draw so the
@@ -595,8 +652,7 @@ class RaplInterface:
         """
         if self._gpu_ladder is None:
             raise PowerDomainError("node has no 'gpu' power domain")
-        reg = self._domains[Domain.GPU]
-        cap = reg.effective_cap_w
+        cap = self._domains[Domain.GPU].clip(gpu_limit_w)
         clock = self._gpu_ladder.highest_under(
             lambda clk: self._model.gpu_power(clk, 1.0) <= cap
         )
@@ -610,8 +666,6 @@ class RaplInterface:
             clock = self._gpu_ladder.f_min
             violated = True
         throttled = violated or clock < self._gpu_ladder.f_max
-        if throttled:
-            reg.note_throttled()
         return clock, throttled, violated
 
     # ------------------------------------------------------------------

@@ -1,23 +1,26 @@
-"""Batched candidate evaluation: vectorized engine fast path + run cache.
+"""What-if candidate evaluation: path choice, array kernel, run cache.
 
-The exhaustive oracle, the profiler, and every figure benchmark score
-hundreds of :class:`~repro.sim.engine.ExecutionConfig` candidates, and
-the scalar :meth:`ExecutionEngine.run` pays Python-loop overhead per
-node, per phase, per fixed-point round.  This module evaluates *many*
-candidates at once as one ``(n_candidates, n_nodes)`` NumPy array
-program:
+The exhaustive oracle, node calibration, the profiler, and every figure
+benchmark score :class:`~repro.sim.engine.ExecutionConfig` candidates
+without executing them.  The scalar :meth:`ExecutionEngine.run` pays
+Python-loop cost per node, per phase, per fixed-point round; the array
+kernel here pays a fixed cost per call instead.  So
+:meth:`BatchEvaluator.run_many` answers a small batch (at most
+:data:`FLOAT_PATH_MAX_CELLS` participating node-cells after the cache)
+on the engine's own float code, run as a what-if, and a larger one as
+one ``(n_candidates, n_nodes)`` NumPy array program:
 
 * :class:`RunCache` — memoizes :class:`~repro.sim.trace.RunResult`s on
   ``(app, config, engine seed, cluster spec, node efficiencies)`` with
   hit/miss counters, so repeated candidate evaluations across budgets
   and figures are free;
-* :class:`BatchEvaluator` — the vectorized replication of the engine's
-  damped fixed-point loop (cap resolution ↔ timing), numerically
-  identical to the scalar path: every expression keeps the scalar
-  code's evaluation order, per-socket reductions run in socket order,
-  and per-element convergence is tracked with a done-mask so each
-  (candidate, node) cell freezes at exactly the round the scalar loop
-  would have broken.
+* :class:`BatchEvaluator` — the path choice, and the vectorized
+  replication of the engine's damped fixed-point loop (cap resolution
+  ↔ timing), numerically identical to the scalar path: every
+  expression keeps the scalar code's evaluation order, per-socket
+  reductions run in socket order, and per-element convergence is
+  tracked with a done-mask so each (candidate, node) cell freezes at
+  exactly the round the scalar loop would have broken.
 
 Heterogeneous clusters are first-class: hardware constants are tabled
 per node *class* and gathered per (candidate, rank) cell, frequency
@@ -26,11 +29,13 @@ exponent per class keeps the exact scalar ``np.power`` kernel), and
 placements are computed once per (class, candidate) pair — so a mixed
 Haswell + Broadwell fleet stays bit-exact against the scalar engine.
 
-The batch path is side-effect-free: it does not program RAPL caps,
-accumulate energy counters, or touch power meters.  That is what makes
-memoization sound — a cache hit answers "what would this run produce?"
-without replaying hardware bookkeeping (the scalar path remains the way
-to *execute* a job when those side effects matter).
+Both paths are side-effect-free: they do not program RAPL caps,
+count throttle events, accumulate energy counters, or touch power
+meters, and they take caps from the config rather than the nodes.
+That is what makes memoization sound — a cache hit answers "what would
+this run produce?" without replaying hardware bookkeeping
+(:meth:`ExecutionEngine.run` remains the way to *execute* a job when
+those side effects matter).
 """
 
 from __future__ import annotations
@@ -39,14 +44,12 @@ from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
-from repro.errors import SchedulingError
 from repro.hw.counters import CACHE_LINE_BYTES, READ_FRACTION, EventCounters
 from repro.hw.dvfs import FrequencyLadder
 from repro.hw.power import freq_power_factor, ladder_power_factors
 from repro.hw.rapl import MIN_DUTY_CYCLE, OperatingPoint
 from repro.sim.affinity import make_placement, placement_for
 from repro.sim.trace import NodeRunRecord, RunResult
-from repro.units import check_non_negative
 from repro.workloads.characteristics import WorkloadCharacteristics
 from repro.workloads.model import (
     ODD_CONCURRENCY_PENALTY,
@@ -59,7 +62,20 @@ from repro.workloads.model import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us lazily)
     from repro.sim.engine import ExecutionConfig, ExecutionEngine
 
-__all__ = ["RunCache", "BatchEvaluator", "config_cache_key"]
+__all__ = [
+    "FLOAT_PATH_MAX_CELLS",
+    "RunCache",
+    "BatchEvaluator",
+    "config_cache_key",
+]
+
+#: Largest batch, in participating node-cells (the sum of ``n_nodes``
+#: over the uncached configs), that :meth:`BatchEvaluator.run_many`
+#: evaluates on the engine's float code instead of the array program.
+#: The kernel pays ~0.55 ms per call plus a little per cell, the float
+#: path ~0.15 ms per cell; they break even at about 6 cells for
+#: one-phase apps (docs/performance.md §8).
+FLOAT_PATH_MAX_CELLS = 6
 
 #: Fixed-point iteration control — mirrors repro.sim.engine exactly.
 _MAX_ROUNDS = 12
@@ -160,8 +176,9 @@ class BatchEvaluator:
     """Scores many execution configurations against one engine at once.
 
     Results are exactly those :meth:`ExecutionEngine.run` would return
-    (the equivalence is pinned by ``tests/sim/test_batch.py``), minus
-    the hardware side effects — see the module docstring.
+    on a fault-free cluster (the equivalence is pinned by
+    ``tests/sim/test_batch.py``), minus the hardware side effects — see
+    the module docstring.
     """
 
     def __init__(self, engine: "ExecutionEngine"):
@@ -277,7 +294,11 @@ class BatchEvaluator:
     ) -> list[RunResult]:
         """Evaluate *app* under every config, consulting the engine cache.
 
-        Returns one :class:`RunResult` per config, in input order.
+        Returns one :class:`RunResult` per config, in input order.  The
+        uncached configs run on the engine's float code when they span
+        at most :data:`FLOAT_PATH_MAX_CELLS` node-cells, else on the
+        array kernel; both validate every config first, raise the same
+        errors, and give the same bits.
         """
         if not configs:
             return []
@@ -295,7 +316,11 @@ class BatchEvaluator:
         else:
             todo = list(range(len(configs)))
         if todo:
-            fresh = self._evaluate(app, [configs[i] for i in todo])
+            pending = [configs[i] for i in todo]
+            if sum(c.n_nodes for c in pending) <= FLOAT_PATH_MAX_CELLS:
+                fresh = self._engine._what_if(app, pending)
+            else:
+                fresh = self._evaluate(app, pending)
             for i, result in zip(todo, fresh):
                 out[i] = result
                 if cache is not None:
@@ -318,32 +343,11 @@ class BatchEvaluator:
         S = self._S_max
         C = len(configs)
 
-        # -- validation + per-config derived facts (cheap Python) -------
-        participants_ids: list[tuple[int, ...]] = []
-        for cfg in configs:
-            if cfg.n_nodes > cluster.n_nodes:
-                raise SchedulingError(
-                    f"{cfg.n_nodes} nodes requested, cluster has {cluster.n_nodes}"
-                )
-            if cfg.node_ids is not None:
-                ids = tuple(cluster.node(i).node_id for i in cfg.node_ids)
-            else:
-                ids = tuple(range(cfg.n_nodes))
-            min_cores = min(cluster.node(i).spec.n_cores for i in ids)
-            if cfg.n_threads > min_cores:
-                raise SchedulingError(
-                    f"{cfg.n_threads} threads requested, node has "
-                    f"{min_cores} cores"
-                )
-            for entry in (
-                cfg.per_node_caps
-                if cfg.per_node_caps is not None
-                else [(cfg.pkg_cap_w, cfg.dram_cap_w, cfg.gpu_cap_w)]
-            ):
-                for cap in entry:
-                    if cap is not None:
-                        check_non_negative(cap, "cap")
-            participants_ids.append(ids)
+        # -- validation, shared with the float what-if path -------------
+        participants_ids = [
+            tuple(n.node_id for n in self._engine._what_if_participants(cfg))
+            for cfg in configs
+        ]
 
         NN = max(len(ids) for ids in participants_ids)
         mask = np.zeros((C, NN), dtype=bool)

@@ -21,6 +21,7 @@ turns into synchronization waste (§III-B.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.hw.power import PowerBreakdown
 from repro.sim.affinity import Placement, make_placement, placement_for
 from repro.sim.mpi import CommModel
 from repro.sim.trace import NodeRunRecord, RunResult
+from repro.units import check_non_negative
 from repro.workloads.characteristics import WorkloadCharacteristics
 from repro.workloads.model import GroundTruthModel
 
@@ -93,8 +95,13 @@ class ExecutionConfig:
                 raise SchedulingError(
                     "per_node_caps entries must be (pkg, dram) or (pkg, dram, gpu)"
                 )
-        if self.node_ids is not None and len(self.node_ids) != self.n_nodes:
-            raise SchedulingError("node_ids must have one entry per node")
+        if self.node_ids is not None:
+            if len(self.node_ids) != self.n_nodes:
+                raise SchedulingError("node_ids must have one entry per node")
+            if len(set(self.node_ids)) != self.n_nodes:
+                raise SchedulingError(
+                    f"node_ids must be distinct, got {self.node_ids}"
+                )
         if self.scaling not in ("strong", "weak"):
             raise SchedulingError(
                 f"scaling must be 'strong' or 'weak', got {self.scaling!r}"
@@ -142,12 +149,18 @@ class ExecutionEngine:
 
     def __init__(self, cluster: SimulatedCluster, seed: int = 42, cache=None):
         self._cluster = cluster
+        # each slot's hardware class as an int, in first-slot order: the
+        # per-run code keys on it, since hashing a NodeSpec walks all
+        # its nested specs
+        class_of: dict = {}
+        self._slot_class = tuple(
+            class_of.setdefault(s, len(class_of))
+            for s in cluster.spec.node_specs
+        )
         # one ground-truth timing model per distinct hardware class
-        self._models = {
-            spec: GroundTruthModel(spec)
-            for spec in dict.fromkeys(cluster.spec.node_specs)
-        }
-        self._model = self._models[cluster.spec.node_specs[0]]
+        self._models = {spec: GroundTruthModel(spec) for spec in class_of}
+        self._class_models = tuple(self._models.values())
+        self._model = self._class_models[0]
         self._comm = CommModel(cluster.spec)
         self._seed = seed
         self._cache = cache
@@ -227,12 +240,16 @@ class ExecutionEngine:
     def evaluate_many(
         self, app: WorkloadCharacteristics, configs: list[ExecutionConfig]
     ) -> list[RunResult]:
-        """Score many configs at once on the vectorized batch path.
+        """What-if evaluation of many configs at once.
 
         Returns one :class:`RunResult` per config, in order, identical
-        to what :meth:`run` would produce — but computed as a single
-        ``(n_candidates, n_nodes)`` array program and memoized through
-        :attr:`cache` when one is attached.  No hardware side effects.
+        to what :meth:`run` would produce on a fault-free cluster, and
+        memoized through :attr:`cache` when one is attached.  Caps come
+        from each config, availability is ignored, and no node state
+        changes.  A small uncached remainder (at most
+        :data:`~repro.sim.batch.FLOAT_PATH_MAX_CELLS` node-cells) runs
+        on :meth:`run`'s own float code; a larger one runs as a single
+        ``(n_candidates, n_nodes)`` array program.
         """
         if self._batch is None:
             from repro.sim.batch import BatchEvaluator
@@ -243,7 +260,8 @@ class ExecutionEngine:
     def evaluate(
         self, app: WorkloadCharacteristics, config: ExecutionConfig
     ) -> RunResult:
-        """Side-effect-free single-config evaluation (batch path)."""
+        """Side-effect-free single-config evaluation (see
+        :meth:`evaluate_many`)."""
         return self.evaluate_many(app, [config])[0]
 
     # ------------------------------------------------------------------
@@ -253,14 +271,59 @@ class ExecutionEngine:
     ) -> RunResult:
         """Execute *app* under *config* and return the result.
 
+        Programs each participant's RAPL caps through its actuation
+        policy, resolves under the caps the silicon then enforces, and
+        accounts the run's energy in the RAPL registers and the power
+        meters.
+
         Raises
         ------
         SchedulingError
             If the configuration does not fit the cluster.
+        NodeFailureError
+            If a participating node is failed.
         PowerDomainError
             If a cap is below the hardware floor for the requested
             concurrency (propagated from cap resolution).
         """
+        cluster = self._cluster
+        participants = self._participants(config)
+        down = [n.node_id for n in participants if not cluster.is_available(n.node_id)]
+        if down:
+            raise NodeFailureError(
+                f"cannot run on failed node(s) {down}; "
+                f"available: {list(cluster.available_node_ids)}"
+            )
+        # Validate before the lookup: the key does not cover the failed
+        # set, so a hit must not answer for a run that cannot execute.
+        if self._cache is not None:
+            key = self.cache_key(app, config)
+            hit = self._cache.get(key)
+            if hit is not None:
+                return hit
+        result = self._simulate(app, config, participants, execute=True)
+        if self._cache is not None:
+            self._cache.put(key, result)
+        return result
+
+    def _what_if(
+        self, app: WorkloadCharacteristics, configs: list[ExecutionConfig]
+    ) -> list[RunResult]:
+        """What-if evaluation of *configs* on :meth:`run`'s float code.
+
+        The batch kernel's semantics: every config is validated first,
+        caps come from the config alone, availability is ignored, and
+        no RAPL register, actuation policy or meter is read or written.
+        Uncached; the caller owns the cache.
+        """
+        participants = [self._what_if_participants(c) for c in configs]
+        return [
+            self._simulate(app, config, nodes, execute=False)
+            for config, nodes in zip(configs, participants)
+        ]
+
+    def _participants(self, config: ExecutionConfig) -> list:
+        """The nodes *config* runs on, checked against the cluster."""
         cluster = self._cluster
         if config.n_nodes > cluster.n_nodes:
             raise SchedulingError(
@@ -275,27 +338,47 @@ class ExecutionEngine:
             raise SchedulingError(
                 f"{config.n_threads} threads requested, node has {min_cores} cores"
             )
-        down = [n.node_id for n in participants if not cluster.is_available(n.node_id)]
-        if down:
-            raise NodeFailureError(
-                f"cannot run on failed node(s) {down}; "
-                f"available: {list(cluster.available_node_ids)}"
-            )
-        # Validate before the lookup: the key does not cover the failed
-        # set, so a hit must not answer for a run that cannot execute.
-        if self._cache is not None:
-            key = self.cache_key(app, config)
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
+        return participants
 
+    def _what_if_participants(self, config: ExecutionConfig) -> list:
+        """:meth:`_participants` plus a check of every cap in the config.
+
+        ``run`` checks a cap when it programs it, so it never sees a
+        GPU cap meant for a CPU-only node; a what-if evaluation checks
+        them all up front.
+        """
+        participants = self._participants(config)
+        entries = (
+            config.per_node_caps
+            if config.per_node_caps is not None
+            else [(config.pkg_cap_w, config.dram_cap_w, config.gpu_cap_w)]
+        )
+        for entry in entries:
+            for cap in entry:
+                if cap is not None:
+                    check_non_negative(cap, "cap")
+        return participants
+
+    def _simulate(
+        self,
+        app: WorkloadCharacteristics,
+        config: ExecutionConfig,
+        participants: list,
+        execute: bool,
+    ) -> RunResult:
+        """The steady state of *app* under *config* on *participants*.
+
+        ``execute`` selects :meth:`run`'s hardware side effects; without
+        it the caps come from the config and no node state changes.
+        """
         # Placement is identical on every node of one hardware class
         # (homogeneous job launch); mixed clusters place per class.
+        slot_class = self._slot_class
         placements: dict = {}
         phase_tps_by: dict = {}
         for part in participants:
-            spec = part.spec
-            if spec in placements:
+            k = slot_class[part.node_id]
+            if k in placements:
                 continue
             topo = part.numa
             if config.affinity is None:
@@ -309,8 +392,8 @@ class ExecutionEngine:
                 placement = make_placement(
                     topo, config.n_threads, config.affinity, app.shared_fraction
                 )
-            placements[spec] = placement
-            phase_tps_by[spec] = {
+            placements[k] = placement
+            phase_tps_by[k] = {
                 name: tuple(
                     int(c)
                     for c in make_placement(
@@ -330,11 +413,12 @@ class ExecutionEngine:
         records: list[NodeRunRecord] = []
         rng = self._run_rng(app, config)
         for rank, node in enumerate(participants):
+            k = slot_class[node.node_id]
             records.append(
                 self._run_node(
-                    node, app, config,
-                    placements[node.spec], phase_tps_by[node.spec],
-                    work_fraction, iterations, rng, rank,
+                    node, app, config, self._class_models[k],
+                    placements[k], phase_tps_by[k],
+                    work_fraction, iterations, rng, rank, execute,
                 )
             )
 
@@ -351,7 +435,7 @@ class ExecutionEngine:
         final_records = []
         for node, rec in zip(participants, records):
             spec = node.spec
-            placement = placements[spec]
+            placement = placements[slot_class[node.node_id]]
             busy_frac = rec.t_iter_s / t_step if t_step > 0 else 1.0
             idle_pkg = sum(
                 node.power_model.pkg_power(
@@ -389,16 +473,19 @@ class ExecutionEngine:
                     + rec.operating_point.dram_power_w
                 )
             energy += node_energy
-            node.rapl.accumulate(rec.operating_point, iterations * rec.t_iter_s)
-            node.meter.record(
-                PowerBreakdown(
-                    pkg_w=avg_pkg,
-                    dram_w=avg_dram,
-                    other_w=spec.p_other_w,
-                    gpu_w=avg_gpu if spec.has_gpu else None,
-                ),
-                total_time,
-            )
+            if execute:
+                node.rapl.accumulate(
+                    rec.operating_point, iterations * rec.t_iter_s
+                )
+                node.meter.record(
+                    PowerBreakdown(
+                        pkg_w=avg_pkg,
+                        dram_w=avg_dram,
+                        other_w=spec.p_other_w,
+                        gpu_w=avg_gpu if spec.has_gpu else None,
+                    ),
+                    total_time,
+                )
             final_records.append(
                 NodeRunRecord(
                     node_id=rec.node_id,
@@ -414,19 +501,20 @@ class ExecutionEngine:
                     gpu_busy_fraction=rec.gpu_busy_fraction,
                 )
             )
-        first_spec = participants[0].spec
-        if all(n.spec == first_spec for n in participants):
+        first = participants[0]
+        first_class = slot_class[first.node_id]
+        if all(slot_class[n.node_id] == first_class for n in participants):
             # seed's count * value arithmetic, kept bit-identical
-            peak += config.n_nodes * first_spec.p_other_w
+            peak += config.n_nodes * first.spec.p_other_w
         else:
             for node in participants:
                 peak += node.spec.p_other_w
 
-        result = RunResult(
+        return RunResult(
             app_name=app.name,
             n_nodes=config.n_nodes,
             n_threads_per_node=config.n_threads,
-            affinity=placements[first_spec].kind.value,
+            affinity=placements[first_class].kind.value,
             iterations=iterations,
             t_step_s=t_step,
             comm_s=comm_s,
@@ -436,9 +524,6 @@ class ExecutionEngine:
             peak_power_w=peak,
             nodes=tuple(final_records),
         )
-        if self._cache is not None:
-            self._cache.put(key, result)
-        return result
 
     # ------------------------------------------------------------------
 
@@ -447,24 +532,40 @@ class ExecutionEngine:
         node,
         app: WorkloadCharacteristics,
         config: ExecutionConfig,
+        model: GroundTruthModel,
         placement: Placement,
         phase_tps: dict[str, tuple[int, ...]],
         work_fraction: float,
         iterations: int,
         rng: np.random.Generator,
-        rank: int = 0,
+        rank: int,
+        execute: bool,
     ) -> NodeRunRecord:
-        """Fixed-point resolve one node's steady state."""
+        """Fixed-point resolve one node's steady state.
+
+        Executed, the config's caps are programmed into the node and
+        resolution reads them back (counting throttle events); as a
+        what-if, the config's caps are resolved directly.
+        """
         pkg_cap, dram_cap = config.caps_for(rank)
-        node.set_power_caps(pkg_cap, dram_cap, config.gpu_cap_for(rank))
-        model = self._models[node.spec]
+        gpu_cap = config.gpu_cap_for(rank)
+        rapl = node.rapl
+        if execute:
+            node.set_power_caps(pkg_cap, dram_cap, gpu_cap)
+            resolve = rapl.resolve
+        else:
+            resolve = partial(rapl.resolve_under, pkg_cap, dram_cap)
         # The device clock is sized once, against worst-case (fully
         # busy) draw, so it is independent of the damped host loop.
         gpu_rate = 0.0
         gpu_clock = 0.0
         gpu_throttled = gpu_violated = False
         if node.spec.has_gpu and app.gpu_fraction > 0:
-            gpu_clock, gpu_throttled, gpu_violated = node.rapl.resolve_gpu()
+            if execute:
+                resolved_gpu = rapl.resolve_gpu()
+            else:
+                resolved_gpu = rapl.resolve_gpu_under(gpu_cap)
+            gpu_clock, gpu_throttled, gpu_violated = resolved_gpu
             gpu_rate = model.device_rate(app, gpu_clock)
         mem = node.spec.socket.memory
         tps = placement.threads_per_socket
@@ -476,9 +577,7 @@ class ExecutionEngine:
         prev_t = None
         op = None
         for _ in range(_MAX_ROUNDS):
-            op = node.rapl.resolve(
-                tps, activity, demand, config.frequency_hz
-            )
+            op = resolve(tps, activity, demand, config.frequency_hz)
             timing = model.iteration_time(
                 app,
                 tps,
@@ -499,7 +598,7 @@ class ExecutionEngine:
             prev_t = timing.t_iter_s
 
         # Final consistency pass with converged activity/demand.
-        op = node.rapl.resolve(
+        op = resolve(
             tps, timing.activity, timing.bw_demand_per_socket, config.frequency_hz
         )
         if node.spec.has_gpu:

@@ -1,25 +1,39 @@
-"""Batched evaluation: exact equivalence with the scalar path + memoization.
+"""What-if evaluation: exact equivalence with ``run`` + memoization.
 
-The batch evaluator's contract is *bit-exact* agreement with
-``ExecutionEngine.run`` — every ``RunResult`` field, including the
-synthesized PMU counters, must match the scalar path exactly (the
-ISSUE's 1e-9 tolerance is the ceiling; the implementation achieves
-equality).  The cache tests pin the memoization semantics: keys cover
-the application, the full configuration, the engine seed, and the
-current per-node efficiency factors, so fault injection and reseeding
-invalidate naturally.
+``evaluate_many`` answers on two paths: small batches run the engine's
+own float code as a what-if, large ones the vectorized array kernel.
+Both must agree *bit-exactly* with ``ExecutionEngine.run`` — every
+``RunResult`` field, including the synthesized PMU counters — so the
+equivalence cases check the public call and the kernel called
+directly, and a property checks the float what-if against the kernel,
+error for error.  The cache tests pin the memoization semantics: keys
+cover the application, the full configuration, the engine seed, and
+the current per-node efficiency factors, so fault injection and
+reseeding invalidate naturally.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import NodeFailureError
+from repro.errors import NodeFailureError, SchedulingError
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.numa import AffinityKind
-from repro.sim.batch import BatchEvaluator, RunCache, config_cache_key
+from repro.hw.specs import (
+    gpu_testbed,
+    haswell_testbed,
+    mixed_gpu_testbed,
+    mixed_testbed,
+)
+from repro.sim.batch import (
+    FLOAT_PATH_MAX_CELLS,
+    BatchEvaluator,
+    RunCache,
+    config_cache_key,
+)
 from repro.sim.engine import ExecutionConfig, ExecutionEngine
-from repro.workloads.apps import get_app
+from repro.workloads.apps import GPU_APPS, all_apps, get_app
 
 
 def assert_identical(batch, scalar):
@@ -38,6 +52,19 @@ def assert_identical(batch, scalar):
         bv = getattr(batch, field.name)
         sv = getattr(scalar, field.name)
         assert bv == sv, f"{field.name} differs: {bv!r} != {sv!r}"
+
+
+def kernel(engine, app, config):
+    """One config through the array kernel, bypassing the path choice."""
+    return BatchEvaluator(engine)._evaluate(app, [config])[0]
+
+
+def assert_all_paths_match_run(engine, app, config):
+    """``run``, ``evaluate_many`` and the kernel give the same bits."""
+    scalar = engine.run(app, config)
+    (batch,) = engine.evaluate_many(app, [config])
+    assert_identical(batch, scalar)
+    assert_identical(kernel(engine, app, config), scalar)
 
 
 EQUIVALENCE_CASES = [
@@ -112,10 +139,7 @@ class TestExactEquivalence:
         ids=[f"{a}-{i}" for i, (a, _) in enumerate(EQUIVALENCE_CASES)],
     )
     def test_batch_matches_scalar(self, engine, app_name, config):
-        app = get_app(app_name)
-        scalar = engine.run(app, config)
-        (batch,) = engine.evaluate_many(app, [config])
-        assert_identical(batch, scalar)
+        assert_all_paths_match_run(engine, get_app(app_name), config)
 
     def test_full_candidate_set_in_one_call(self, engine):
         """Many heterogeneous configs in one array program all match."""
@@ -129,6 +153,7 @@ class TestExactEquivalence:
         app = get_app("comd")
         cfg = ExecutionConfig(n_nodes=2, n_threads=8, iterations=2)
         assert_identical(engine.evaluate(app, cfg), engine.run(app, cfg))
+        assert_identical(kernel(engine, app, cfg), engine.run(app, cfg))
 
     def test_order_independence(self, engine):
         """Results depend only on the config, not its batch position."""
@@ -150,6 +175,8 @@ class TestExactEquivalence:
         app = get_app("sp-mz.C")
         cfg = ExecutionConfig(n_nodes=8, n_threads=12, iterations=2)
         assert_identical(engine.evaluate(app, cfg), engine.run(app, cfg))
+        one = ExecutionConfig(n_nodes=1, n_threads=12, node_ids=(3,))
+        assert_all_paths_match_run(engine, app, one)
 
 
 #: Configs straddling the Haswell/Broadwell boundary of the mixed fleet
@@ -204,10 +231,7 @@ class TestMixedClusterEquivalence:
         ids=[f"{a}-{i}" for i, (a, _) in enumerate(MIXED_CASES)],
     )
     def test_batch_matches_scalar(self, mixed_engine, app_name, config):
-        app = get_app(app_name)
-        scalar = mixed_engine.run(app, config)
-        (batch,) = mixed_engine.evaluate_many(app, [config])
-        assert_identical(batch, scalar)
+        assert_all_paths_match_run(mixed_engine, get_app(app_name), config)
 
     def test_full_mixed_candidate_set_in_one_call(self, mixed_engine):
         app = get_app("sp-mz.C")
@@ -217,8 +241,6 @@ class TestMixedClusterEquivalence:
             assert_identical(b, mixed_engine.run(app, cfg))
 
     def test_thread_count_validated_against_smallest_class(self, mixed_engine):
-        from repro.errors import SchedulingError
-
         app = get_app("comd")
         # 40 threads fit the Broadwell slots but not the Haswell ones
         cfg = ExecutionConfig(
@@ -226,6 +248,8 @@ class TestMixedClusterEquivalence:
         )
         with pytest.raises(SchedulingError, match="24 cores"):
             mixed_engine.evaluate_many(app, [cfg])
+        with pytest.raises(SchedulingError, match="24 cores"):
+            kernel(mixed_engine, app, cfg)
         # a Broadwell-only span accepts the same thread count
         wide = ExecutionConfig(
             n_nodes=2, n_threads=40, node_ids=(4, 5), iterations=2
@@ -466,10 +490,7 @@ class TestGpuEquivalence:
     def test_batch_matches_scalar_on_gpu_fleet(
         self, gpu_engine, app_name, config
     ):
-        app = get_app(app_name)
-        scalar = gpu_engine.run(app, config)
-        (batch,) = gpu_engine.evaluate_many(app, [config])
-        assert_identical(batch, scalar)
+        assert_all_paths_match_run(gpu_engine, get_app(app_name), config)
 
     @pytest.mark.parametrize(
         "app_name,config",
@@ -479,10 +500,7 @@ class TestGpuEquivalence:
     def test_batch_matches_scalar_on_mixed_gpu_fleet(
         self, mixed_gpu_engine, app_name, config
     ):
-        app = get_app(app_name)
-        scalar = mixed_gpu_engine.run(app, config)
-        (batch,) = mixed_gpu_engine.evaluate_many(app, [config])
-        assert_identical(batch, scalar)
+        assert_all_paths_match_run(mixed_gpu_engine, get_app(app_name), config)
 
     def test_full_gpu_candidate_set_in_one_call(self, gpu_engine):
         app = get_app("lulesh-gpu")
@@ -499,3 +517,206 @@ class TestGpuEquivalence:
         assert busy.nodes[0].avg_gpu_w > idle.nodes[0].avg_gpu_w
         assert busy.nodes[0].gpu_busy_fraction > 0.3
         assert idle.nodes[0].gpu_busy_fraction == 0.0
+
+
+class TestPathSelection:
+    """Small batches take the float what-if, larger ones the kernel."""
+
+    @pytest.fixture()
+    def paths(self, engine, monkeypatch):
+        """Record which path each ``evaluate_many`` call took."""
+        taken = []
+        what_if = engine._what_if
+        array = BatchEvaluator._evaluate
+
+        def float_path(app, configs):
+            taken.append(("float", sum(c.n_nodes for c in configs)))
+            return what_if(app, configs)
+
+        def kernel_path(self, app, configs):
+            taken.append(("kernel", sum(c.n_nodes for c in configs)))
+            return array(self, app, configs)
+
+        monkeypatch.setattr(engine, "_what_if", float_path)
+        monkeypatch.setattr(BatchEvaluator, "_evaluate", kernel_path)
+        return taken
+
+    def test_both_sides_of_the_crossover(self, engine, paths):
+        app = get_app("comd")
+        at_limit = [
+            ExecutionConfig(n_nodes=1, n_threads=4 + i, iterations=2)
+            for i in range(FLOAT_PATH_MAX_CELLS)
+        ]
+        over_limit = at_limit + [
+            ExecutionConfig(n_nodes=1, n_threads=2, iterations=2)
+        ]
+        for configs in (at_limit, over_limit):
+            results = engine.evaluate_many(app, configs)
+            for cfg, result in zip(configs, results):
+                assert_identical(result, engine.run(app, cfg))
+        assert paths == [
+            ("float", FLOAT_PATH_MAX_CELLS),
+            ("kernel", FLOAT_PATH_MAX_CELLS + 1),
+        ]
+
+    def test_counts_node_cells_not_configs(self, engine, paths):
+        app = get_app("sp-mz.C")
+        cfg = ExecutionConfig(n_nodes=FLOAT_PATH_MAX_CELLS + 1, n_threads=12)
+        assert_identical(engine.evaluate(app, cfg), engine.run(app, cfg))
+        assert paths == [("kernel", FLOAT_PATH_MAX_CELLS + 1)]
+
+    def test_only_uncached_configs_count(self, cluster, monkeypatch):
+        engine = ExecutionEngine(cluster, seed=42, cache=RunCache())
+        app = get_app("comd")
+        big = ExecutionConfig(n_nodes=FLOAT_PATH_MAX_CELLS, n_threads=12)
+        small = ExecutionConfig(n_nodes=1, n_threads=12)
+        engine.run(app, big)
+        taken = []
+        what_if = engine._what_if
+        monkeypatch.setattr(
+            engine,
+            "_what_if",
+            lambda a, cs: taken.append(len(cs)) or what_if(a, cs),
+        )
+        first, second = engine.evaluate_many(app, [big, small])
+        assert taken == [1]  # the cached run is not evaluated again
+        assert_identical(second, engine.run(app, small))
+        assert first is engine.run(app, big)
+
+    def test_float_path_caches_the_kernel_answer(self, cluster):
+        cache = RunCache()
+        engine = ExecutionEngine(cluster, seed=42, cache=cache)
+        app = get_app("stream")
+        configs = [
+            ExecutionConfig(n_nodes=n, n_threads=8, iterations=2)
+            for n in (1, 2)
+        ]
+        engine.evaluate_many(app, configs)
+        assert len(cache) == len(configs)
+        for cfg in configs:
+            stored = cache.get(engine.cache_key(app, cfg))
+            assert_identical(stored, kernel(engine, app, cfg))
+
+    def test_errors_match_and_store_nothing(self, cluster):
+        engine = ExecutionEngine(cluster, seed=42, cache=RunCache())
+        app = get_app("comd")
+        ok = ExecutionConfig(n_nodes=1, n_threads=8)
+        too_wide = ExecutionConfig(n_nodes=1, n_threads=25)
+        with pytest.raises(SchedulingError, match="25 threads"):
+            engine.evaluate_many(app, [ok, too_wide])
+        with pytest.raises(SchedulingError, match="25 threads"):
+            kernel(engine, app, too_wide)
+        assert len(engine.cache) == 0
+
+
+#: The four testbed kinds, each with one degraded node, for the
+#: float-vs-kernel property (built once: neither path mutates them).
+_PROPERTY_TESTBEDS = {
+    "haswell": haswell_testbed,
+    "mixed": mixed_testbed,
+    "gpu": gpu_testbed,
+    "mixed-gpu": mixed_gpu_testbed,
+}
+_PROPERTY_ENGINES: dict = {}
+
+
+def _property_engine(name):
+    if name not in _PROPERTY_ENGINES:
+        cluster = SimulatedCluster(_PROPERTY_TESTBEDS[name]())
+        cluster.degrade_node(cluster.n_nodes - 2, 1.09)
+        _PROPERTY_ENGINES[name] = ExecutionEngine(cluster, seed=7)
+    return _PROPERTY_ENGINES[name]
+
+
+_APPS = tuple(all_apps()) + tuple(GPU_APPS)
+_opt_cap = lambda lo, hi: st.none() | st.floats(lo, hi)  # noqa: E731
+
+
+@st.composite
+def what_if_cases(draw):
+    """(engine, app, config) drawn over every knob the kernel handles.
+
+    About one draw in five carries one flaw on purpose: too many nodes
+    or threads, an out-of-range node id, a negative cap, or a phase
+    override wider than the node.
+    """
+    engine = _property_engine(draw(st.sampled_from(sorted(_PROPERTY_TESTBEDS))))
+    cluster = engine.cluster
+    max_cores = max(s.n_cores for s in cluster.spec.node_specs)
+    flaw = draw(
+        st.sampled_from(
+            (None,) * 16 + ("nodes", "threads", "node_id", "cap", "phase")
+        )
+    )
+    app = draw(st.sampled_from(_APPS))
+    n_nodes = draw(st.integers(1, cluster.n_nodes))
+    n_threads = draw(st.integers(1, max_cores))
+    node_ids = None
+    if draw(st.booleans()):
+        node_ids = tuple(
+            draw(st.permutations(range(cluster.n_nodes)))[:n_nodes]
+        )
+    caps = {}
+    if draw(st.booleans()):
+        caps["per_node_caps"] = tuple(
+            (draw(st.floats(15.0, 320.0)), draw(st.floats(2.0, 70.0)))
+            + ((draw(st.floats(20.0, 700.0)),) if draw(st.booleans()) else ())
+            for _ in range(n_nodes)
+        )
+    else:
+        caps["pkg_cap_w"] = draw(_opt_cap(15.0, 320.0))
+        caps["dram_cap_w"] = draw(_opt_cap(2.0, 70.0))
+        caps["gpu_cap_w"] = draw(_opt_cap(20.0, 700.0))
+    phase_threads = {}
+    if len(app.effective_phases()) > 1 and draw(st.booleans()):
+        phase = draw(st.sampled_from(app.effective_phases())).name
+        phase_threads = {phase: draw(st.integers(1, n_threads))}
+    if flaw == "nodes":
+        n_nodes, node_ids, caps = cluster.n_nodes + 1, None, {}
+    elif flaw == "threads":
+        n_threads = max_cores + 1
+    elif flaw == "node_id":
+        node_ids = (node_ids or tuple(range(n_nodes)))[:-1] + (cluster.n_nodes,)
+    elif flaw == "cap":
+        caps = {"gpu_cap_w": -1.0}
+    elif flaw == "phase":
+        phase_threads = {app.effective_phases()[0].name: max_cores + 1}
+    config = ExecutionConfig(
+        n_nodes=n_nodes,
+        n_threads=n_threads,
+        affinity=draw(st.none() | st.sampled_from(list(AffinityKind))),
+        node_ids=node_ids,
+        frequency_hz=draw(st.none() | st.floats(0.8e9, 3.6e9)),
+        iterations=draw(st.none() | st.integers(1, 3)),
+        phase_threads=phase_threads,
+        scaling=draw(st.sampled_from(["strong", "weak"])),
+        **caps,
+    )
+    return engine, app, config
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared by type across the two paths
+        return type(exc)
+
+
+class TestFloatWhatIfMatchesKernel:
+    """The float what-if and the array kernel: bit for bit, error for
+    error, on every testbed kind with a degraded node."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=what_if_cases())
+    def test_float_what_if_equals_kernel(self, case):
+        engine, app, config = case
+        floats = _outcome(lambda: engine._what_if(app, [config])[0])
+        array = _outcome(lambda: kernel(engine, app, config))
+        if isinstance(floats, type) or isinstance(array, type):
+            assert floats is array
+        else:
+            assert_identical(floats, array)

@@ -37,6 +37,17 @@ class TestConfigValidation:
         with pytest.raises(SchedulingError):
             ExecutionConfig(n_nodes=2, n_threads=4, node_ids=(0,))
 
+    def test_rejects_duplicate_node_ids(self, engine, comd):
+        """A node listed twice would be capped twice (the last rank's
+        caps winning) and have its energy counted twice."""
+        with pytest.raises(SchedulingError, match="distinct"):
+            ExecutionConfig(n_nodes=2, n_threads=12, node_ids=(0, 0))
+        with pytest.raises(SchedulingError, match="distinct"):
+            ExecutionConfig(n_nodes=3, n_threads=4, node_ids=(2, 5, 2))
+        # distinct ids in any order stay valid
+        cfg = ExecutionConfig(n_nodes=2, n_threads=12, node_ids=(5, 0))
+        assert [n.node_id for n in engine.run(comd, cfg).nodes] == [5, 0]
+
     def test_caps_for_uniform(self):
         cfg = ExecutionConfig(n_nodes=2, n_threads=4, pkg_cap_w=100.0, dram_cap_w=20.0)
         assert cfg.caps_for(0) == (100.0, 20.0)
