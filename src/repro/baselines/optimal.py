@@ -84,7 +84,7 @@ class OracleScheduler(PowerBoundedScheduler):
         use_batch: bool = True,
     ):
         super().__init__(engine)
-        classes = list(dict.fromkeys(engine.cluster.spec.node_specs))
+        classes = engine.cluster.spec.node_classes
         if dram_grid_w is None:
             # every grid point must be honorable on every class: floor
             # at the highest class floor, ceiling at the lowest class max

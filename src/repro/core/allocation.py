@@ -25,22 +25,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import hierarchy
 from repro.core.coordination import VARIABILITY_THRESHOLD, coordinate_power
-from repro.core.powermodel import ClipPowerModel
 from repro.core.recommend import Recommender
 from repro.errors import InfeasibleBudgetError, SchedulingError
 
-__all__ = ["ClusterAllocation", "ClusterAllocator"]
+__all__ = ["ClusterAllocation", "ClusterAllocator", "acceptable_range"]
+
+
+def acceptable_range(recommender: Recommender) -> tuple[float, float]:
+    """``(floor, ceiling)`` per-node power range of one hardware class.
+
+    The ceiling is the power worth giving a node at the unbounded
+    concurrency; the floor is the cheapest *candidate* concurrency
+    — a node below the all-core floor can still contribute at
+    reduced concurrency, CLIP's node-level lever.
+    """
+    n_threads = recommender.unbounded_concurrency()
+    rng = recommender.power_model.power_range(n_threads)
+    return recommender.min_floor_w(), rng.node_hi_w
 
 
 @dataclass(frozen=True)
 class ClusterAllocation:
     """Node count plus per-node budgets chosen for one job.
 
-    ``node_lo_w`` / ``node_hi_w`` describe the primary hardware class;
-    on a heterogeneous cluster ``node_ranges_w`` additionally carries
-    each participating slot's own ``(lo, hi)`` (``None`` when every
-    slot shares the primary range).
+    ``node_lo_w`` / ``node_hi_w`` describe the primary (slot-0)
+    hardware class.  ``node_ranges_w`` carries each participating
+    slot's own ``(lo, hi)`` when the participating slots span more
+    than one hardware class, and is ``None`` when they all share one
+    class — every slot then has the primary range.
     """
 
     n_nodes: int
@@ -63,7 +77,12 @@ class ClusterAllocation:
 
 
 class ClusterAllocator:
-    """Chooses node count and per-node budgets for one application."""
+    """Chooses node count and per-node budgets for one application.
+
+    ``class_ranges`` holds one :func:`acceptable_range` per hardware
+    class and ``slot_class`` each slot's index into it (default: one
+    class, the recommender's).  Slots fill in order.
+    """
 
     def __init__(
         self,
@@ -71,7 +90,8 @@ class ClusterAllocator:
         n_total_nodes: int,
         node_factors: np.ndarray | None = None,
         variability_threshold: float = VARIABILITY_THRESHOLD,
-        node_ranges: tuple[tuple[float, float], ...] | None = None,
+        class_ranges: tuple[tuple[float, float], ...] | None = None,
+        slot_class: np.ndarray | tuple[int, ...] | None = None,
         rack_of_slot: tuple[int, ...] | None = None,
         rack_names: tuple[str, ...] | None = None,
     ):
@@ -87,18 +107,28 @@ class ClusterAllocator:
         if len(self._factors) != n_total_nodes:
             raise SchedulingError("node_factors must cover every node")
         self._threshold = variability_threshold
-        # per-slot (lo, hi) acceptable ranges: None on a homogeneous
-        # cluster (every slot shares the recommender's range)
-        self._ranges = (
-            tuple((float(lo), float(hi)) for lo, hi in node_ranges)
-            if node_ranges is not None
-            else None
+        if class_ranges is None:
+            class_ranges = (acceptable_range(recommender),)
+        slot_class = (
+            np.zeros(n_total_nodes, dtype=np.int64)
+            if slot_class is None
+            else np.asarray(slot_class, dtype=np.int64)
         )
-        if self._ranges is not None and len(self._ranges) != n_total_nodes:
-            raise SchedulingError("node_ranges must cover every node")
-        # rack structure: None on a flat (single-rack) cluster, which
-        # keeps every legacy code path untouched; multi-rack fleets
-        # split hierarchically and search rack-decomposed candidates
+        if len(slot_class) != n_total_nodes:
+            raise SchedulingError("slot_class must cover every node")
+        self._range = tuple(class_ranges[slot_class[0]])
+        table = np.asarray(class_ranges, dtype=np.float64)
+        self._lo = table[slot_class, 0]
+        self._hi = table[slot_class, 1]
+        # length of the leading run of slots sharing slot 0's class
+        # (the first mismatch, or every slot): jobs no larger than this
+        # have one shared (scalar) range
+        self._n_one_class = (
+            int((slot_class == slot_class[0]).argmin()) or n_total_nodes
+        )
+        # rack structure: None on a flat (single-rack) cluster;
+        # multi-rack fleets split hierarchically and search
+        # rack-decomposed candidates
         self._rack_of = (
             tuple(int(r) for r in rack_of_slot)
             if rack_of_slot is not None
@@ -107,49 +137,26 @@ class ClusterAllocator:
         if self._rack_of is not None and len(self._rack_of) != n_total_nodes:
             raise SchedulingError("rack_of_slot must cover every node")
         self._rack_names = rack_names
-        self._range_cache: tuple[float, float] | None = None
-
-    @property
-    def power_model(self) -> ClipPowerModel:
-        """The fitted power model the ranges come from."""
-        return self._rec.power_model
 
     # ------------------------------------------------------------------
 
     def acceptable_range(self) -> tuple[float, float]:
-        """Per-node acceptable power range.
-
-        The ceiling is the power worth giving a node at the unbounded
-        concurrency; the floor is the cheapest *candidate* concurrency
-        — a node below the all-core floor can still contribute at
-        reduced concurrency, CLIP's node-level lever.
-        """
-        if self._range_cache is None:
-            n_threads = self._rec.unbounded_concurrency()
-            rng = self._rec.power_model.power_range(n_threads)
-            self._range_cache = (self._rec.min_floor_w(), rng.node_hi_w)
-        return self._range_cache
+        """The primary (slot-0) class's per-node range."""
+        return self._range
 
     def candidate_node_counts(
         self, cluster_budget_w: float, predefined: tuple[int, ...] | None = None
     ) -> tuple[int, ...]:
         """Node counts whose per-node share lies in the acceptable range."""
-        lo, hi = self.acceptable_range()
-        if self._ranges is None:
-            max_nodes = min(int(cluster_budget_w // lo), self._n_total)
-            floor0 = lo
-        else:
-            # slots are filled in order: n nodes fit when the first n
-            # floors fit under the budget together
-            floors = np.cumsum([r[0] for r in self._ranges])
-            max_nodes = int(
-                np.searchsorted(floors, cluster_budget_w + 1e-9, side="right")
-            )
-            floor0 = self._ranges[0][0]
+        # slots are filled in order: n nodes fit when the first n
+        # floors fit under the budget together
+        max_nodes = int(
+            self._lo.cumsum().searchsorted(cluster_budget_w + 1e-9, side="right")
+        )
         if max_nodes < 1:
             raise InfeasibleBudgetError(
                 f"cluster budget {cluster_budget_w:.1f} W below the single-node "
-                f"floor {floor0:.1f} W"
+                f"floor {self._lo[0]:.1f} W"
             )
         if predefined:
             cands = tuple(n for n in sorted(predefined) if 1 <= n <= max_nodes)
@@ -197,26 +204,30 @@ class ClusterAllocator:
             raise InfeasibleBudgetError("cluster budget must be > 0")
         lo, hi = self.acceptable_range()
         if mode == "simple":
-            n_nodes = self._simple_node_count(cluster_budget_w, lo, hi, predefined)
+            n_nodes = self._simple_node_count(cluster_budget_w, predefined)
         elif mode == "predictive":
             n_nodes = self._predictive_node_count(cluster_budget_w, predefined)
         else:
             raise SchedulingError(f"unknown allocation mode {mode!r}")
 
+        ranges = None
+        if n_nodes <= self._n_one_class:
+            # one hardware class: the shared range stays a scalar
+            lo_b: float | np.ndarray = lo
+            hi_b: float | np.ndarray = hi
+            total = min(cluster_budget_w / n_nodes, hi) * n_nodes
+        else:
+            lo_b, hi_b = self._lo[:n_nodes], self._hi[:n_nodes]
+            total = min(cluster_budget_w, float(hi_b.sum()))
+            ranges = tuple(zip(lo_b.tolist(), hi_b.tolist()))
         rack_budgets = None
-        if self._rack_of is not None:
+        if self._rack_of is None:
+            budgets = coordinate_power(
+                total, self._factors[:n_nodes], lo_b, hi_b, self._threshold
+            )
+        else:
             # multi-rack fleet: split cluster → rack → node
-            if self._ranges is None:
-                lo_b: float | np.ndarray = lo
-                hi_b: float | np.ndarray = hi
-                total = min(cluster_budget_w / n_nodes, hi) * n_nodes
-            else:
-                lo_b = np.array([r[0] for r in self._ranges[:n_nodes]])
-                hi_b = np.array([r[1] for r in self._ranges[:n_nodes]])
-                total = min(cluster_budget_w, float(hi_b.sum()))
-            from repro.core.hierarchy import split_cluster_budget
-
-            budgets, rack_records = split_cluster_budget(
+            budgets, rack_records = hierarchy.split_cluster_budget(
                 total,
                 self._factors[:n_nodes],
                 lo_b,
@@ -226,25 +237,6 @@ class ClusterAllocator:
                 threshold=self._threshold,
             )
             rack_budgets = tuple(r.budget_w for r in rack_records)
-        elif self._ranges is None:
-            per_node = min(cluster_budget_w / n_nodes, hi)
-            budgets = coordinate_power(
-                per_node * n_nodes,
-                self._factors[:n_nodes],
-                lo_w=lo,
-                hi_w=hi,
-                threshold=self._threshold,
-            )
-        else:
-            lo_arr = np.array([r[0] for r in self._ranges[:n_nodes]])
-            hi_arr = np.array([r[1] for r in self._ranges[:n_nodes]])
-            budgets = coordinate_power(
-                min(cluster_budget_w, float(hi_arr.sum())),
-                self._factors[:n_nodes],
-                lo_w=lo_arr,
-                hi_w=hi_arr,
-                threshold=self._threshold,
-            )
         perf = self._predict_cluster_perf(n_nodes, float(np.mean(budgets)))
         return ClusterAllocation(
             n_nodes=n_nodes,
@@ -252,53 +244,23 @@ class ClusterAllocator:
             node_lo_w=lo,
             node_hi_w=hi,
             predicted_cluster_perf=perf,
-            node_ranges_w=(
-                self._ranges[:n_nodes] if self._ranges is not None else None
-            ),
+            node_ranges_w=ranges,
             rack_budgets_w=rack_budgets,
         )
 
     # ------------------------------------------------------------------
 
     def _simple_node_count(
-        self,
-        budget: float,
-        lo: float,
-        hi: float,
-        predefined: tuple[int, ...] | None,
-    ) -> int:
-        """Algorithm 1's literal node-count arithmetic."""
-        if self._ranges is not None:
-            return self._simple_node_count_ranged(budget, predefined)
-        if predefined:
-            fitting = [n for n in sorted(predefined) if n <= budget / lo]
-            if not fitting:
-                raise InfeasibleBudgetError(
-                    f"no predefined count fits {budget:.1f} W at floor {lo:.1f} W"
-                )
-            return min(fitting[-1], self._n_total)
-        if budget > self._n_total * hi:
-            return self._n_total
-        n = int(budget // hi)
-        if n >= 1:
-            return min(n, self._n_total)
-        if budget >= lo:
-            return 1
-        raise InfeasibleBudgetError(
-            f"budget {budget:.1f} W below single-node floor {lo:.1f} W"
-        )
-
-    def _simple_node_count_ranged(
         self, budget: float, predefined: tuple[int, ...] | None
     ) -> int:
-        """The 'simple' arithmetic against per-slot ranges.
+        """Algorithm 1's literal node-count arithmetic.
 
-        Cumulative per-slot sums replace the ``n * lo`` / ``n * hi``
-        products: n nodes fit when the first n floors fit, and the
-        "each node at the range top" count is the largest n whose
-        ceilings sum under the budget.
+        Cumulative per-slot sums stand in for the ``n * lo`` /
+        ``n * hi`` products: n nodes fit when the first n floors fit,
+        and the "each node at the range top" count is the largest n
+        whose ceilings sum under the budget.
         """
-        floors = np.cumsum([r[0] for r in self._ranges])
+        floors = np.cumsum(self._lo)
         if predefined:
             fitting = [
                 n
@@ -308,20 +270,19 @@ class ClusterAllocator:
             if not fitting:
                 raise InfeasibleBudgetError(
                     f"no predefined count fits {budget:.1f} W at floor "
-                    f"{self._ranges[0][0]:.1f} W"
+                    f"{self._lo[0]:.1f} W"
                 )
             return fitting[-1]
-        ceilings = np.cumsum([r[1] for r in self._ranges])
+        ceilings = np.cumsum(self._hi)
         if budget > ceilings[-1]:
             return self._n_total
         n = int(np.searchsorted(ceilings, budget + 1e-9, side="right"))
         if n >= 1:
             return n
-        if budget >= self._ranges[0][0]:
+        if budget >= self._lo[0]:
             return 1
         raise InfeasibleBudgetError(
-            f"budget {budget:.1f} W below single-node floor "
-            f"{self._ranges[0][0]:.1f} W"
+            f"budget {budget:.1f} W below single-node floor {self._lo[0]:.1f} W"
         )
 
     def _predictive_node_count(

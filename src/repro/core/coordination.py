@@ -22,6 +22,8 @@ __all__ = [
     "VARIABILITY_THRESHOLD",
     "measure_node_factors",
     "coordinate_power",
+    "clamp_to_ranges",
+    "slot_values",
     "waterfill_surplus",
 ]
 
@@ -104,27 +106,15 @@ def measure_node_factors(engine: ExecutionEngine, n_threads: int | None = None) 
     for i, result in zip(available, results):
         rec = result.nodes[0]
         powers[i] = rec.operating_point.pkg_power_w + rec.operating_point.dram_power_w
-    measured = powers[~np.isnan(powers)]
-    if measured.size == 0:
-        raise SchedulingError("cannot calibrate: every node is failed")
-    spec = cluster.spec
-    if spec.is_homogeneous:
-        factors = powers / measured.mean()
-    else:
-        factors = np.full(cluster.n_nodes, np.nan)
-        # one gather: map each slot to its hardware class, then
-        # mean-normalize within each class (first-appearance order)
-        class_of: dict = {}
-        cls_ids = np.fromiter(
-            (class_of.setdefault(s, len(class_of)) for s in spec.node_specs),
-            dtype=np.int64,
-            count=cluster.n_nodes,
-        )
-        for k in range(len(class_of)):
-            in_class = cls_ids == k
-            class_measured = powers[in_class & ~np.isnan(powers)]
-            if class_measured.size:
-                factors[in_class] = powers[in_class] / class_measured.mean()
+    # mean-normalize within each hardware class (one class on a
+    # homogeneous cluster)
+    slot_class = np.asarray(cluster.spec.slot_class)
+    factors = np.full(cluster.n_nodes, np.nan)
+    for k in range(len(cluster.spec.node_classes)):
+        in_class = slot_class == k
+        class_measured = powers[in_class & ~np.isnan(powers)]
+        if class_measured.size:
+            factors[in_class] = powers[in_class] / class_measured.mean()
     factors[np.isnan(factors)] = 1.0
     cache[key] = factors.copy()
     return factors
@@ -151,12 +141,14 @@ def waterfill_surplus(
     pin thresholds ``room/weight``, prefix-sum the absorbed watts, and
     solve the final linear segment).
     """
-    n = len(budgets)
-    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (n,))
+    if surplus <= 1e-9:
+        return budgets
     room = hi - budgets
     open_idx = room > 1e-12
-    if surplus <= 1e-9 or not np.any(open_idx):
+    if not open_idx.any():
         return budgets
+    n = len(budgets)
+    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (n,))
     # historical first pass: spill proportionally onto the open entries
     add = np.zeros(n)
     add[open_idx] = surplus * weights[open_idx] / weights[open_idx].sum()
@@ -167,28 +159,67 @@ def waterfill_surplus(
     # entries pinned: exact breakpoint water-fill from the original
     # budgets.  Fully saturated when the surplus covers all open room.
     idx = np.flatnonzero(open_idx)
-    if surplus >= float(room[idx].sum()) - 1e-12:
-        out = budgets.copy()
+    k = len(idx)  # breakpoints passed: all of them when saturated
+    if surplus < float(room[idx].sum()) - 1e-12:
+        t_pin = room[idx] / weights[idx]  # per-entry pinning threshold
+        order = np.argsort(t_pin, kind="stable")
+        t_s = t_pin[order]
+        w_s = weights[idx][order]
+        room_cum = np.cumsum(room[idx][order])
+        w_tail = w_s.sum() - np.cumsum(w_s)
+        # watts absorbed when the water level reaches each breakpoint
+        absorbed_at = room_cum + t_s * w_tail
+        # the sorted prefix sum can round above the pairwise room sum,
+        # leaving a surplus past the last breakpoint: saturated too
+        k = int(np.searchsorted(absorbed_at, surplus, side="left"))
+    out = budgets.copy()
+    if k == len(idx):  # the surplus covers all open room
         out[idx] = hi[idx]
         return out
-    t_pin = room[idx] / weights[idx]  # per-entry pinning threshold
-    order = np.argsort(t_pin, kind="stable")
-    t_s = t_pin[order]
-    w_s = weights[idx][order]
-    room_cum = np.cumsum(room[idx][order])
-    w_tail = w_s.sum() - np.cumsum(w_s)
-    # watts absorbed when the water level reaches each breakpoint
-    absorbed_at = room_cum + t_s * w_tail
-    k = int(np.searchsorted(absorbed_at, surplus, side="left"))
     prev_room = float(room_cum[k - 1]) if k > 0 else 0.0
-    w_rem = float(w_s[k:].sum())
-    t_star = (surplus - prev_room) / w_rem
-    out = budgets.copy()
+    t_star = (surplus - prev_room) / float(w_s[k:].sum())
     pinned = idx[order[:k]]
     rest = idx[order[k:]]
     out[pinned] = hi[pinned]
     out[rest] = np.minimum(budgets[rest] + t_star * weights[rest], hi[rest])
     return out
+
+
+def clamp_to_ranges(
+    total_w: float,
+    target: np.ndarray,
+    weights: np.ndarray,
+    lo: np.ndarray | float,
+    hi: np.ndarray | float,
+) -> np.ndarray:
+    """Clip a target split into ``[lo, hi]`` and move the error back.
+
+    An overage (floors raised) is taken back from entries above their
+    floor in proportion to their headroom — one pass suffices when
+    ``total_w >= sum(lo)``; unspent watts (ceilings cut) are
+    water-filled back by *weights* (:func:`waterfill_surplus`).
+    """
+    out = np.minimum(np.maximum(target, lo), hi)
+    deficit = out.sum() - total_w
+    if deficit > 1e-9:
+        room = out - lo
+        if room.sum() > 1e-12:
+            out = out - deficit * room / room.sum()
+        return np.minimum(np.maximum(out, lo), hi)
+    return waterfill_surplus(out, -deficit, weights, hi)
+
+
+def slot_values(class_values, slot_classes: tuple[int, ...]):
+    """Index per-class values by slot.
+
+    Returns the shared value itself when every slot is of one hardware
+    class — the scalar form bounds, audits and journals keep — and a
+    tuple of floats, one per slot, otherwise.
+    """
+    first = slot_classes[0]
+    if slot_classes.count(first) == len(slot_classes):
+        return class_values[first]
+    return tuple(float(class_values[k]) for k in slot_classes)
 
 
 def coordinate_power(
@@ -200,6 +231,14 @@ def coordinate_power(
 ) -> np.ndarray:
     """Split a job budget across nodes, variability-aware.
 
+    One body serves every fleet: the target split — uniform below the
+    variability threshold, proportional to the factors above it (node
+    *i* needs ``factor_i`` times the watts of the nominal part to
+    sustain the same frequency) — is clipped into each node's range
+    and the clipping error moved back onto nodes with headroom
+    (:func:`clamp_to_ranges`).  A homogeneous cluster is the case where
+    every node shares one range.
+
     Parameters
     ----------
     total_budget_w:
@@ -208,13 +247,12 @@ def coordinate_power(
         Per-node efficiency factors (watts per unit work, normalized);
         only the participating nodes' entries are passed.
     lo_w / hi_w:
-        Acceptable per-node power range of the application.  Scalars
-        describe a homogeneous cluster; per-node arrays (one entry per
-        participating node, in the same order as ``factors``) carry
-        each node's own range on a heterogeneous cluster.  Budgets are
+        Acceptable per-node power range: one scalar shared by every
+        node (all participating nodes of one hardware class) or one
+        entry per node, in the same order as ``factors``.  Budgets are
         kept inside every node's own range.
     threshold:
-        Spread below which the split stays uniform.
+        Spread below which the target split stays uniform.
 
     Returns
     -------
@@ -230,70 +268,22 @@ def coordinate_power(
     n = len(factors)
     if n < 1:
         raise SchedulingError("need at least one participating node")
-    lo_arr = np.asarray(lo_w, dtype=np.float64)
-    hi_arr = np.asarray(hi_w, dtype=np.float64)
-    if lo_arr.ndim == 0 and hi_arr.ndim == 0:
-        lo_s = float(lo_arr)
-        hi_s = float(hi_arr)
-        if lo_s <= 0 or hi_s < lo_s:
-            raise SchedulingError(f"invalid power range [{lo_s}, {hi_s}]")
-        if total_budget_w < n * lo_s - 1e-9:
-            raise SchedulingError(
-                f"budget {total_budget_w:.1f} W cannot give {n} nodes the "
-                f"floor of {lo_s:.1f} W each"
-            )
-        uniform = np.full(n, min(total_budget_w / n, hi_s))
-        spread = factors.max() / factors.min() - 1.0
-        if n == 1 or spread <= threshold:
-            return uniform
-
-        # Proportional split: node i needs factor_i times the watts of
-        # the nominal part to sustain the same frequency.  Clamp into
-        # the acceptable range and hand clipped surplus back
-        # proportionally.
-        budgets = np.clip(total_budget_w * factors / factors.sum(), lo_s, hi_s)
-        deficit = budgets.sum() - total_budget_w
-        if deficit > 1e-9:
-            # Clamping weak nodes up to lo_w pushed the sum past the
-            # budget; take the overage back from nodes above the floor,
-            # proportionally to their headroom.  The feasibility guard
-            # above guarantees sum(room) = sum - n*lo >= deficit, so one
-            # proportional pass lands exactly on the budget without
-            # dropping anyone below lo_w.
-            room = budgets - lo_s
-            budgets = budgets - deficit * room / room.sum()
-            return np.clip(budgets, lo_s, hi_s)
-        return waterfill_surplus(budgets, -deficit, factors, hi_s)
-
-    # -- per-node ranges (heterogeneous clusters) -----------------------
-    # Even a below-threshold spread must respect per-node bounds, so
-    # the clamp-and-redistribute machinery always runs: start from the
-    # target split (uniform or factor-proportional), clip into each
-    # node's own range, then move the clipping error back onto nodes
-    # with headroom.
-    lo = np.array(np.broadcast_to(lo_arr, (n,)), dtype=np.float64)
-    hi = np.array(np.broadcast_to(hi_arr, (n,)), dtype=np.float64)
-    if np.any(lo <= 0) or np.any(hi < lo):
+    # a shared scalar range broadcasts through every step below
+    lo = np.asarray(lo_w, dtype=np.float64)
+    hi = np.asarray(hi_w, dtype=np.float64)
+    if (lo <= 0).any() or (hi < lo).any():
         raise SchedulingError(
-            f"invalid per-node power ranges [{lo.tolist()}, {hi.tolist()}]"
+            f"invalid per-node power ranges [{lo_w}, {hi_w}]"
         )
-    if total_budget_w < lo.sum() - 1e-9:
+    floor = float(lo.sum()) if lo.ndim else n * float(lo)
+    if total_budget_w < floor - 1e-9:
         raise SchedulingError(
             f"budget {total_budget_w:.1f} W cannot give {n} nodes their "
-            f"floors summing to {lo.sum():.1f} W"
+            f"floors summing to {floor:.1f} W"
         )
     spread = factors.max() / factors.min() - 1.0
     if n == 1 or spread <= threshold:
-        raw = np.full(n, total_budget_w / n)
-        weights = np.ones(n)
+        target, weights = np.full(n, total_budget_w / n), np.ones(n)
     else:
-        raw = total_budget_w * factors / factors.sum()
-        weights = factors
-    budgets = np.clip(raw, lo, hi)
-    deficit = budgets.sum() - total_budget_w
-    if deficit > 1e-9:
-        room = budgets - lo
-        if room.sum() > 1e-12:
-            budgets = budgets - deficit * room / room.sum()
-        return np.clip(budgets, lo, hi)
-    return waterfill_surplus(budgets, -deficit, weights, hi)
+        target, weights = total_budget_w * factors / factors.sum(), factors
+    return clamp_to_ranges(total_budget_w, target, weights, lo, hi)

@@ -9,11 +9,11 @@ with rack size instead of fleet size.
 :func:`split_cluster_budget` implements the two-level split for CLIP:
 the cluster budget is divided across racks proportionally to each
 rack's aggregate power capacity (the sum of its slots' acceptable
-ceilings), clamped into ``[sum(lo), sum(hi)]`` per rack with the same
-exact deficit/water-fill machinery the node-level coordinator uses,
-then each rack's share is handed to
-:func:`~repro.core.coordination.coordinate_power` for the
-variability-aware intra-rack split.  Both levels are auditable: the
+ceilings), clamped into ``[sum(lo), sum(hi)]`` per rack by the
+node level's own clamp-and-redistribute step
+(:func:`~repro.core.coordination.clamp_to_ranges`), then each rack's
+share is handed to :func:`~repro.core.coordination.coordinate_power`
+for the variability-aware intra-rack split.  Both levels are auditable: the
 returned :class:`RackBudget` records carry the rack shares so
 :class:`~repro.core.monitor.BudgetInvariantMonitor` can check
 ``sum(rack budgets) <= cluster budget`` and, per rack,
@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.core.coordination import (
     VARIABILITY_THRESHOLD,
+    clamp_to_ranges,
     coordinate_power,
-    waterfill_surplus,
 )
 from repro.errors import SchedulingError
 
@@ -155,18 +155,10 @@ def split_cluster_budget(
         )
 
     # cluster → rack: proportional to aggregate capacity, clamped into
-    # each rack's [sum(lo), sum(hi)], then the clipping error moved
-    # back exactly (same deficit / water-fill machinery as the node
-    # level)
-    shares = np.clip(total_eff * rack_hi / rack_hi.sum(), rack_lo, rack_hi)
-    deficit = shares.sum() - total_eff
-    if deficit > 1e-9:
-        room = shares - rack_lo
-        if room.sum() > 1e-12:
-            shares = shares - deficit * room / room.sum()
-        shares = np.clip(shares, rack_lo, rack_hi)
-    elif deficit < -1e-9:
-        shares = waterfill_surplus(shares, -deficit, rack_hi, rack_hi)
+    # each rack's [sum(lo), sum(hi)] by the node level's own step
+    shares = clamp_to_ranges(
+        total_eff, total_eff * rack_hi / rack_hi.sum(), rack_hi, rack_lo, rack_hi
+    )
 
     # rack → node: the existing variability-aware coordinator per rack
     budgets = np.empty(n)

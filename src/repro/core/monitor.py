@@ -53,9 +53,9 @@ def _bound_field(bound):
 class CapAudit:
     """One audited cap set: who issued what against which budget.
 
-    ``node_lo_w`` / ``node_hi_w`` are floats when every rank shares one
-    acceptable range (homogeneous cluster) and per-rank tuples when
-    each slot carries its own (heterogeneous cluster).
+    ``node_lo_w`` / ``node_hi_w`` are floats when every rank is of one
+    hardware class (one shared acceptable range) and per-rank tuples
+    when the ranks span several classes.
     """
 
     source: str
@@ -132,9 +132,8 @@ class BudgetInvariantMonitor:
         domain — ``(pkg, dram)`` on CPU nodes, ``(pkg, dram, gpu)`` on
         accelerator nodes — and a set may mix lengths on a mixed
         fleet.  Bounds may be scalars (one range for all ranks) or
-        per-rank sequences aligned with *caps* — the
-        heterogeneous-cluster form, where each slot's class has its
-        own range.  Range checks use a relative tolerance on top of
+        per-rank sequences aligned with *caps* — the mixed-class
+        form, where each slot's class has its own range.  Range checks use a relative tolerance on top of
         *tolerance_w* so legitimate float round-off never flags.
         """
         lo_seq = _per_rank_bounds(node_lo_w, len(caps))

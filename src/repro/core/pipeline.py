@@ -44,9 +44,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.allocation import ClusterAllocation, ClusterAllocator
+from repro.core.allocation import (
+    ClusterAllocation,
+    ClusterAllocator,
+    acceptable_range,
+)
 from repro.core.classify import ScalabilityClass
-from repro.core.coordination import VARIABILITY_THRESHOLD, measure_node_factors
+from repro.core.coordination import (
+    VARIABILITY_THRESHOLD,
+    measure_node_factors,
+    slot_values,
+)
 from repro.core.inflection import InflectionPredictor
 from repro.core.knowledge import (
     KnowledgeDB,
@@ -298,8 +306,8 @@ class SchedulingDecision:
         """JSON-safe representation (persisted / wire format).
 
         The per-slot ``node_ranges_w`` key appears only for decisions
-        made on a heterogeneous cluster, so homogeneous documents stay
-        byte-identical to previous releases.
+        whose slots span more than one hardware class, so one-class
+        documents stay byte-identical to previous releases.
         """
         alloc_dict = {
             "n_nodes": self.allocation.n_nodes,
@@ -615,14 +623,28 @@ class FitModelsStage:
         }
 
 
+def _class_bundles(
+    cache: ModelBundleCache,
+    ctx: DecisionContext,
+    node_classes: tuple[NodeSpec, ...],
+) -> tuple[ModelBundle, ...]:
+    """The entry's bundle per hardware class, in class order.
+
+    Class 0 is the slot-0 class the decision's own bundle was fitted
+    for, so only the other classes touch the cache.
+    """
+    return (ctx.bundle,) + tuple(
+        cache.get_or_build(ctx.entry, spec) for spec in node_classes[1:]
+    )
+
+
 class AllocateStage:
     """Choose the node count and variability-coordinated per-node budgets.
 
-    On a heterogeneous cluster (``node_specs`` given) each slot's own
-    acceptable power range — from its hardware class's fitted power
-    model — is handed to the allocator, so a Broadwell slot is budgeted
-    against Broadwell coefficients even though the decision's
-    concurrency is uniform.
+    Each slot's acceptable power range comes from its hardware class's
+    fitted power model (one range per class, indexed by slot), so a
+    Broadwell slot is budgeted against Broadwell coefficients even
+    though the decision's concurrency is uniform.
     """
 
     name = "allocate"
@@ -632,39 +654,31 @@ class AllocateStage:
         n_total_nodes: int,
         node_factors: np.ndarray,
         variability_threshold: float,
-        node_specs: tuple[NodeSpec, ...] | None = None,
-        bundle_cache: ModelBundleCache | None = None,
+        node_classes: tuple[NodeSpec, ...],
+        slot_class: np.ndarray,
+        bundle_cache: ModelBundleCache,
         rack_of_slot: tuple[int, ...] | None = None,
         rack_names: tuple[str, ...] | None = None,
     ):
         self._n_total = n_total_nodes
         self._factors = node_factors
         self._threshold = variability_threshold
-        self._node_specs = node_specs
+        self._node_classes = node_classes
+        self._slot_class = slot_class
         self._cache = bundle_cache
         self._rack_of = rack_of_slot
         self._rack_names = rack_names
 
-    def _slot_ranges(
-        self, ctx: DecisionContext
-    ) -> tuple[tuple[float, float], ...] | None:
-        if self._node_specs is None:
-            return None
-        by_spec: dict[NodeSpec, tuple[float, float]] = {}
-        for spec in dict.fromkeys(self._node_specs):
-            rec = self._cache.get_or_build(ctx.entry, spec).recommender
-            rng = rec.power_model.power_range(rec.unbounded_concurrency())
-            by_spec[spec] = (rec.min_floor_w(), rng.node_hi_w)
-        return tuple(by_spec[s] for s in self._node_specs)
-
     def run(self, ctx: DecisionContext) -> DecisionContext:
         """Fill ``ctx.allocation``."""
+        bundles = _class_bundles(self._cache, ctx, self._node_classes)
         allocator = ClusterAllocator(
             ctx.bundle.recommender,
             self._n_total,
             node_factors=self._factors,
             variability_threshold=self._threshold,
-            node_ranges=self._slot_ranges(ctx),
+            class_ranges=tuple(acceptable_range(b.recommender) for b in bundles),
+            slot_class=self._slot_class,
             rack_of_slot=self._rack_of,
             rack_names=self._rack_names,
         )
@@ -687,19 +701,21 @@ class AllocateStage:
 class RecommendStage:
     """Recommend per-node configs for each node's budget; emit the decision.
 
-    On a heterogeneous cluster each slot's budget is split into PKG and
-    DRAM caps by its own class's power model, so the cap pair matches
-    the silicon it will be programmed on.
+    Each slot's budget is split into its domain caps by its own
+    class's power model, so the cap pair matches the silicon it will
+    be programmed on.
     """
 
     name = "recommend"
 
     def __init__(
         self,
-        node_specs: tuple[NodeSpec, ...] | None = None,
-        bundle_cache: ModelBundleCache | None = None,
+        node_classes: tuple[NodeSpec, ...],
+        slot_class: tuple[int, ...],
+        bundle_cache: ModelBundleCache,
     ):
-        self._node_specs = node_specs
+        self._node_classes = node_classes
+        self._slot_class = slot_class
         self._cache = bundle_cache
 
     def run(self, ctx: DecisionContext) -> DecisionContext:
@@ -708,24 +724,19 @@ class RecommendStage:
         allocation = ctx.allocation
         configs = []
         base = recommender.recommend(min(allocation.node_budgets_w))
+        bundles = _class_bundles(self._cache, ctx, self._node_classes)
         # split/frequency are pure functions of (budget, hardware
         # class); on a coordinated fleet most ranks share a handful of
         # distinct budgets, so memoize per (budget, class) instead of
         # re-deriving caps node by node
         split_memo: dict[tuple[float, int], NodeConfig] = {}
-        for rank, budget in enumerate(allocation.node_budgets_w):
+        for budget, k in zip(allocation.node_budgets_w, self._slot_class):
             # Keep concurrency uniform across ranks (one decomposition);
             # each node spends its own budget on frequency headroom.
-            if self._node_specs is None:
-                bundle = ctx.bundle
-                key = (budget, 0)
-            else:
-                bundle = self._cache.get_or_build(
-                    ctx.entry, self._node_specs[rank]
-                )
-                key = (budget, id(bundle.power_model))
+            key = (budget, k)
             cfg = split_memo.get(key)
             if cfg is None:
+                bundle = bundles[k]
                 power_model = bundle.power_model
                 if power_model.gpu_power_range()[1] > 0.0:
                     # GPU node: three-domain split, re-running the
@@ -834,7 +845,10 @@ class DecisionPipeline:
         self._bundles = ModelBundleCache()
         cluster_spec = engine.cluster.spec
         self._node_specs = cluster_spec.node_specs
-        self._hetero = not cluster_spec.is_homogeneous
+        # the fleet model: distinct hardware classes plus each slot's
+        # class index (one class on a homogeneous cluster)
+        self._node_classes = cluster_spec.node_classes
+        self._slot_class = cluster_spec.slot_class
         # fingerprint observations are keyed by: "8xhaswell" reads as
         # 8 slots of the haswell class, mixed fleets concatenate runs
         self._testbed = "+".join(
@@ -843,33 +857,29 @@ class DecisionPipeline:
                 s.name for s in self._node_specs
             )
         )
-        hetero_specs = self._node_specs if self._hetero else None
         # rack structure engages only on multi-rack fleets, so legacy
         # single-rack specs keep their decisions bit-identical
         multirack = cluster_spec.n_racks > 1
         self._rack_of = cluster_spec.rack_of_slot if multirack else None
         self._rack_names = cluster_spec.rack_names if multirack else None
-        node = self._node_specs[0]
         self._knowledge_stages = (
             ProfileStage(self._kb, self._profiler),
             ClassifyStage(),
             InflectionStage(self._kb, self._profiler, inflection),
         )
-        self._model_stage = FitModelsStage(self._bundles, node)
+        self._model_stage = FitModelsStage(self._bundles, self._node_classes[0])
         self._decision_stages = (
             AllocateStage(
                 engine.cluster.n_nodes,
                 self._factors,
                 variability_threshold,
-                node_specs=hetero_specs,
-                bundle_cache=self._bundles if self._hetero else None,
+                self._node_classes,
+                np.asarray(self._slot_class, dtype=np.int64),
+                self._bundles,
                 rack_of_slot=self._rack_of,
                 rack_names=self._rack_names,
             ),
-            RecommendStage(
-                node_specs=hetero_specs,
-                bundle_cache=self._bundles if self._hetero else None,
-            ),
+            RecommendStage(self._node_classes, self._slot_class, self._bundles),
         )
 
     # -- shared state --------------------------------------------------
@@ -1207,25 +1217,18 @@ class DecisionPipeline:
         :meth:`~repro.core.powermodel.ClipPowerModel.cap_ceiling_w`.
         """
         decision = ctx.decision
-        if not self._hetero:
-            power = ctx.bundle.power_model
-            rng = power.power_range(decision.n_threads)
-            lo_bound: float | tuple = rng.node_lo_w
-            hi_bound: float | tuple = power.cap_ceiling_w(decision.n_threads)
-        else:
-            # per-rank bounds from each slot's own class power model
-            models = [
-                self._bundles.get_or_build(
-                    ctx.entry, self._node_specs[r]
-                ).power_model
-                for r in range(decision.n_nodes)
-            ]
-            lo_bound = tuple(
-                m.power_range(decision.n_threads).node_lo_w for m in models
-            )
-            hi_bound = tuple(
-                m.cap_ceiling_w(decision.n_threads) for m in models
-            )
+        n_threads = decision.n_threads
+        models = [
+            b.power_model
+            for b in _class_bundles(self._bundles, ctx, self._node_classes)
+        ]
+        ranks = self._slot_class[: decision.n_nodes]
+        lo_bound = slot_values(
+            [m.power_range(n_threads).node_lo_w for m in models], ranks
+        )
+        hi_bound = slot_values(
+            [m.cap_ceiling_w(n_threads) for m in models], ranks
+        )
         start = time.perf_counter()
         audit = self._monitor.audit(
             "pipeline",

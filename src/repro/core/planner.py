@@ -64,18 +64,16 @@ class BudgetPlanner:
         cluster each slot contributes its own class's ceiling.
         """
         pipeline = self._scheduler.pipeline
-        rec = pipeline.bundle_for(app).recommender
-        n = rec.unbounded_concurrency()
-        spec = self._scheduler.engine.cluster.spec
-        if spec.is_homogeneous:
-            hi = rec.power_model.power_range(n).node_hi_w
-            return hi * self._scheduler.engine.cluster.n_nodes
+        n = pipeline.bundle_for(app).recommender.unbounded_concurrency()
         entry = pipeline.ensure_knowledge(app)
-        by_spec = {
-            s: pipeline.class_bundle(entry, s).power_model.power_range(n).node_hi_w
-            for s in dict.fromkeys(spec.node_specs)
-        }
-        return float(sum(by_spec[s] for s in spec.node_specs))
+        spec = self._scheduler.engine.cluster.spec
+        return float(
+            sum(
+                pipeline.class_bundle(entry, s).power_model.power_range(n).node_hi_w
+                * spec.slot_class.count(k)
+                for k, s in enumerate(spec.node_classes)
+            )
+        )
 
     def plan(
         self, app: WorkloadCharacteristics, target_perf: float

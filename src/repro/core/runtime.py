@@ -65,7 +65,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.coordination import coordinate_power, measure_node_factors
+from repro.core.coordination import (
+    coordinate_power,
+    measure_node_factors,
+    slot_values,
+)
 from repro.core.journal import RuntimeJournal
 from repro.core.monitor import BudgetInvariantMonitor
 from repro.core.recommend import Recommender
@@ -106,6 +110,14 @@ def _bound_from_json(value):
     if isinstance(value, list):
         return tuple(float(x) for x in value)
     return value
+
+
+def _range_total(bound, n_nodes: int) -> float:
+    """A per-node bound summed over the job's nodes.
+
+    ``n * bound`` for one shared scalar, the per-rank sum for a tuple.
+    """
+    return float(np.sum(bound)) if isinstance(bound, tuple) else n_nodes * bound
 
 
 def _split_caps(power, budget_w: float, n_threads: int) -> tuple[float, ...]:
@@ -360,33 +372,61 @@ class PowerBoundedRuntime:
 
     # -- transactional re-coordination ----------------------------------
 
+    def _slot_models(
+        self,
+        app: WorkloadCharacteristics,
+        recommender: Recommender,
+        node_ids: tuple[int, ...],
+    ) -> tuple[dict, tuple[int, ...]]:
+        """Power models of the job's hardware classes, indexed by slot.
+
+        Returns ``(models, ranks)``: one fitted power model per class
+        the slots use (keyed by class index) and each slot's class.
+        The recommender's model is the slot-0 class's; any other class
+        is resolved once through the pipeline's bundle cache.
+        """
+        spec = self._engine.cluster.spec
+        ranks = tuple(spec.slot_class[i] for i in node_ids)
+        models = {}
+        for k in set(ranks):
+            if k == 0:
+                models[k] = recommender.power_model
+            else:
+                pipeline = self._scheduler.pipeline
+                entry = pipeline.ensure_knowledge(app)
+                models[k] = pipeline.class_bundle(
+                    entry, spec.node_classes[k]
+                ).power_model
+        return models, ranks
+
     def _plan(
         self,
         job: RunningJob,
         recommender: Recommender,
         budget_w: float,
         node_ids: tuple[int, ...],
-    ) -> tuple[int, tuple[tuple[float, float], ...], object, object]:
+    ) -> tuple[int, tuple[tuple[float, ...], ...], object, object]:
         """Compute a full candidate cap set without touching the job.
 
         Returns ``(n_threads, per_node_caps, lo_w, hi_w)`` or raises
         :class:`InfeasibleBudgetError`; the caller commits atomically.
-        On a heterogeneous node set the bounds are per-rank tuples and
-        every slot's budget is split by its own class's power model.
+        Every slot's range and cap split come from its own hardware
+        class's power model.  The bounds are scalars when every slot
+        is of one class and per-rank tuples otherwise.
         """
-        pipeline = self._scheduler.pipeline
-        specs = pipeline.node_specs
-        id_specs = [specs[i] for i in node_ids]
-        if any(s != specs[0] for s in id_specs):
-            return self._plan_hetero(
-                job, recommender, budget_w, node_ids, id_specs
-            )
-        power = recommender.power_model
+        models, ranks = self._slot_models(job.app, recommender, node_ids)
         n_nodes = len(node_ids)
         n_threads = job.n_threads
-        rng = power.power_range(n_threads)
-        lo, hi = rng.node_lo_w, rng.node_hi_w
-        if budget_w < n_nodes * lo:
+
+        def bounds_at(nt: int) -> tuple:
+            rngs = {k: m.power_range(nt) for k, m in models.items()}
+            return (
+                slot_values({k: r.node_lo_w for k, r in rngs.items()}, ranks),
+                slot_values({k: r.node_hi_w for k, r in rngs.items()}, ranks),
+            )
+
+        lo, hi = bounds_at(n_threads)
+        if budget_w < _range_total(lo, n_nodes):
             if not job.allow_concurrency_change:
                 raise InfeasibleBudgetError(
                     f"budget {budget_w:.0f} W below the {n_nodes}-node "
@@ -395,68 +435,16 @@ class PowerBoundedRuntime:
             # re-recommend threads for the reduced per-node share
             cfg = recommender.recommend(budget_w / n_nodes)
             n_threads = cfg.n_threads
-            rng = power.power_range(n_threads)
-            lo, hi = rng.node_lo_w, rng.node_hi_w
+            lo, hi = bounds_at(n_threads)
         factors = self._factors[list(node_ids)]
         budgets = coordinate_power(
-            min(budget_w, n_nodes * hi), factors, lo_w=lo, hi_w=hi
+            min(budget_w, _range_total(hi, n_nodes)), factors, lo_w=lo, hi_w=hi
         )
         caps = tuple(
-            _split_caps(power, float(b), n_threads) for b in budgets
+            _split_caps(models[k], float(b), n_threads)
+            for k, b in zip(ranks, budgets)
         )
         return n_threads, caps, lo, hi
-
-    def _plan_hetero(
-        self,
-        job: RunningJob,
-        recommender: Recommender,
-        budget_w: float,
-        node_ids: tuple[int, ...],
-        id_specs: list,
-    ) -> tuple[int, tuple[tuple[float, float], ...], object, object]:
-        """The :meth:`_plan` arithmetic over per-slot class models."""
-        pipeline = self._scheduler.pipeline
-        entry = pipeline.ensure_knowledge(job.app)
-        models = [
-            pipeline.class_bundle(entry, s).power_model for s in id_specs
-        ]
-        n_nodes = len(node_ids)
-        n_threads = job.n_threads
-
-        def ranges_at(nt: int) -> tuple[np.ndarray, np.ndarray]:
-            rngs = [m.power_range(nt) for m in models]
-            return (
-                np.array([r.node_lo_w for r in rngs]),
-                np.array([r.node_hi_w for r in rngs]),
-            )
-
-        lo_arr, hi_arr = ranges_at(n_threads)
-        if budget_w < lo_arr.sum():
-            if not job.allow_concurrency_change:
-                raise InfeasibleBudgetError(
-                    f"budget {budget_w:.0f} W below the {n_nodes}-node "
-                    f"floor at the pinned concurrency {n_threads}"
-                )
-            cfg = recommender.recommend(budget_w / n_nodes)
-            n_threads = cfg.n_threads
-            lo_arr, hi_arr = ranges_at(n_threads)
-        factors = self._factors[list(node_ids)]
-        budgets = coordinate_power(
-            min(budget_w, float(hi_arr.sum())),
-            factors,
-            lo_w=lo_arr,
-            hi_w=hi_arr,
-        )
-        caps = tuple(
-            _split_caps(m, float(b), n_threads)
-            for m, b in zip(models, budgets)
-        )
-        return (
-            n_threads,
-            caps,
-            tuple(float(x) for x in lo_arr),
-            tuple(float(x) for x in hi_arr),
-        )
 
     def _commit_caps(
         self,
@@ -677,21 +665,11 @@ class PowerBoundedRuntime:
         if job.parked:
             raise NodeFailureError(f"job is parked: {job.park_reason}")
         recommender = self._models(job.app)
-        pipeline = self._scheduler.pipeline
-        specs = pipeline.node_specs
-        id_specs = [specs[i] for i in job.node_ids]
-        # same rule as _plan: the recommender's model is the slot-0
-        # class's, so it only serves jobs living wholly on that class
-        if all(s == specs[0] for s in id_specs):
-            models = [recommender.power_model] * len(job.node_ids)
-        else:
-            entry = pipeline.ensure_knowledge(job.app)
-            models = [
-                pipeline.class_bundle(entry, s).power_model for s in id_specs
-            ]
-        floor_w = float(
-            sum(m.power_range(job.n_threads).node_lo_w for m in models)
-        )
+        models, ranks = self._slot_models(job.app, recommender, job.node_ids)
+        floors = {
+            k: m.power_range(job.n_threads).node_lo_w for k, m in models.items()
+        }
+        floor_w = float(sum(floors[k] for k in ranks))
         self._recoordinate(
             job,
             recommender,

@@ -144,19 +144,6 @@ class SimulatedCluster:
         """Number of racks (1 for a flat single-rack cluster)."""
         return self._spec.n_racks
 
-    @property
-    def rack_of_slot(self) -> tuple[int, ...]:
-        """Rack index of each node slot."""
-        return self._spec.rack_of_slot
-
-    def rack_node_ids(self, rack: int) -> tuple[int, ...]:
-        """Node ids housed in one rack."""
-        if not 0 <= rack < self.n_racks:
-            raise SpecError(f"rack index {rack} outside [0, {self.n_racks})")
-        return tuple(
-            i for i, r in enumerate(self._spec.rack_of_slot) if r == rack
-        )
-
     def node(self, node_id: int) -> SimulatedNode:
         """Access one node by id."""
         if not 0 <= node_id < self.n_nodes:

@@ -480,20 +480,15 @@ class RackSpec:
         """Number of node slots in this rack."""
         return sum(g.count for g in self.groups)
 
-    @property
-    def node_specs(self) -> tuple[NodeSpec, ...]:
-        """One :class:`NodeSpec` per rack slot, in slot order."""
-        return tuple(g.spec for g in self.groups for _ in range(g.count))
-
 
 def _merge_adjacent_groups(
     groups: tuple[NodeGroup, ...],
 ) -> tuple[NodeGroup, ...]:
     """Coalesce adjacent groups with identical specs.
 
-    Rack-composed clusters concatenate each rack's groups; a fleet of
-    identical racks would otherwise carry one group per rack and lose
-    its homogeneity (``is_homogeneous`` is the one-group case).
+    Rack-composed clusters concatenate each rack's groups; merging
+    keeps a fleet of identical racks one group, the same population
+    its flat construction would carry.
     """
     merged: list[NodeGroup] = []
     for g in groups:
@@ -508,11 +503,12 @@ class ClusterSpec:
     """A cluster of nodes plus its interconnect.
 
     The node population is an ordered tuple of :class:`NodeGroup`\\ s;
-    homogeneous clusters are the one-group special case and may still be
-    constructed with the legacy ``n_nodes=``/``node=`` keywords.  The
-    per-slot view is :attr:`node_specs`; the legacy :attr:`node`
-    property remains valid only for single-group clusters and raises
-    :class:`SpecError` on mixed ones.
+    a homogeneous cluster is the one-class special case.  The per-slot
+    view is :attr:`node_specs`; the fleet model every layer reads is
+    the class table — :attr:`node_classes` (the distinct specs, in
+    first-slot order) and :attr:`slot_class` (each slot's index into
+    it).  The legacy :attr:`node` property remains valid only for
+    one-class clusters and raises :class:`SpecError` on mixed ones.
 
     Fleet-scale clusters are composed of **racks** (``racks=``): an
     ordered tuple of :class:`RackSpec`\\ s whose groups are concatenated
@@ -538,14 +534,14 @@ class ClusterSpec:
         "link_bandwidth",
         "variability_sigma",
         "variability_seed",
+        "node_classes",
+        "slot_class",
         "_node_specs",
     )
 
     def __init__(
         self,
         name: str = "cluster",
-        n_nodes: int | None = None,
-        node: NodeSpec | None = None,
         *,
         groups: tuple[NodeGroup, ...] | None = None,
         racks: tuple[RackSpec, ...] | None = None,
@@ -555,11 +551,8 @@ class ClusterSpec:
         variability_seed: int = 2017,
     ):
         if racks is not None:
-            if groups is not None or n_nodes is not None or node is not None:
-                raise SpecError(
-                    "pass racks= alone, not with groups= or the legacy "
-                    "n_nodes=/node= keywords"
-                )
+            if groups is not None:
+                raise SpecError("pass racks= or groups=, not both")
             racks = tuple(racks)
             if not racks:
                 raise SpecError("cluster needs >= 1 rack")
@@ -575,11 +568,6 @@ class ClusterSpec:
                 tuple(g for r in racks for g in r.groups)
             )
         elif groups is not None:
-            if n_nodes is not None or node is not None:
-                raise SpecError(
-                    "pass either groups= or the legacy n_nodes=/node= "
-                    "keywords, not both"
-                )
             groups = tuple(groups)
             if not groups:
                 raise SpecError("cluster needs >= 1 node group")
@@ -587,10 +575,7 @@ class ClusterSpec:
                 if not isinstance(g, NodeGroup):
                     raise SpecError(f"groups must contain NodeGroup, got {g!r}")
         else:
-            count = 8 if n_nodes is None else n_nodes
-            if count < 1:
-                raise SpecError(f"cluster needs >= 1 node, got {count}")
-            groups = (NodeGroup(node if node is not None else NodeSpec(), count),)
+            raise SpecError("cluster needs groups= or racks=")
         if link_latency_s < 0 or link_bandwidth <= 0:
             raise SpecError("interconnect parameters must be valid")
         if not 0.0 <= variability_sigma < 0.5:
@@ -602,6 +587,13 @@ class ClusterSpec:
         object.__setattr__(self, "link_bandwidth", link_bandwidth)
         object.__setattr__(self, "variability_sigma", variability_sigma)
         object.__setattr__(self, "variability_seed", variability_seed)
+        # the class table: one hash per group, never one per slot
+        class_of: dict[NodeSpec, int] = {}
+        slot_class: list[int] = []
+        for g in groups:
+            slot_class += [class_of.setdefault(g.spec, len(class_of))] * g.count
+        object.__setattr__(self, "node_classes", tuple(class_of))
+        object.__setattr__(self, "slot_class", tuple(slot_class))
         object.__setattr__(
             self,
             "_node_specs",
@@ -652,7 +644,7 @@ class ClusterSpec:
     @property
     def is_homogeneous(self) -> bool:
         """Whether every slot carries the same node spec."""
-        return len(self.groups) == 1
+        return len(self.node_classes) == 1
 
     @property
     def node(self) -> NodeSpec:
@@ -755,8 +747,7 @@ def haswell_testbed(
         )
     return ClusterSpec(
         name="haswell-testbed",
-        n_nodes=n_nodes,
-        node=haswell_node(),
+        groups=(NodeGroup(haswell_node(), n_nodes),),
         variability_sigma=variability_sigma,
         variability_seed=seed,
     )
@@ -818,8 +809,7 @@ def broadwell_testbed(
         )
     return ClusterSpec(
         name="broadwell-testbed",
-        n_nodes=n_nodes,
-        node=broadwell_node(),
+        groups=(NodeGroup(broadwell_node(), n_nodes),),
         link_latency_s=1.2e-6,
         link_bandwidth=gbps(12.0),
         variability_sigma=variability_sigma,
@@ -907,8 +897,7 @@ def gpu_testbed(
         )
     return ClusterSpec(
         name="gpu-testbed",
-        n_nodes=n_nodes,
-        node=gpu_node(),
+        groups=(NodeGroup(gpu_node(), n_nodes),),
         variability_sigma=variability_sigma,
         variability_seed=seed,
     )

@@ -185,16 +185,13 @@ class BatchEvaluator:
         self._engine = engine
         cluster = engine.cluster
         self._cluster = cluster
-        specs = cluster.spec.node_specs
         # the distinct hardware classes, in first-slot order; per-slot
         # constants are gathered from these per-class tables at
         # evaluation time, so a mixed cluster runs the same array
         # program with per-cell coefficients
-        class_list = list(dict.fromkeys(specs))
+        class_list = list(cluster.spec.node_classes)
         self._class_list = class_list
-        self._slot_class = np.array(
-            [class_list.index(s) for s in specs], dtype=np.int64
-        )
+        self._slot_class = np.array(cluster.spec.slot_class, dtype=np.int64)
         self._S_max = max(s.n_sockets for s in class_list)
         self._class_S_int = [s.n_sockets for s in class_list]
         self._ladders = [

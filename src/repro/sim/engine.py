@@ -149,18 +149,13 @@ class ExecutionEngine:
 
     def __init__(self, cluster: SimulatedCluster, seed: int = 42, cache=None):
         self._cluster = cluster
-        # each slot's hardware class as an int, in first-slot order: the
-        # per-run code keys on it, since hashing a NodeSpec walks all
-        # its nested specs
-        class_of: dict = {}
-        self._slot_class = tuple(
-            class_of.setdefault(s, len(class_of))
-            for s in cluster.spec.node_specs
-        )
+        # each slot's hardware class as an int: the per-run code keys
+        # on it, since hashing a NodeSpec walks all its nested specs
+        self._slot_class = cluster.spec.slot_class
         # one ground-truth timing model per distinct hardware class
-        self._models = {spec: GroundTruthModel(spec) for spec in class_of}
-        self._class_models = tuple(self._models.values())
-        self._model = self._class_models[0]
+        self._class_models = tuple(
+            GroundTruthModel(spec) for spec in cluster.spec.node_classes
+        )
         self._comm = CommModel(cluster.spec)
         self._seed = seed
         self._cache = cache
@@ -171,15 +166,6 @@ class ExecutionEngine:
     def cluster(self) -> SimulatedCluster:
         """The testbed this engine executes on."""
         return self._cluster
-
-    @property
-    def ground_truth(self) -> GroundTruthModel:
-        """Slot-0 node-class timing model (for oracle/test use only)."""
-        return self._model
-
-    def ground_truth_for(self, node_spec) -> GroundTruthModel:
-        """The timing model of one hardware class."""
-        return self._models[node_spec]
 
     @property
     def comm_model(self) -> CommModel:

@@ -1,5 +1,7 @@
 """Tests for cluster-level allocation and variability coordination."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +156,17 @@ class TestCoordinatePowerProperties:
         budgets = np.array([100.0, 150.0])
         out = waterfill_surplus(budgets, 1000.0, np.ones(2), 200.0)
         np.testing.assert_allclose(out, 200.0)
+
+    def test_waterfill_rounding_past_last_breakpoint_saturates(self):
+        """Regression: a surplus that falls between the pairwise room sum
+        and the sorted prefix sum passed every breakpoint, leaving no
+        open segment to solve on (a division by zero weight)."""
+        rng = np.random.default_rng(6)
+        factors = np.abs(1 + 0.1 * rng.standard_normal(1024)) + 0.05
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            budgets = coordinate_power(1024 * 120.0, factors, 90.0, 120.0)
+        np.testing.assert_array_equal(budgets, 120.0)
 
     def test_waterfill_zero_surplus_is_identity(self):
         budgets = np.array([110.0, 120.0])

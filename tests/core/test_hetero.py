@@ -72,6 +72,31 @@ class TestMixedAcceptance:
         decision = clip.schedule(get_app("comd"), 1500.0)
         assert "node_ranges_w" not in decision.to_dict()["allocation"]
 
+    def test_one_class_decision_keeps_scalar_bounds(self, mixed_clip):
+        """A decision on the mixed fleet that only uses the Haswell
+        slots is a one-class decision: scalar audit bounds, no per-slot
+        ranges — the form a homogeneous fleet has always produced."""
+        one = mixed_clip.schedule(
+            get_app("comd"), 1500.0, predefined_node_counts=(2,)
+        )
+        assert one.n_nodes == 2
+        audit = mixed_clip.monitor.audits[-1]
+        assert isinstance(audit.node_lo_w, float)
+        assert isinstance(audit.node_hi_w, float)
+        assert one.allocation.node_ranges_w is None
+        assert "node_ranges_w" not in one.to_dict()["allocation"]
+
+        both = mixed_clip.schedule(
+            get_app("comd"), 1500.0, predefined_node_counts=(6,)
+        )
+        assert both.n_nodes == 6
+        audit = mixed_clip.monitor.audits[-1]
+        assert isinstance(audit.node_lo_w, tuple)
+        assert len(audit.node_hi_w) == 6
+        assert len(set(audit.node_hi_w)) == 2
+        assert len(both.allocation.node_ranges_w) == 6
+        mixed_clip.monitor.assert_clean()
+
     def test_mixed_schedule_executes(self, mixed_clip):
         decision, result = mixed_clip.run(get_app("comd"), 1600.0)
         assert result.performance > 0

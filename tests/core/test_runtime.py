@@ -6,6 +6,7 @@ from repro.core.knowledge import KnowledgeDB
 from repro.core.runtime import PowerBoundedRuntime
 from repro.core.scheduler import ClipScheduler
 from repro.errors import InfeasibleBudgetError, SchedulingError
+from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import get_app
 
 
@@ -185,3 +186,57 @@ class TestEmergencyThrottleClassFloor:
             floor = model.power_range(job.n_threads).node_lo_w
             assert sum(caps) == pytest.approx(floor, abs=1e-9)
         assert runtime.monitor.n_violations == 0
+
+
+class TestOneClassBounds:
+    """Runtime bounds are scalars exactly when a job's slots share one
+    hardware class, whichever class that is, and the journal restores
+    both forms."""
+
+    @pytest.fixture()
+    def mixed_clip(self, trained_inflection):
+        from repro.hw.cluster import SimulatedCluster
+
+        engine = ExecutionEngine(SimulatedCluster.mixed_testbed(), seed=42)
+        return ClipScheduler(
+            engine, inflection=trained_inflection, knowledge=KnowledgeDB()
+        )
+
+    def test_bounds_follow_the_classes_and_survive_restore(
+        self, mixed_clip, trained_inflection, tmp_path
+    ):
+        path = tmp_path / "runtime.jsonl"
+        runtime = PowerBoundedRuntime(mixed_clip, journal=path)
+        haswell = runtime.launch(get_app("comd"), 700.0, n_nodes=2)
+        spanning = runtime.launch(get_app("comd"), 1500.0, n_nodes=6)
+        for slot in range(4):  # leave only the Broadwell slots
+            runtime.fail_node(slot)
+        broadwell = runtime.launch(get_app("comd"), 700.0, n_nodes=2)
+        assert haswell.node_ids == (0, 1)
+        assert broadwell.node_ids == (4, 5)
+
+        launches = [a for a in runtime.monitor.audits if a.source == "runtime"]
+        assert len(launches) == 3
+        one, both, other = launches
+        assert isinstance(one.node_lo_w, float)
+        assert isinstance(both.node_lo_w, tuple) and len(both.node_lo_w) == 6
+        assert isinstance(other.node_hi_w, float)
+        # the Broadwell-only job is bounded by the Broadwell model
+        pipeline = mixed_clip.pipeline
+        entry = pipeline.ensure_knowledge(get_app("comd"))
+        bw = pipeline.class_bundle(entry, pipeline.node_specs[4]).power_model
+        rng = bw.power_range(broadwell.n_threads)
+        assert other.node_lo_w == rng.node_lo_w
+        assert other.node_hi_w == rng.node_hi_w
+        runtime.monitor.assert_clean()
+
+        fresh = ClipScheduler(
+            mixed_clip.engine,
+            inflection=trained_inflection,
+            knowledge=KnowledgeDB(),
+        )
+        restored = PowerBoundedRuntime.restore(path, fresh, reattach=False)
+        assert restored.monitor.audits == runtime.monitor.audits
+        for live, back in zip(runtime.jobs, restored.jobs):
+            assert back.per_node_caps == live.per_node_caps
+            assert back.node_ids == live.node_ids

@@ -138,11 +138,17 @@ class TestClusterSpec:
 
     def test_rejects_excess_variability(self):
         with pytest.raises(SpecError):
-            ClusterSpec(variability_sigma=0.6)
+            ClusterSpec(
+                groups=(NodeGroup(haswell_node(), 8),), variability_sigma=0.6
+            )
 
     def test_rejects_zero_nodes(self):
         with pytest.raises(SpecError):
-            ClusterSpec(n_nodes=0)
+            haswell_testbed(n_nodes=0)
+
+    def test_needs_a_population(self):
+        with pytest.raises(SpecError):
+            ClusterSpec()
 
     def test_custom_node_count(self):
         spec = haswell_testbed(n_nodes=4)
@@ -153,12 +159,6 @@ class TestNodeGroups:
     def test_group_rejects_zero_count(self):
         with pytest.raises(SpecError):
             NodeGroup(haswell_node(), 0)
-
-    def test_groups_and_legacy_keywords_are_exclusive(self):
-        with pytest.raises(SpecError):
-            ClusterSpec(
-                n_nodes=4, groups=(NodeGroup(haswell_node(), 4),)
-            )
 
     def test_rejects_empty_groups(self):
         with pytest.raises(SpecError):
@@ -174,6 +174,15 @@ class TestNodeGroups:
         assert len(spec.groups) == 1
         assert spec.groups[0].count == 8
         assert spec.node == spec.groups[0].spec
+        # the testbed is exactly the one-group population: same
+        # identity, hash and run-cache key as an explicit groups= build
+        explicit = ClusterSpec(
+            name="haswell-testbed",
+            groups=(NodeGroup(haswell_node(), 8),),
+            variability_seed=2017,
+        )
+        assert spec == explicit
+        assert hash(spec) == hash(explicit)
 
     def test_node_specs_follow_group_order(self):
         hw, bw = haswell_node(), broadwell_node()
@@ -229,6 +238,32 @@ class TestRackSpecs:
         assert not spec.is_homogeneous
         names = [s.name for s in spec.node_specs]
         assert names == (["haswell"] * 4 + ["broadwell"] * 4) * 2
+
+    def test_class_table_on_non_adjacent_repeats(self):
+        # racks (haswell, gpu, haswell): the third rack repeats the
+        # first class, so three groups collapse to two classes
+        from repro.hw.specs import RackSpec, gpu_node
+
+        hw, gpu = haswell_node(), gpu_node()
+        spec = ClusterSpec(
+            racks=(
+                RackSpec("a", (NodeGroup(hw, 2),)),
+                RackSpec("b", (NodeGroup(gpu, 3),)),
+                RackSpec("c", (NodeGroup(hw, 1),)),
+            )
+        )
+        assert len(spec.groups) == 3
+        assert spec.node_classes == (hw, gpu)
+        assert spec.slot_class == (0, 0, 1, 1, 1, 0)
+        assert tuple(spec.node_classes[k] for k in spec.slot_class) == (
+            spec.node_specs
+        )
+        assert not spec.is_homogeneous
+
+    def test_class_table_of_a_one_class_fleet(self):
+        spec = haswell_testbed(racks=4)
+        assert spec.node_classes == (haswell_node(),)
+        assert spec.slot_class == (0,) * 32
 
     def test_flat_spec_reports_one_rack(self):
         spec = haswell_testbed()
