@@ -852,7 +852,6 @@ def cmd_learn(args) -> int:
     if stats is not None:
         print(
             f"outcomes={stats['outcomes']} refits={stats['refits']} "
-            f"explorations={stats['explorations']} "
             f"inflection_refits={stats['inflection_refits']}"
         )
     return 0

@@ -79,9 +79,8 @@ class ObservationRecord:
     Times are per cluster iteration (the reciprocal of throughput), so
     predictions and measurements from any consumer — queue drains, the
     segment runtime, the serve daemon — compare on one axis.  ``flags``
-    carry outcome annotations ("explored", "concurrency_change",
-    "guard", ...) and ``source`` names the reporting choke-point
-    caller.
+    carry outcome annotations ("concurrency_change", "guard", ...) and
+    ``source`` names the reporting choke-point caller.
     """
 
     predicted_time_s: float
@@ -244,17 +243,6 @@ class KnowledgeEntry:
         )
 
     # -- decision quality ----------------------------------------------
-
-    def cell_observations(
-        self, budget_w: float, testbed: str
-    ) -> tuple[ObservationRecord, ...]:
-        """The history restricted to one (budget-band, testbed) cell."""
-        band = budget_band(budget_w)
-        return tuple(
-            o
-            for o in self.observations
-            if o.band_w == band and o.testbed == testbed
-        )
 
     def quality(self, budget_w: float, testbed: str) -> DecisionQuality:
         """Decision quality of one (budget-band, testbed) cell."""

@@ -1,4 +1,4 @@
-"""Closed-loop learning policies (ROADMAP item 3).
+"""Closed-loop learning policies.
 
 CLIP's models are fitted once from the smart-profiling pass; this
 module holds the policy layer that lets them improve from execution
@@ -12,13 +12,18 @@ history without touching the fit-once math:
   property test pins this).
 * :class:`RefitPolicy` — when the observation count, staleness, and
   misprediction error justify refitting an entry's models.
-* :class:`LearningConfig` — the master switch plus the epsilon-greedy
-  exploration knobs.  **Disabled by default**: a learning-off
-  deployment records history but never changes a decision, which the
-  golden suites enforce bit-for-bit.
-* :func:`empirical_best_nodes` / :func:`empirical_best_concurrency` —
-  measured-performance argmax over the configurations a cell has
-  actually executed, the exploitation side of the bandit.
+* :class:`LearningConfig` — the master switch plus the refit policy.
+  **Disabled by default**: a learning-off deployment records history
+  but never changes a decision, which the golden suites enforce
+  bit-for-bit.
+* :func:`empirical_best_concurrency` — measured-performance argmax
+  over the thread counts an entry has actually executed; a refit
+  feeds it to the inflection corpus when it disagrees with the
+  predicted knee.
+
+Learning acts only through refits: a refitted entry gets a new model
+version and every entry point (``schedule``, ``schedule_traced``,
+``schedule_many``) decides from the same refitted models.
 """
 
 from __future__ import annotations
@@ -28,12 +33,12 @@ from typing import Iterable
 
 from repro.core.knowledge import KnowledgeEntry, ObservationRecord
 from repro.core.perfmodel import TimeCalibration
+from repro.errors import SchedulingError
 
 __all__ = [
     "RefitPolicy",
     "LearningConfig",
     "fit_calibration",
-    "empirical_best_nodes",
     "empirical_best_concurrency",
 ]
 
@@ -60,6 +65,20 @@ class RefitPolicy:
     refit_interval: int = 4
     error_threshold: float = 0.05
 
+    def __post_init__(self) -> None:
+        if self.min_observations < 1:
+            raise SchedulingError(
+                f"min_observations must be >= 1, got {self.min_observations}"
+            )
+        if self.refit_interval < 0:
+            raise SchedulingError(
+                f"refit_interval must be >= 0, got {self.refit_interval}"
+            )
+        if self.error_threshold < 0:
+            raise SchedulingError(
+                f"error_threshold must be >= 0, got {self.error_threshold}"
+            )
+
     def should_refit(self, entry: KnowledgeEntry) -> bool:
         """Whether *entry*'s current models have earned a refit."""
         if entry.observed_total - entry.refit_at < self.refit_interval:
@@ -80,24 +99,11 @@ class RefitPolicy:
 class LearningConfig:
     """The learning layer's switchboard (off by default).
 
-    ``epsilon`` — probability of exploring a near-tie alternative while
-    a cell's confidence is low; ``tie_margin`` — predicted-performance
-    slack defining "near tie"; ``confident_observations`` — cell
-    observation count at which exploration stops;
-    ``min_config_observations`` — evidence floor per configuration
-    before exploitation may prefer it; ``exploit_margin`` — measured
-    advantage a challenger needs over the model's choice;  ``seed`` —
-    the exploration RNG seed (decisions are reproducible runs of the
-    same campaign).
+    ``enabled`` lets recorded outcomes trigger refits; ``refit`` says
+    when they do.
     """
 
     enabled: bool = False
-    epsilon: float = 0.2
-    tie_margin: float = 0.1
-    confident_observations: int = 4
-    min_config_observations: int = 2
-    exploit_margin: float = 0.02
-    seed: int = 2017
     refit: RefitPolicy = field(default_factory=RefitPolicy)
 
 
@@ -144,38 +150,6 @@ def fit_calibration(
     )
 
 
-def _group_stats(
-    observations: Iterable[ObservationRecord], attr: str
-) -> dict[int, tuple[int, float]]:
-    """Per-configuration (count, mean measured perf) grouped by *attr*."""
-    sums: dict[int, list[float]] = {}
-    for o in observations:
-        if o.measured_time_s <= 0:
-            continue
-        sums.setdefault(getattr(o, attr), []).append(o.measured_perf)
-    return {
-        k: (len(v), sum(v) / len(v)) for k, v in sums.items()
-    }
-
-
-def empirical_best_nodes(
-    observations: Iterable[ObservationRecord], min_samples: int = 2
-) -> tuple[int | None, dict[int, tuple[int, float]]]:
-    """Measured-performance argmax over observed node counts.
-
-    Returns ``(best_n_nodes, {n_nodes: (count, mean_perf)})``; the best
-    is ``None`` until at least one node count has *min_samples*
-    observations.
-    """
-    groups = _group_stats(observations, "n_nodes")
-    qualified = {
-        k: mean for k, (count, mean) in groups.items() if count >= min_samples
-    }
-    if not qualified:
-        return None, groups
-    return max(qualified, key=lambda k: (qualified[k], -k)), groups
-
-
 def empirical_best_concurrency(
     observations: Iterable[ObservationRecord], min_samples: int = 2
 ) -> int | None:
@@ -184,9 +158,12 @@ def empirical_best_concurrency(
     Needs at least two qualified thread-count groups — a single group
     carries no comparative evidence about where the knee really is.
     """
-    groups = _group_stats(observations, "n_threads")
+    groups: dict[int, list[float]] = {}
+    for o in observations:
+        if o.measured_time_s > 0:
+            groups.setdefault(o.n_threads, []).append(o.measured_perf)
     qualified = {
-        k: mean for k, (count, mean) in groups.items() if count >= min_samples
+        k: sum(v) / len(v) for k, v in groups.items() if len(v) >= min_samples
     }
     if len(qualified) < 2:
         return None

@@ -251,8 +251,6 @@ class SchedulingDecision:
     phase_threads: dict[str, int] = field(default_factory=dict)
     #: Model generation the decision was made with (bumped by refits).
     model_version: int = 1
-    #: True when epsilon-greedy exploration overrode the model's pick.
-    explored: bool = False
 
     @property
     def n_nodes(self) -> int:
@@ -331,12 +329,10 @@ class SchedulingDecision:
             "node_configs": [self._config_dict(c) for c in self.node_configs],
             "phase_threads": dict(self.phase_threads),
         }
-        # learning keys appear only once learning has acted, so
+        # the learning key appears only once a refit has acted, so
         # learning-off documents stay byte-identical to the goldens
         if self.model_version != 1:
             d["model_version"] = self.model_version
-        if self.explored:
-            d["explored"] = True
         return d
 
     @staticmethod
@@ -358,7 +354,11 @@ class SchedulingDecision:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SchedulingDecision":
-        """Rebuild a decision from :meth:`to_dict` output."""
+        """Rebuild a decision from :meth:`to_dict` output.
+
+        Unknown keys are ignored, so documents written by releases that
+        stamped an ``"explored"`` flag still load.
+        """
         alloc = raw["allocation"]
         return cls(
             app_name=raw["app_name"],
@@ -404,7 +404,6 @@ class SchedulingDecision:
                 str(k): int(v) for k, v in raw["phase_threads"].items()
             },
             model_version=int(raw.get("model_version", 1)),
-            explored=bool(raw.get("explored", False)),
         )
 
 
@@ -835,7 +834,6 @@ class DecisionPipeline:
         self._outcomes = 0
         self._refits = 0
         self._inflection_refits = 0
-        self._explorations = 0
         self._factors = (
             np.asarray(node_factors, dtype=np.float64)
             if node_factors is not None
@@ -1054,8 +1052,6 @@ class DecisionPipeline:
                 if model_version is None
                 else model_version
             )
-            if decision.explored and "explored" not in flags:
-                flags = (*flags, "explored")
         if result is not None:
             measured_perf = (
                 result.performance if measured_perf is None else measured_perf
@@ -1121,11 +1117,6 @@ class DecisionPipeline:
                 self._inflection_refits += 1
         return refitted
 
-    def count_exploration(self) -> None:
-        """Tally one epsilon-greedy override (scheduler-reported)."""
-        with self._learn_lock:
-            self._explorations += 1
-
     def learning_stats(self) -> dict:
         """JSON-safe learning-telemetry snapshot."""
         observed_entries = 0
@@ -1144,7 +1135,6 @@ class DecisionPipeline:
                 "outcomes": self._outcomes,
                 "refits": self._refits,
                 "inflection_refits": self._inflection_refits,
-                "explorations": self._explorations,
                 "observed_entries": observed_entries,
                 "observations_held": observations,
                 "refitted_entries": refitted_entries,

@@ -20,37 +20,32 @@ framework:
 per-stage :class:`~repro.core.pipeline.DecisionTrace`;
 :meth:`ClipScheduler.schedule_many` decides a whole batch of jobs on
 the shared caches; :meth:`ClipScheduler.run` executes a decision on
-the simulated testbed and returns the
-:class:`~repro.sim.trace.RunResult`.
+the simulated testbed, reports the outcome back to the pipeline and
+returns the :class:`~repro.sim.trace.RunResult`.  All three decision
+entry points read the same models, so with learning enabled they
+agree on every job: learning acts only by refitting a knowledge
+entry's models (:mod:`repro.core.learning`).
 """
 
 from __future__ import annotations
-
-import random
-import threading
-from dataclasses import replace
 
 import numpy as np
 
 from repro.core.coordination import VARIABILITY_THRESHOLD, measure_node_factors
 from repro.core.inflection import InflectionPredictor
-from repro.core.knowledge import KnowledgeDB, KnowledgeEntry, budget_band
-from repro.core.learning import LearningConfig, empirical_best_nodes
+from repro.core.knowledge import KnowledgeDB, KnowledgeEntry
+from repro.core.learning import LearningConfig
 from repro.core.pipeline import (
     DecisionPipeline,
     DecisionTrace,
     SchedulingDecision,
 )
 from repro.core.profile import SmartProfiler
-from repro.errors import SchedulingError
 from repro.sim.engine import ExecutionEngine
 from repro.sim.trace import RunResult
 from repro.workloads.characteristics import WorkloadCharacteristics
 
 __all__ = ["SchedulingDecision", "ClipScheduler"]
-
-#: Node counts considered around the model's pick when exploring.
-EXPLORE_WINDOW = 2
 
 
 class ClipScheduler:
@@ -72,7 +67,6 @@ class ClipScheduler:
             if calibrate_variability
             else np.ones(engine.cluster.n_nodes)
         )
-        self._learning = learning if learning is not None else LearningConfig()
         self._pipeline = DecisionPipeline(
             engine,
             inflection,
@@ -80,19 +74,8 @@ class ClipScheduler:
             profiler=profiler,
             node_factors=factors,
             variability_threshold=variability_threshold,
-            learning=self._learning,
+            learning=learning,
         )
-        # epsilon-greedy state (touched only when learning is enabled)
-        self._rng = random.Random(self._learning.seed)
-        self._learn_lock = threading.Lock()
-        #: near-tie node counts per (entry key, model version, band)
-        self._tie_cache: dict[tuple, tuple[int, ...]] = {}
-        #: exploit decisions per (entry key, model version, budget, n)
-        self._exploit_cache: dict[tuple, SchedulingDecision] = {}
-        #: converged decisions per (key, version, observed_total,
-        #: budget) — the warm path once a cell stops exploring; any
-        #: new observation changes observed_total and misses the cache
-        self._decision_cache: dict[tuple, SchedulingDecision] = {}
 
     @property
     def engine(self) -> ExecutionEngine:
@@ -122,7 +105,7 @@ class ClipScheduler:
     @property
     def learning(self) -> LearningConfig:
         """The closed-loop learning configuration (off by default)."""
-        return self._learning
+        return self._pipeline.learning
 
     # ------------------------------------------------------------------
 
@@ -141,197 +124,13 @@ class ClipScheduler:
         predefined_node_counts: tuple[int, ...] | None = None,
         allocation_mode: str = "predictive",
     ) -> SchedulingDecision:
-        """Run Algorithm 1 and return the decision (no execution).
-
-        With learning enabled the model's decision may be overridden by
-        the epsilon-greedy bandit (see :meth:`_learned_decision`); with
-        the default learning-off configuration the pipeline's answer is
-        returned untouched — bit-identical to previous releases.
-        """
-        decision = self._pipeline.decide(
+        """Run Algorithm 1 and return the decision (no execution)."""
+        return self._pipeline.decide(
             app,
             cluster_budget_w,
             predefined_node_counts=predefined_node_counts,
             allocation_mode=allocation_mode,
         )
-        if (
-            self._learning.enabled
-            and predefined_node_counts is None
-            and allocation_mode == "predictive"
-        ):
-            decision = self._learned_decision(
-                app, cluster_budget_w, allocation_mode, decision
-            )
-        return decision
-
-    # -- epsilon-greedy exploration ------------------------------------
-
-    def _learned_decision(
-        self,
-        app: WorkloadCharacteristics,
-        cluster_budget_w: float,
-        allocation_mode: str,
-        decision: SchedulingDecision,
-    ) -> SchedulingDecision:
-        """Second opinion on the model's pick, from execution history.
-
-        Per (app, budget-band, testbed) cell: while the cell has fewer
-        than ``confident_observations`` outcomes, explore — with
-        probability epsilon, re-decide at the least-observed *near-tie*
-        node count (predicted performance within ``tie_margin`` of the
-        model's pick) and mark the decision ``explored``.  Once the
-        cell is confident, exploit — if some observed node count
-        measurably beats the model's choice by ``exploit_margin``, pin
-        it (decisions cached, so the warm path stays cheap).  Every
-        path returns a decision that went through the full pipeline,
-        so per-node budgets always audit clean.
-        """
-        kb = self._pipeline.knowledge
-        if not kb.has(app.name, app.problem_size):
-            return decision
-        entry = kb.get(app.name, app.problem_size)
-        cfg = self._learning
-        memo_key = (
-            entry.key,
-            entry.model_version,
-            entry.observed_total,
-            float(cluster_budget_w),
-        )
-        with self._learn_lock:
-            memoized = self._decision_cache.get(memo_key)
-        if memoized is not None:
-            return replace(
-                memoized, phase_threads=dict(memoized.phase_threads)
-            )
-        cell = entry.cell_observations(
-            cluster_budget_w, self._pipeline.testbed
-        )
-        if len(cell) >= cfg.confident_observations:
-            final = self._exploit(
-                app, entry, cluster_budget_w, allocation_mode, decision, cell
-            )
-            # the exploit verdict is a pure function of the history;
-            # memoize it so the converged warm path costs one lookup
-            with self._learn_lock:
-                self._decision_cache[memo_key] = final
-            return replace(final, phase_threads=dict(final.phase_threads))
-        with self._learn_lock:
-            roll = self._rng.random()
-        if roll >= cfg.epsilon:
-            return decision
-        ties = self._near_ties(
-            app, entry, cluster_budget_w, allocation_mode, decision
-        )
-        if not ties:
-            return decision
-        # visit the least-observed alternative first
-        counts = {n: sum(1 for o in cell if o.n_nodes == n) for n in ties}
-        least = min(counts.values())
-        with self._learn_lock:
-            pick = self._rng.choice(
-                [n for n in ties if counts[n] == least]
-            )
-        alt = self._pipeline.decide(
-            app,
-            cluster_budget_w,
-            predefined_node_counts=(pick,),
-            allocation_mode=allocation_mode,
-        )
-        self._pipeline.count_exploration()
-        return replace(alt, explored=True)
-
-    def _near_ties(
-        self,
-        app: WorkloadCharacteristics,
-        entry: KnowledgeEntry,
-        cluster_budget_w: float,
-        allocation_mode: str,
-        decision: SchedulingDecision,
-    ) -> tuple[int, ...]:
-        """Node counts near the model's pick with near-tie predictions."""
-        key = (
-            entry.key,
-            entry.model_version,
-            budget_band(cluster_budget_w),
-        )
-        with self._learn_lock:
-            cached = self._tie_cache.get(key)
-        if cached is not None:
-            return cached
-        max_nodes = self._engine.cluster.n_nodes
-        floor_perf = decision.predicted_perf * (
-            1.0 - self._learning.tie_margin
-        )
-        ties: list[int] = []
-        lo = max(1, decision.n_nodes - EXPLORE_WINDOW)
-        hi = min(max_nodes, decision.n_nodes + EXPLORE_WINDOW)
-        for n in range(lo, hi + 1):
-            if n == decision.n_nodes:
-                continue
-            try:
-                alt = self._pipeline.decide(
-                    app,
-                    cluster_budget_w,
-                    predefined_node_counts=(n,),
-                    allocation_mode=allocation_mode,
-                )
-            except SchedulingError:
-                continue
-            if alt.predicted_perf >= floor_perf:
-                ties.append(n)
-        result = tuple(ties)
-        with self._learn_lock:
-            self._tie_cache[key] = result
-        return result
-
-    def _exploit(
-        self,
-        app: WorkloadCharacteristics,
-        entry: KnowledgeEntry,
-        cluster_budget_w: float,
-        allocation_mode: str,
-        decision: SchedulingDecision,
-        cell: tuple,
-    ) -> SchedulingDecision:
-        """Pin the empirically best node count once a cell is confident."""
-        cfg = self._learning
-        best, groups = empirical_best_nodes(
-            cell, cfg.min_config_observations
-        )
-        if best is None or best == decision.n_nodes:
-            return decision
-        model_stats = groups.get(decision.n_nodes)
-        if (
-            model_stats is not None
-            and model_stats[0] >= cfg.min_config_observations
-            and groups[best][1]
-            < model_stats[1] * (1.0 + cfg.exploit_margin)
-        ):
-            # the challenger's measured edge is within noise — trust
-            # the model
-            return decision
-        key = (
-            entry.key,
-            entry.model_version,
-            float(cluster_budget_w),
-            best,
-        )
-        with self._learn_lock:
-            cached = self._exploit_cache.get(key)
-        if cached is not None:
-            # fresh phase_threads dict per issue, like decide_many
-            return replace(
-                cached, phase_threads=dict(cached.phase_threads)
-            )
-        alt = self._pipeline.decide(
-            app,
-            cluster_budget_w,
-            predefined_node_counts=(best,),
-            allocation_mode=allocation_mode,
-        )
-        with self._learn_lock:
-            self._exploit_cache[key] = alt
-        return alt
 
     def schedule_traced(
         self,

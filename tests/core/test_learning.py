@@ -2,7 +2,8 @@
 
 Property suites (hypothesis) for the refit math and the observation
 history, the v1 -> v2 schema migration round-trip, the learning-off
-bit-identity guarantee, and the misprediction-feedback regression: a
+bit-identity guarantee, the agreement of every decision entry point
+once refits have acted, and the misprediction-feedback regression: a
 knowledge entry seeded with a uniformly mistimed profile must be
 corrected by the calibration refit within a handful of observations.
 """
@@ -29,10 +30,11 @@ from repro.core.learning import (
     LearningConfig,
     RefitPolicy,
     empirical_best_concurrency,
-    empirical_best_nodes,
     fit_calibration,
 )
+from repro.core.pipeline import SchedulingDecision
 from repro.core.scheduler import ClipScheduler
+from repro.errors import SchedulingError
 from repro.hw.cluster import SimulatedCluster
 from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import get_app
@@ -61,6 +63,8 @@ def _obs(
     n_nodes: int = 4,
     budget_w: float = 1000.0,
     testbed: str = "8xhaswell",
+    model_version: int = 1,
+    flags: tuple[str, ...] = (),
 ) -> ObservationRecord:
     return ObservationRecord(
         predicted_time_s=predicted,
@@ -71,6 +75,8 @@ def _obs(
         n_nodes=n_nodes,
         n_threads=n_threads,
         testbed=testbed,
+        model_version=model_version,
+        flags=flags,
     )
 
 
@@ -163,22 +169,6 @@ class TestObservationHistoryProperty:
 # ----------------------------------------------------------------------
 
 class TestEmpiricalBest:
-    def test_best_nodes_needs_min_samples(self):
-        obs = [_obs(1.0, 0.5, n_nodes=4), _obs(1.0, 0.9, n_nodes=6)]
-        best, groups = empirical_best_nodes(obs, min_samples=2)
-        assert best is None
-        assert set(groups) == {4, 6}
-
-    def test_best_nodes_prefers_measured_throughput(self):
-        obs = [
-            _obs(1.0, 0.5, n_nodes=4),
-            _obs(1.0, 0.5, n_nodes=4),
-            _obs(1.0, 0.9, n_nodes=6),
-            _obs(1.0, 0.9, n_nodes=6),
-        ]
-        best, _ = empirical_best_nodes(obs, min_samples=2)
-        assert best == 4  # 2 it/s beats 1.11 it/s
-
     def test_best_concurrency_needs_two_groups(self):
         obs = [_obs(1.0, 0.5, n_threads=14)] * 4
         assert empirical_best_concurrency(obs, min_samples=2) is None
@@ -222,6 +212,34 @@ class TestRefitPolicy:
         assert refitted.model_version == entry.model_version + 1
         assert refitted.refit_at == refitted.observed_total
         assert not entry.same_models(refitted)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"min_observations": 0},
+            {"min_observations": -1},
+            {"refit_interval": -1},
+            {"error_threshold": -0.01},
+        ],
+    )
+    def test_rejects_invalid_thresholds(self, kwargs):
+        with pytest.raises(SchedulingError):
+            RefitPolicy(**kwargs)
+
+    def test_late_outcomes_for_an_old_model_never_refit(self):
+        """Outcomes of pre-refit decisions can arrive after the refit
+        (e.g. a late ``POST /v1/jobs/<id>/outcome``); they carry the
+        old model version, so they are no evidence against the new
+        models — with the smallest valid window the policy waits."""
+        policy = RefitPolicy(
+            min_observations=1, refit_interval=0, error_threshold=0.0
+        )
+        entry = replace(_shared_entry(), model_version=2)
+        for _ in range(3):
+            entry = entry.with_observation(_obs(1.0, 2.0, model_version=1))
+        assert not policy.should_refit(entry)
+        entry = entry.with_observation(_obs(1.0, 2.0, model_version=2))
+        assert policy.should_refit(entry)
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +286,29 @@ class TestSchemaMigration:
         assert back.calibration == entry.calibration
         assert back.observations == entry.observations
 
+    def test_legacy_explored_flag_still_loads(self, tmp_path):
+        """Observations saved by releases with an exploring scheduler
+        carry an ``"explored"`` flag; the flag is kept as data."""
+        db = KnowledgeDB()
+        entry = _shared_entry().with_observation(
+            _obs(1.0, 1.2, flags=("explored",))
+        )
+        db.put(entry)
+        out = tmp_path / "kb.json"
+        db.save(out)
+        back = KnowledgeDB.load(out).get(*entry.key)
+        assert back.observations[-1].flags == ("explored",)
+        assert back == entry
+
+    def test_legacy_explored_decision_key_is_ignored(self):
+        engine = ExecutionEngine(SimulatedCluster.testbed(), seed=42)
+        clip = ClipScheduler(
+            engine, inflection=build_trained_inflection(engine)
+        )
+        doc = clip.schedule(get_app("comd"), 1400.0).to_dict()
+        legacy = {**doc, "explored": True}
+        assert SchedulingDecision.from_dict(legacy).to_dict() == doc
+
 
 # ----------------------------------------------------------------------
 # learning off: bit identity
@@ -295,6 +336,43 @@ class TestLearningOffIdentity:
                 name,
                 budget,
             )
+
+
+# ----------------------------------------------------------------------
+# learning on: every entry point decides alike
+# ----------------------------------------------------------------------
+
+class TestEntryPointAgreement:
+    def test_refitted_models_decide_alike_on_every_entry_point(self):
+        """Learning acts only through refits, so once entries have been
+        refitted ``schedule``, ``schedule_traced`` and ``schedule_many``
+        still return the same document for every combo."""
+        engine = ExecutionEngine(SimulatedCluster.testbed(), seed=42)
+        clip = ClipScheduler(
+            engine,
+            inflection=build_trained_inflection(engine),
+            learning=LearningConfig(enabled=True),
+        )
+        combos = [
+            (name, budget)
+            for name in ("comd", "sp-mz.C", "stream", "bt-mz.C", "tealeaf")
+            for budget in (1000.0, 1400.0, 1800.0)
+        ]
+        for _ in range(2):
+            for name, budget in combos:
+                clip.run(get_app(name), budget, iterations=2)
+        assert clip.pipeline.learning_stats()["refitted_entries"] > 0
+
+        def doc(decision) -> str:
+            return json.dumps(decision.to_dict(), sort_keys=True)
+
+        for name, budget in combos:
+            app = get_app(name)
+            plain = doc(clip.schedule(app, budget))
+            traced, _ = clip.schedule_traced(app, budget)
+            (batched,) = clip.schedule_many([app], budget)
+            assert doc(traced) == plain, (name, budget)
+            assert doc(batched) == plain, (name, budget)
 
 
 # ----------------------------------------------------------------------

@@ -162,6 +162,15 @@ class TestLearnCommand:
         assert payload["source"] == "demo campaign"
         assert payload["learning"]["enabled"] is True
         assert payload["learning"]["outcomes"] == 8
+        assert set(payload["learning"]) == {
+            "enabled",
+            "outcomes",
+            "refits",
+            "inflection_refits",
+            "observed_entries",
+            "observations_held",
+            "refitted_entries",
+        }
         assert payload["cells"], payload
         for cell in payload["cells"]:
             assert cell["n"] >= 1
@@ -175,6 +184,31 @@ class TestLearnCommand:
         assert main(["learn", "--knowledge", str(path)]) == 0
         out = capsys.readouterr().out
         assert "no observations recorded" in out
+
+    def test_learn_reports_legacy_explored_observations(
+        self, engine, trained_inflection, tmp_path, capsys
+    ):
+        """A database saved while the scheduler still stamped
+        ``"explored"`` observation flags loads and reports."""
+        from dataclasses import replace
+
+        from repro.core.knowledge import KnowledgeDB
+        from repro.core.scheduler import ClipScheduler
+        from repro.workloads.apps import get_app
+
+        clip = ClipScheduler(engine, inflection=trained_inflection)
+        app = get_app("comd")
+        clip.run(app, 1400.0, iterations=2)
+        entry = clip.knowledge.get(app.name, app.problem_size)
+        flagged = replace(entry.observations[-1], flags=("explored",))
+        kb = KnowledgeDB()
+        kb.put(replace(entry, observations=(flagged,)))
+        path = tmp_path / "kb.json"
+        kb.save(path)
+        assert main(["learn", "--knowledge", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Decision quality" in out
+        assert "comd" in out
 
 
 class TestReportCommand:
