@@ -13,7 +13,6 @@ Run:  python examples/multi_job.py
 
 from repro import quickstart_scheduler
 from repro.analysis.metrics import geometric_mean
-from repro.analysis.plots import render_grouped_bars
 from repro.analysis.tables import render_table
 from repro.core.multijob import MultiJobCoordinator
 from repro.sim.engine import ExecutionConfig
@@ -87,12 +86,12 @@ def main() -> None:
     )
     print()
     print(
-        render_grouped_bars(
-            [r[0] for r in rows],
-            {
-                "coordinated": [r[4] / max(r[4], r[5]) for r in rows],
-                "equal split": [r[5] / max(r[4], r[5]) for r in rows],
-            },
+        render_table(
+            ["Job", "coordinated", "equal split"],
+            [
+                [r[0], r[4] / max(r[4], r[5]), r[5] / max(r[4], r[5])]
+                for r in rows
+            ],
             title="Per-job throughput (normalized to the better policy)",
         )
     )

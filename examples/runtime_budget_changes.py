@@ -15,7 +15,6 @@ Run:  python examples/runtime_budget_changes.py
 """
 
 from repro import quickstart_scheduler
-from repro.analysis.plots import render_bars
 from repro.analysis.tables import render_table
 from repro.core.runtime import PowerBoundedRuntime
 from repro.workloads import get_app
@@ -61,12 +60,11 @@ def main() -> None:
     caps = [pkg + dram for pkg, dram in job.per_node_caps]
     print()
     print(
-        render_bars(
-            [f"node {i}" for i in range(8)],
-            caps,
-            width=40,
-            fmt="{:.0f} W",
+        render_table(
+            ["node", "budget (W)"],
+            [[i, cap] for i, cap in enumerate(caps)],
             title="Per-node budgets after recalibration (node 5 compensated)",
+            float_fmt="{:.0f}",
         )
     )
 

@@ -10,7 +10,7 @@ This package contains both the framework and the testbed it needs:
 * :mod:`repro.hw` — a simulated 8-node dual-socket Haswell cluster
   (RAPL domains, DVFS, NUMA, PMU events, manufacturing variability);
 * :mod:`repro.workloads` — analytic ground-truth models of the paper's
-  Table-II benchmarks plus training corpora and real NumPy kernels;
+  Table-II benchmarks plus training corpora;
 * :mod:`repro.sim` — the steady-state execution engine;
 * :mod:`repro.core` — CLIP itself (profiling, classification, MLR
   inflection prediction, performance/power models, Algorithm 1);

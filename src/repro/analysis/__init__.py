@@ -9,8 +9,6 @@ from repro.analysis.tables import render_table
 from repro.analysis.report import REPORT_SECTIONS, assemble_report
 from repro.analysis.traces import (
     CapViolation,
-    ThermalAssessment,
-    assess_thermals,
     audit_cap_violations,
     cluster_trace_csv,
     samples_to_csv,
@@ -37,8 +35,6 @@ __all__ = [
     "compare_methods",
     "make_schedulers",
     "CapViolation",
-    "ThermalAssessment",
-    "assess_thermals",
     "audit_cap_violations",
     "cluster_trace_csv",
     "samples_to_csv",

@@ -20,8 +20,6 @@ __all__ = [
     "CapViolation",
     "audit_cap_violations",
     "summarize_run",
-    "ThermalAssessment",
-    "assess_thermals",
 ]
 
 
@@ -77,50 +75,6 @@ def audit_cap_violations(result: RunResult) -> list[CapViolation]:
             out.append(
                 CapViolation(rec.node_id, "dram", op.dram_power_w)
             )
-    return out
-
-
-@dataclass(frozen=True)
-class ThermalAssessment:
-    """Thermal verdict for one node's steady state during a run."""
-
-    node_id: int
-    pkg_power_w: float
-    steady_state_c: float
-    sustainable: bool
-    time_to_throttle_s: float | None
-
-
-def assess_thermals(result: RunResult, spec=None) -> list[ThermalAssessment]:
-    """Evaluate each node's steady PKG power against the thermal model.
-
-    A configuration the power caps allow can still be thermally
-    unsustainable (hot room, degraded fan — pass a custom
-    :class:`~repro.hw.thermal.ThermalSpec`); this audit reports each
-    node's equilibrium temperature and, when unsustainable, the time a
-    fresh package would take to hit PROCHOT.
-    """
-    from repro.hw.thermal import ThermalModel, ThermalSpec
-
-    spec = spec or ThermalSpec()
-    out: list[ThermalAssessment] = []
-    for rec in result.nodes:
-        # the thermal spec is per package; split node PKG power evenly
-        per_pkg = rec.operating_point.pkg_power_w / 2.0
-        steady = spec.steady_state_c(per_pkg)
-        sustainable = steady < spec.t_junction_max_c
-        eta = None
-        if not sustainable:
-            eta = ThermalModel(spec).time_to_throttle_s(per_pkg)
-        out.append(
-            ThermalAssessment(
-                node_id=rec.node_id,
-                pkg_power_w=rec.operating_point.pkg_power_w,
-                steady_state_c=steady,
-                sustainable=sustainable,
-                time_to_throttle_s=eta,
-            )
-        )
     return out
 
 

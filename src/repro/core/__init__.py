@@ -44,7 +44,6 @@ from repro.core.execution import ApplicationExecutionModule
 from repro.core.runtime import PowerBoundedRuntime, RunningJob, SegmentRecord
 from repro.core.multijob import JobPlacement, MultiJobCoordinator
 from repro.core.jobqueue import CompletedJob, PowerBoundedJobQueue, QueueReport
-from repro.core.planner import BudgetPlan, BudgetPlanner
 
 __all__ = [
     "ScalabilityClass",
@@ -77,6 +76,4 @@ __all__ = [
     "CompletedJob",
     "PowerBoundedJobQueue",
     "QueueReport",
-    "BudgetPlan",
-    "BudgetPlanner",
 ]

@@ -3,9 +3,9 @@
 Algorithm 1 is an explicit chain — profile → classify → predict NP →
 fit perf/power models → allocate nodes/budgets → recommend per-node
 configurations — but the original code re-derived that chain ad hoc in
-five places (`ClipScheduler.schedule`, `MultiJobCoordinator`,
-`PowerBoundedJobQueue`, `PowerBoundedRuntime`, `BudgetPlanner`),
-re-fitting the models from scratch on every call.  This module is the
+four places (`ClipScheduler.schedule`, `MultiJobCoordinator`,
+`PowerBoundedJobQueue`, `PowerBoundedRuntime`), re-fitting the models
+from scratch on every call.  This module is the
 single home of that chain:
 
 * :class:`DecisionContext` — an immutable dataclass threaded through
@@ -19,8 +19,8 @@ single home of that chain:
 * :class:`ModelBundle` / :class:`ModelBundleCache` — the fitted
   (predictor, power model, recommender) triple is built **once** per
   knowledge-DB entry and reused across decisions; every consumer
-  (scheduler, multi-job coordinator, queue, runtime, planner, the
-  Coordinated baseline) shares the same bundles.
+  (scheduler, multi-job coordinator, queue, runtime, the Coordinated
+  baseline) shares the same bundles.
 * :class:`SchedulingDecision` — Algorithm 1's output, JSON-serializable
   via :meth:`~SchedulingDecision.to_dict` /
   :meth:`~SchedulingDecision.from_dict` so decisions can be persisted

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ActuationError, InfeasibleBudgetError
-from repro.units import check_fraction
 
 __all__ = [
     "WatchdogObservation",
@@ -39,9 +38,10 @@ __all__ = [
     "EnforcementGuard",
 ]
 
-#: Default guard band: measured draw may exceed the committed caps by
-#: this fraction before the watchdog calls it a breach.  Wide enough to
-#: ignore honest sensor jitter, narrow enough to catch real drift.
+#: Guard band: measured draw may exceed the committed caps (or the
+#: queue's budget) by this fraction before it counts as a breach.  Wide
+#: enough to ignore honest sensor jitter, narrow enough to catch real
+#: drift.
 DEFAULT_GUARD_BAND_FRAC = 0.05
 
 #: Derate clamps: one corrective re-coordination never cuts the budget
@@ -50,6 +50,10 @@ DEFAULT_GUARD_BAND_FRAC = 0.05
 #: makes real progress).
 MIN_DERATE = 0.4
 MAX_DERATE = 0.95
+
+#: Share of the gap back to the full budget that the queue's guard
+#: closes after each in-band observation.
+GUARD_RELAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -94,23 +98,14 @@ class PowerEnforcementWatchdog:
     ----------
     runtime:
         The :class:`~repro.core.runtime.PowerBoundedRuntime` to guard.
-    guard_band_frac:
-        Allowed relative overshoot before a breach is declared.
     """
 
-    def __init__(self, runtime, guard_band_frac: float = DEFAULT_GUARD_BAND_FRAC):
-        check_fraction(guard_band_frac, "guard_band_frac")
+    def __init__(self, runtime):
         self._runtime = runtime
-        self._band = guard_band_frac
         self._observations: list[WatchdogObservation] = []
         self._strikes: dict[int, int] = {}
         self._emergency: set[int] = set()
         runtime.attach_watchdog(self)
-
-    @property
-    def guard_band_frac(self) -> float:
-        """Allowed relative overshoot before correction kicks in."""
-        return self._band
 
     @property
     def observations(self) -> tuple[WatchdogObservation, ...]:
@@ -151,7 +146,7 @@ class PowerEnforcementWatchdog:
         """
         key = self._job_key(job)
         allowed_w = float(job.budget_w)
-        band_w = self._band * allowed_w
+        band_w = DEFAULT_GUARD_BAND_FRAC * allowed_w
         measured_w = self._measure(job)
         if measured_w is None:
             action, breach = "blind", False
@@ -234,7 +229,7 @@ class PowerEnforcementWatchdog:
             "observations": len(self._observations),
             "breaches": sum(1 for o in self._observations if o.breach),
             "actions": actions,
-            "guard_band_frac": self._band,
+            "guard_band_frac": DEFAULT_GUARD_BAND_FRAC,
             "episodes": len(episodes),
             "max_breach_segments": max(episodes) if episodes else 0,
             "mean_breach_segments": (
@@ -254,17 +249,7 @@ class EnforcementGuard:
     heals.
     """
 
-    def __init__(
-        self,
-        guard_band_frac: float = DEFAULT_GUARD_BAND_FRAC,
-        floor: float = MIN_DERATE,
-        relax: float = 0.5,
-    ):
-        check_fraction(guard_band_frac, "guard_band_frac")
-        check_fraction(relax, "relax")
-        self._band = guard_band_frac
-        self._floor = floor
-        self._relax = relax
+    def __init__(self):
         self._derate = 1.0
         self._breaches = 0
         self._checks = 0
@@ -286,15 +271,17 @@ class EnforcementGuard:
     def observe(self, measured_w: float, budget_w: float) -> bool:
         """Report one measured draw against the budget then in force."""
         self._checks += 1
-        if measured_w > budget_w * (1.0 + self._band):
+        if measured_w > budget_w * (1.0 + DEFAULT_GUARD_BAND_FRAC):
             self._breaches += 1
             self._derate = max(
-                self._floor,
+                MIN_DERATE,
                 self._derate * min(MAX_DERATE, budget_w / measured_w),
             )
             return True
         # heal: close half the gap back toward the full budget
-        self._derate = min(1.0, self._derate + self._relax * (1.0 - self._derate))
+        self._derate = min(
+            1.0, self._derate + GUARD_RELAX * (1.0 - self._derate)
+        )
         return False
 
     def report(self) -> dict:
@@ -303,5 +290,5 @@ class EnforcementGuard:
             "checks": self._checks,
             "breaches": self._breaches,
             "derate": self._derate,
-            "guard_band_frac": self._band,
+            "guard_band_frac": DEFAULT_GUARD_BAND_FRAC,
         }

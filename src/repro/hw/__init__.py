@@ -38,8 +38,6 @@ from repro.hw.specs import (
 from repro.hw.dvfs import FrequencyLadder, DvfsController
 from repro.hw.power import PowerModel, PowerBreakdown
 from repro.hw.rapl import RaplDomain, RaplInterface, Domain
-from repro.hw.governor import GovernorSample, RaplGovernor
-from repro.hw.thermal import ThermalModel, ThermalSample, ThermalSpec
 from repro.hw.numa import NumaTopology, AffinityKind
 from repro.hw.counters import EventCounters, EVENT_NAMES
 from repro.hw.variability import VariabilityModel
@@ -66,11 +64,6 @@ __all__ = [
     "RaplDomain",
     "RaplInterface",
     "Domain",
-    "GovernorSample",
-    "RaplGovernor",
-    "ThermalModel",
-    "ThermalSample",
-    "ThermalSpec",
     "NumaTopology",
     "AffinityKind",
     "EventCounters",

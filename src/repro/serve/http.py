@@ -259,6 +259,8 @@ class ServeDaemon:
                 n = int(length)
             except ValueError as exc:
                 raise _BadRequest("bad Content-Length") from exc
+            if n < 0:
+                raise _BadRequest("bad Content-Length")
             if n > _MAX_BODY:
                 raise _BadRequest("body too large")
             body = await reader.readexactly(n)

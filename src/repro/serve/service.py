@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.core.scheduler import ClipScheduler, SchedulingDecision
 from repro.errors import AdmissionError, ServeError, WorkloadError
+from repro.units import check_positive
 from repro.workloads.apps import get_app
 from repro.workloads.characteristics import WorkloadCharacteristics
 
@@ -132,6 +133,18 @@ class Submission:
     future: Future = field(default_factory=Future)
 
 
+def _checked_budget(value, name: str) -> float:
+    """*value* as a finite, positive float, else a 400 :class:`ServeError`.
+
+    JSON bodies can carry ``NaN``, ``Infinity``, strings or ``null``;
+    none of them may reach the scheduler as a budget.
+    """
+    try:
+        return check_positive(float(value), name)
+    except (TypeError, ValueError) as exc:
+        raise ServeError(f"bad {name}: {exc}") from exc
+
+
 class SchedulerService:
     """Admission, quotas, job records, and the burst decision path."""
 
@@ -144,11 +157,9 @@ class SchedulerService:
         quotas: dict[str, TenantQuota] | None = None,
         history_limit: int = 200_000,
     ):
-        if budget_w <= 0:
-            raise ServeError("service budget must be > 0")
         self._clip = scheduler
         self._lock = threading.Lock()
-        self._budget_w = float(budget_w)
+        self._budget_w = _checked_budget(budget_w, "service budget")
         self._max_pending = int(max_pending)
         self._quotas = dict(quotas or {})
         self._history_limit = int(history_limit)
@@ -183,9 +194,7 @@ class SchedulerService:
 
     def update_budget(self, budget_w: float) -> float:
         """Set the budget used for subsequent submissions."""
-        budget_w = float(budget_w)
-        if budget_w <= 0:
-            raise ServeError(f"budget must be > 0, got {budget_w}")
+        budget_w = _checked_budget(budget_w, "budget")
         with self._lock:
             self._budget_w = budget_w
         return budget_w
@@ -223,11 +232,7 @@ class SchedulerService:
             if not isinstance(name, str):
                 raise ServeError(f"job spec {raw!r} names no app")
             if requested is not None:
-                requested = float(requested)
-                if requested <= 0:
-                    raise ServeError(
-                        f"job budget must be > 0, got {requested}"
-                    )
+                requested = _checked_budget(requested, "job budget")
             try:
                 parsed.append((get_app(name), requested))
             except WorkloadError as exc:

@@ -13,8 +13,7 @@ those first-principles terms rather than being painted on.
 
 :mod:`repro.workloads.apps` calibrates one record per Table-II row;
 :mod:`repro.workloads.generator` draws randomized records for MLR
-training; :mod:`repro.workloads.kernels` provides real NumPy
-micro-kernels used by the runnable examples.
+training.
 """
 
 from repro.workloads.characteristics import (

@@ -77,25 +77,3 @@ class TestSummary:
             ),
         )
         assert summarize_run(result)["any_duty_cycling"] is True
-
-
-class TestThermalAssessment:
-    def test_normal_run_sustainable(self, run):
-        from repro.analysis.traces import assess_thermals
-
-        for a in assess_thermals(run):
-            assert a.sustainable
-            assert a.time_to_throttle_s is None
-            assert a.steady_state_c < 100.0
-
-    def test_degraded_cooling_flags_unsustainable(self, engine, run):
-        from repro.analysis.traces import assess_thermals
-        from repro.hw.thermal import ThermalSpec
-
-        hot = ThermalSpec(r_c_per_w=1.4, t_ambient_c=35.0)
-        assessments = assess_thermals(run, spec=hot)
-        assert any(not a.sustainable for a in assessments)
-        for a in assessments:
-            if not a.sustainable:
-                assert a.time_to_throttle_s is not None
-                assert a.time_to_throttle_s > 0

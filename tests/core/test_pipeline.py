@@ -133,9 +133,8 @@ class TestWarmPath:
         assert warm.stage("fit_models").outputs["bundle_cached"] is True
 
     def test_bundle_shared_across_consumers(self, clip):
-        """Scheduler, runtime, planner and multijob reuse one bundle."""
+        """Scheduler, runtime and multijob reuse one bundle."""
         from repro.core.multijob import MultiJobCoordinator
-        from repro.core.planner import BudgetPlanner
         from repro.core.runtime import PowerBoundedRuntime
 
         app = get_app("comd")
@@ -144,7 +143,6 @@ class TestWarmPath:
         builds = cache.misses
         PowerBoundedRuntime(clip).launch(app, 1200.0, n_nodes=4)
         MultiJobCoordinator(clip).partition([app], 1400.0)
-        BudgetPlanner(clip).max_useful_budget_w(app)
         assert cache.misses == builds  # everyone hit the cached bundle
 
 
@@ -218,7 +216,6 @@ class TestSingleConstructionSite:
         "src/repro/core/multijob.py",
         "src/repro/core/jobqueue.py",
         "src/repro/core/runtime.py",
-        "src/repro/core/planner.py",
         "src/repro/baselines/coordinated.py",
     ]
     FORBIDDEN = re.compile(

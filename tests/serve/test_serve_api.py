@@ -124,6 +124,37 @@ class TestBudgetAndQuotas:
         assert "error" in data
         assert client.budget() == BUDGET_W  # unchanged
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), "abc", None], ids=repr
+    )
+    def test_non_finite_or_non_numeric_budget_rejected(self, client, bad):
+        status, data = client.request("POST", "/v1/budget", {"budget_w": bad})
+        assert status == 400, data
+        assert "budget" in data["error"]
+        assert client.budget() == BUDGET_W  # unchanged
+        (job,) = client.submit("comd")
+        assert job["decision"]["cluster_budget_w"] == BUDGET_W
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), "abc"], ids=repr
+    )
+    def test_non_finite_or_non_numeric_job_budget_rejected(self, client, bad):
+        before = client.stats()
+        status, data = client.request(
+            "POST", "/v1/jobs", {"jobs": [{"app": "comd", "budget_w": bad}]}
+        )
+        assert status == 400, data
+        assert "job budget" in data["error"]
+        assert client.stats()["submitted"] == before["submitted"]
+
+    def test_service_rejects_non_finite_budget(self, clip):
+        with pytest.raises(ServeError):
+            SchedulerService(clip, float("nan"))
+        service = SchedulerService(clip, BUDGET_W)
+        with pytest.raises(ServeError):
+            service.update_budget(float("inf"))
+        assert service.budget_w == BUDGET_W
+
     def test_tenant_budget_quota_caps_decisions(self, client):
         (job,) = client.submit("comd", tenant="small")
         assert job["decision"]["cluster_budget_w"] == 900.0
@@ -203,6 +234,19 @@ class TestErrorCodec:
             assert conn.getresponse().status == 400
         finally:
             conn.close()
+
+    def test_negative_content_length_is_400(self, client):
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", client._port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/budget HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            reply = sock.makefile("rb").readline()
+        assert reply.split()[1] == b"400", reply
 
     def test_client_raises_serve_error(self, client):
         with pytest.raises(ServeError) as err:

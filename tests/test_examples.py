@@ -37,13 +37,6 @@ class TestExamples:
         assert "Relative performance at 1200 W" in out
         assert "CLIP average improvement" in out
 
-    def test_characterize_kernel(self, capsys):
-        load_example("characterize_kernel").main()
-        out = capsys.readouterr().out
-        assert "Measured kernels" in out
-        assert "kernel" in out and "triad" in out
-        assert "CLIP decisions" in out
-
     def test_variability_study(self, capsys):
         load_example("variability_study").main()
         out = capsys.readouterr().out
@@ -62,17 +55,3 @@ class TestExamples:
         assert "power emergency" in out
         assert "job finished" in out
         assert "Per-node budgets after recalibration" in out
-
-    def test_ascii_figures(self, capsys):
-        load_example("ascii_figures").main()
-        out = capsys.readouterr().out
-        assert "Fig. 2" in out and "Fig. 6" in out
-        assert "RAPL governor settling" in out
-        assert "o=ep.C" in out
-
-    def test_budget_planning(self, capsys):
-        load_example("budget_planning").main()
-        out = capsys.readouterr().out
-        assert "Minimal cluster budgets" in out
-        assert "Impossible target correctly refused" in out
-        assert "NO" not in out.split("met?")[1].split("\n\n")[0]

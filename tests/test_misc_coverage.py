@@ -121,14 +121,6 @@ class TestHyperbolaGuard:
             _Line.through(12, 1.0, 12, 0.8)
 
 
-class TestGovernorExports:
-    def test_public_surface(self):
-        from repro.hw import GovernorSample, RaplGovernor
-
-        assert RaplGovernor is not None
-        assert GovernorSample is not None
-
-
 class TestDegradeNode:
     def test_degrade_validates(self, cluster):
         from repro.errors import SpecError
