@@ -5,8 +5,9 @@ Three jobs with very different power personalities — a linear MD code,
 a parabolic multizone solver, and a bandwidth-bound kernel — arrive at
 a cluster with a single 1800 W budget.  The coordinator partitions both
 the nodes and the watts using each job's CLIP models (including per-job
-concurrency throttling), then runs all three concurrently and compares
-against a naive equal split.
+concurrency throttling); the co-scheduled queue then runs all three
+concurrently through the power-bounded runtime, and the result is
+compared against a naive equal split.
 
 Run:  python examples/multi_job.py
 """
@@ -14,7 +15,7 @@ Run:  python examples/multi_job.py
 from repro import quickstart_scheduler
 from repro.analysis.metrics import geometric_mean
 from repro.analysis.tables import render_table
-from repro.core.multijob import MultiJobCoordinator
+from repro.core.jobqueue import PowerBoundedJobQueue
 from repro.sim.engine import ExecutionConfig
 from repro.workloads import get_app
 
@@ -52,22 +53,21 @@ def main() -> None:
     engine = clip._engine
     apps = [get_app(n) for n in JOBS]
 
-    coordinator = MultiJobCoordinator(clip)
-    placements = coordinator.run(apps, BUDGET_W, iterations=5)
+    queue = PowerBoundedJobQueue(clip)
+    report = queue.drain(apps, BUDGET_W, policy="coscheduled", iterations=5)
     naive = naive_equal_split(engine, apps)
 
     rows = []
     clip_rel, naive_rel = [], []
-    for placement, result in placements:
-        solo_cfg = placement.to_execution_config(iterations=5)
-        rel_clip = result.performance
-        rel_naive = naive[placement.app_name].performance
+    for job in report.jobs:
+        rel_clip = job.performance
+        rel_naive = naive[job.app_name].performance
         rows.append(
             [
-                placement.app_name,
-                f"{placement.n_nodes} nodes",
-                placement.config.n_threads,
-                f"{placement.budget_w:.0f} W",
+                job.app_name,
+                f"{job.n_nodes} nodes",
+                job.n_threads,
+                f"{job.energy_j:.0f} J",
                 rel_clip,
                 rel_naive,
             ]
@@ -78,7 +78,7 @@ def main() -> None:
     print()
     print(
         render_table(
-            ["Job", "Nodes", "Threads", "Power", "coordinated it/s",
+            ["Job", "Nodes", "Threads", "Energy", "coordinated it/s",
              "equal-split it/s"],
             rows,
             title=f"Three concurrent jobs under one {BUDGET_W:.0f} W budget",

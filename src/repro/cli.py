@@ -13,8 +13,8 @@ Subcommands mirror the framework's helper tools (§IV-B):
 * ``faults``    — drain a queue through a scripted fault scenario
   (node failure + recovery + budget swings) and print the
   budget-invariant audit; ``--chaos`` adds enforcement faults
-  (drifting caps, dropped writes, lying sensors) and drains behind an
-  :class:`~repro.core.watchdog.EnforcementGuard`;
+  (drifting caps, dropped writes, lying sensors) and reports what the
+  drain's :class:`~repro.core.watchdog.PowerEnforcementWatchdog` did;
 * ``replay``    — rebuild a runtime from its journal and print the
   recovered state; ``--demo`` runs the full crash-recovery story
   (journaled run, scripted crash, restore, bit-identity check,
@@ -154,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help="also inject enforcement faults (cap drift, dropped cap "
-        "writes, noisy and stale sensors) and drain behind an "
-        "EnforcementGuard",
+        "writes, noisy and stale sensors) and report the enforcement "
+        "watchdog's corrections",
     )
     p.add_argument(
         "--json",
@@ -441,7 +441,7 @@ def demo_chaos_events(makespan_s: float):
 
     Caps start silently drifting at t=0, cap writes begin dropping a
     quarter of the way in, and the sensors turn noisy then stale — the
-    full lying-hardware gauntlet for the enforcement guard.
+    full lying-hardware gauntlet for the enforcement watchdog.
     """
     from repro.sim.faults import FaultEvent
 
@@ -473,7 +473,6 @@ def _actuation_totals(cluster) -> dict:
 
 def cmd_faults(args) -> int:
     from repro.core.jobqueue import PowerBoundedJobQueue
-    from repro.core.watchdog import EnforcementGuard
     from repro.sim.faults import FaultInjector
 
     engine = _engine(args.seed, args.testbed, args.racks)
@@ -491,13 +490,11 @@ def cmd_faults(args) -> int:
         apps, args.budget, policy=args.policy, iterations=args.iterations
     )
     events = demo_fault_events(clean.makespan_s, args.budget)
-    guard = None
     if args.chaos:
         events = sorted(
             events + demo_chaos_events(clean.makespan_s),
             key=lambda e: e.at_s,
         )
-        guard = EnforcementGuard()
     injector = FaultInjector(engine.cluster, events, budget_w=args.budget)
     clip.monitor.reset()
     report = queue.drain(
@@ -506,7 +503,6 @@ def cmd_faults(args) -> int:
         policy=args.policy,
         iterations=args.iterations,
         faults=injector,
-        guard=guard,
     )
     audit = clip.monitor.report()
 
@@ -529,8 +525,8 @@ def cmd_faults(args) -> int:
             "clean_makespan_s": clean.makespan_s,
             "monitor": audit,
         }
-        if guard is not None:
-            payload["guard"] = guard.report()
+        if args.chaos:
+            payload["watchdog"] = report.watchdog
             payload["actuation"] = _actuation_totals(engine.cluster)
         print(json.dumps(payload, indent=2))
     else:
@@ -564,16 +560,18 @@ def cmd_faults(args) -> int:
             f"{audit['n_audits']} cap sets "
             f"({', '.join(f'{k}: {v}' for k, v in sorted(audit['audits_by_source'].items()))})"
         )
-        if guard is not None:
-            g = guard.report()
+        if args.chaos:
+            dog = report.watchdog
             act = _actuation_totals(engine.cluster)
             print(
-                f"enforcement guard: {g['breaches']} breach(es) across "
-                f"{g['checks']} checks, final derate {g['derate']:.3f}"
+                f"enforcement watchdog: {dog['breaches']} breach(es) across "
+                f"{dog['observations']} segments, actions "
+                f"({', '.join(f'{k}: {v}' for k, v in sorted(dog['actions'].items()))})"
             )
             print(
                 f"actuation: {act.get('writes', 0)} writes "
-                f"({act.get('dropped', 0)} dropped, "
+                f"({act.get('verified', 0)} verified, "
+                f"{act.get('dropped', 0)} dropped, "
                 f"{act.get('partial', 0)} partial, "
                 f"{act.get('drifted', 0)} drifted), "
                 f"{act.get('retries', 0)} retries"

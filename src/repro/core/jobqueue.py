@@ -13,35 +13,37 @@ policies:
   jobs' combined power floors fit the budget, trading per-job speed for
   queue throughput (the POW-shed motivation).
 
-Both policies reuse the shared knowledge database, so repeated
-submissions of a known application skip profiling — the workflow the
-knowledge DB exists for.
-
-Both policies also accept a :class:`~repro.sim.faults.FaultInjector`:
-the drain loop polls it between jobs (sequential) or batches
-(coscheduled), so node failures, recoveries, degradations, and budget
-swings that fire mid-drain reshape every *subsequent* placement — jobs
-land only on surviving nodes, under the budget in force at their start
-time.  Every decision is audited on the scheduler's shared
-:class:`~repro.core.monitor.BudgetInvariantMonitor`.
-
-When enforcement itself is suspect — drifting firmware, dropped cap
-writes — pass an :class:`~repro.core.watchdog.EnforcementGuard`: each
-job (or batch) is then *planned* at the guard's derated budget, and its
-measured draw is reported back afterwards, so persistent overdraw
-tightens subsequent decisions and healed enforcement relaxes them.
+Both policies drain through one
+:class:`~repro.core.runtime.PowerBoundedRuntime` per drain, with a
+:class:`~repro.core.watchdog.PowerEnforcementWatchdog` attached.  The
+policy only picks each job's node and thread counts; the runtime
+places the job on free nodes, plans per-class caps for exactly those
+nodes, commits them through the verified write path, audits them, runs
+the job in segments (so the watchdog can correct overdraw inside the
+job) and reports the outcome.  A
+:class:`~repro.sim.faults.FaultInjector`, if given, is advanced through
+the runtime at every job/batch boundary, so failures, recoveries and
+budget swings reshape every *subsequent* placement.  Repeated
+submissions of a known application reuse the shared knowledge
+database and skip profiling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.multijob import MultiJobCoordinator
+from repro.core.runtime import PowerBoundedRuntime
 from repro.core.scheduler import ClipScheduler
+from repro.core.watchdog import PowerEnforcementWatchdog
 from repro.errors import InfeasibleBudgetError, SchedulingError
 from repro.workloads.characteristics import WorkloadCharacteristics
 
 __all__ = ["CompletedJob", "QueueReport", "PowerBoundedJobQueue"]
+
+#: Each job runs in this many segments (fewer when it has fewer
+#: iterations), giving the watchdog room to correct inside the job.
+SEGMENTS_PER_JOB = 4
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,13 @@ class CompletedJob:
 
 @dataclass(frozen=True)
 class QueueReport:
-    """Aggregate outcome of draining a queue."""
+    """Aggregate outcome of draining a queue, with its watchdog's report."""
 
     policy: str
     jobs: tuple[CompletedJob, ...]
     makespan_s: float
     total_energy_j: float
+    watchdog: dict
 
     @property
     def mean_turnaround_s(self) -> float:
@@ -103,181 +106,94 @@ class PowerBoundedJobQueue:
         policy: str = "sequential",
         iterations: int | None = None,
         faults=None,
-        guard=None,
     ) -> QueueReport:
         """Execute every job and return the accounting report.
 
         All jobs are treated as submitted at t=0 (a burst arrival); the
         per-job records still separate wait from run time so policies
-        can be compared on turnaround.  ``faults`` optionally supplies
-        a :class:`~repro.sim.faults.FaultInjector` whose due events are
-        applied at every job/batch boundary; ``guard`` optionally
-        supplies an :class:`~repro.core.watchdog.EnforcementGuard` that
-        derates planning budgets while measured draw breaches the bound.
+        can be compared on turnaround.  ``iterations`` overrides each
+        job's iteration count.  ``faults`` optionally supplies a
+        :class:`~repro.sim.faults.FaultInjector` whose due events are
+        applied through the drain's runtime at every job/batch boundary.
         """
         if not apps:
             raise SchedulingError("queue is empty")
-        if policy == "sequential":
-            jobs = self._drain_sequential(
-                apps, cluster_budget_w, iterations, faults, guard
-            )
-        elif policy == "coscheduled":
-            jobs = self._drain_coscheduled(
-                apps, cluster_budget_w, iterations, faults, guard
-            )
-        else:
+        if policy not in ("sequential", "coscheduled"):
             raise SchedulingError(f"unknown queue policy {policy!r}")
-        return QueueReport(
-            policy=policy,
-            jobs=tuple(jobs),
-            makespan_s=max(j.finished_at_s for j in jobs),
-            total_energy_j=sum(j.energy_j for j in jobs),
-        )
-
-    # ------------------------------------------------------------------
-
-    def _poll_faults(self, faults, now, budget):
-        """Apply due fault events; return (current budget, node pool)."""
+        runtime = PowerBoundedRuntime(self._scheduler)
+        watchdog = PowerEnforcementWatchdog(runtime)
         cluster = self._scheduler.engine.cluster
-        if faults is None:
-            return budget, tuple(range(cluster.n_nodes))
-        faults.advance_to(now)
-        current = faults.budget_w if faults.budget_w is not None else budget
-        return current, cluster.available_node_ids
-
-    @staticmethod
-    def _measured_w(result) -> float:
-        """RAPL-visible draw of one run: the enforcement ground truth."""
-        return sum(rec.avg_capped_w for rec in result.nodes)
-
-    def _drain_sequential(self, apps, budget, iterations, faults=None, guard=None):
+        pending = [
+            app if iterations is None else app.with_iterations(iterations)
+            for app in apps
+        ]
+        out: list[CompletedJob] = []
         now = 0.0
-        out = []
-        engine = self._scheduler.engine
-        if faults is None and guard is None:
-            # one batched pipeline pass: duplicate submissions of a
-            # known application share a single decision (and bundle)
-            decisions = self._scheduler.schedule_many(apps, budget)
-        for i, app in enumerate(apps):
-            if faults is None and guard is None:
-                decision = decisions[i]
-                config = decision.to_execution_config(iterations=iterations)
-            else:
-                # decide just-in-time: the budget and the set of live
-                # nodes are whatever the fault script left in force,
-                # further derated while the guard distrusts enforcement
-                budget_now, pool = self._poll_faults(faults, now, budget)
-                plan_w = (
-                    guard.scheduling_budget(budget_now) if guard else budget_now
-                )
-                decision = self._scheduler.schedule(
-                    app,
-                    plan_w,
-                    predefined_node_counts=tuple(range(1, len(pool) + 1)),
-                )
-                config = replace(
-                    decision.to_execution_config(iterations=iterations),
-                    node_ids=pool[: decision.n_nodes],
-                )
-                self._scheduler.pipeline.monitor.audit(
-                    "jobqueue.sequential",
-                    app.name,
-                    plan_w,
-                    tuple(
-                        (c.pkg_cap_w, c.dram_cap_w)
-                        for c in decision.node_configs
-                    ),
-                )
-            result = engine.run(app, config)
-            flags = []
+        batch = 0
+        while pending:
+            budget = cluster_budget_w
             if faults is not None:
-                flags.append("faults")
-            if guard is not None:
-                flags.append("guard")
-            self._scheduler.pipeline.record_outcome(
-                app,
-                decision=decision,
-                result=result,
-                source="jobqueue.sequential",
-                flags=tuple(flags),
-            )
-            if guard is not None:
-                budget_now, _ = self._poll_faults(faults, now, budget)
-                guard.observe(self._measured_w(result), budget_now)
-            out.append(
-                CompletedJob(
-                    app_name=app.name,
+                faults.advance_to(now, runtime=runtime)
+                budget = faults.budget_w or budget
+            pool = cluster.available_node_ids
+            if policy == "sequential":
+                # decide just-in-time: the budget and the live nodes
+                # are whatever the fault script left in force
+                group = [pending.pop(0)]
+                counts = None
+                if len(pool) < cluster.n_nodes:
+                    counts = tuple(range(1, len(pool) + 1))
+                decision = self._scheduler.schedule(
+                    group[0], budget, predefined_node_counts=counts
+                )
+                shapes = [(budget, decision.n_nodes, decision.n_threads)]
+            else:
+                group = self._take_batch(pending, budget, pool)
+                shapes = [
+                    (p.budget_w, p.n_nodes, p.config.n_threads)
+                    for p in self._coordinator.partition(
+                        group, budget, node_ids=pool
+                    )
+                ]
+            # concurrency may change so the watchdog can re-throttle,
+            # CLIP's own lever, before forcing the emergency floor
+            jobs = [
+                runtime.launch(app, *shape, allow_concurrency_change=True)
+                for app, shape in zip(group, shapes)
+            ]
+            if policy == "coscheduled":
+                # the batch's committed caps, every domain, against the
+                # budget the batch shares
+                self._scheduler.monitor.audit(
+                    "multijob.batch",
+                    "+".join(job.app.name for job in jobs),
+                    budget,
+                    tuple(cap for job in jobs for cap in job.per_node_caps),
+                )
+            for job in jobs:
+                runtime.run_to_completion(
+                    job, -(-job.remaining_iterations // SEGMENTS_PER_JOB)
+                )
+                out.append(CompletedJob(
+                    app_name=job.app.name,
                     submitted_at_s=0.0,
                     started_at_s=now,
-                    finished_at_s=now + result.total_time_s,
-                    performance=result.performance,
-                    energy_j=result.energy_j,
-                    n_nodes=decision.n_nodes,
-                    n_threads=decision.n_threads,
-                    batch=i,
-                )
-            )
-            now += result.total_time_s
-        return out
-
-    def _drain_coscheduled(self, apps, budget, iterations, faults=None, guard=None):
-        now = 0.0
-        out = []
-        pending = list(apps)
-        batch_id = 0
-        while pending:
-            budget_now, pool = self._poll_faults(faults, now, budget)
-            plan_w = guard.scheduling_budget(budget_now) if guard else budget_now
-            batch = self._take_batch(pending, plan_w, pool)
-            results = self._coordinator.run(
-                batch, plan_w, iterations=iterations, node_ids=pool
-            )
-            if guard is not None:
-                guard.observe(
-                    sum(self._measured_w(r) for _, r in results), budget_now
-                )
-            batch_time = max(r.total_time_s for _, r in results)
-            by_name = {a.name: a for a in batch}
-            for placement, result in results:
-                app = by_name.get(placement.app_name)
-                if app is not None:
-                    # co-scheduled shares get their own observations:
-                    # predicted perf scales the per-node config across
-                    # the placement's node share
-                    self._scheduler.pipeline.record_outcome(
-                        app,
-                        predicted_perf=(
-                            placement.config.predicted_perf
-                            * placement.n_nodes
-                        ),
-                        measured_perf=result.performance,
-                        measured_power_w=(
-                            result.energy_j / result.total_time_s
-                            if result.total_time_s > 0
-                            else None
-                        ),
-                        budget_w=placement.budget_w,
-                        n_nodes=placement.n_nodes,
-                        n_threads=placement.config.n_threads,
-                        source="jobqueue.coscheduled",
-                        flags=("coscheduled",),
-                    )
-                out.append(
-                    CompletedJob(
-                        app_name=placement.app_name,
-                        submitted_at_s=0.0,
-                        started_at_s=now,
-                        finished_at_s=now + result.total_time_s,
-                        performance=result.performance,
-                        energy_j=result.energy_j,
-                        n_nodes=placement.n_nodes,
-                        n_threads=placement.config.n_threads,
-                        batch=batch_id,
-                    )
-                )
-            now += batch_time
-            batch_id += 1
-        return out
+                    finished_at_s=now + job.elapsed_s,
+                    performance=job.mean_performance,
+                    energy_j=job.energy_j,
+                    n_nodes=job.n_nodes,
+                    n_threads=job.n_threads,
+                    batch=batch,
+                ))
+            now += max(job.elapsed_s for job in jobs)
+            batch += 1
+        return QueueReport(
+            policy=policy,
+            jobs=tuple(out),
+            makespan_s=max(j.finished_at_s for j in out),
+            total_energy_j=sum(j.energy_j for j in out),
+            watchdog=watchdog.report(),
+        )
 
     def _take_batch(self, pending, budget, pool):
         """Pop the largest feasible head-of-queue batch (FIFO order)."""

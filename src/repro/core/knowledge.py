@@ -77,9 +77,10 @@ class ObservationRecord:
     """One completed job's predicted-vs-measured outcome.
 
     Times are per cluster iteration (the reciprocal of throughput), so
-    predictions and measurements from any consumer — queue drains, the
-    segment runtime, the serve daemon — compare on one axis.  ``flags``
-    carry outcome annotations ("concurrency_change", "guard", ...) and
+    predictions and measurements from any consumer — the segment
+    runtime (queue drains included), the serve daemon — compare on one
+    axis.  ``flags`` carry outcome annotations ("concurrency_change",
+    "budget_change", ...) and
     ``source`` names the reporting choke-point caller.
     """
 

@@ -25,8 +25,6 @@ import numpy as np
 from repro.core.recommend import NodeConfig, Recommender
 from repro.core.scheduler import ClipScheduler
 from repro.errors import InfeasibleBudgetError, SchedulingError
-from repro.sim.engine import ExecutionConfig
-from repro.sim.trace import RunResult
 from repro.workloads.characteristics import WorkloadCharacteristics
 
 __all__ = ["JobPlacement", "MultiJobCoordinator"]
@@ -48,18 +46,6 @@ class JobPlacement:
     def n_nodes(self) -> int:
         """Nodes granted to this job."""
         return len(self.node_ids)
-
-    def to_execution_config(self, iterations: int | None = None) -> ExecutionConfig:
-        """Translate the placement into an engine configuration."""
-        return ExecutionConfig(
-            n_nodes=self.n_nodes,
-            n_threads=self.config.n_threads,
-            affinity=self.config.affinity,
-            pkg_cap_w=self.config.pkg_cap_w,
-            dram_cap_w=self.config.dram_cap_w,
-            node_ids=self.node_ids,
-            iterations=iterations,
-        )
 
 
 class _JobState:
@@ -99,7 +85,6 @@ class MultiJobCoordinator:
 
     def __init__(self, scheduler: ClipScheduler):
         self._scheduler = scheduler
-        self._engine = scheduler.engine
 
     def partition(
         self,
@@ -117,11 +102,10 @@ class MultiJobCoordinator:
         """
         if not apps:
             raise SchedulingError("need at least one job")
-        cluster = self._engine.cluster
         pool = (
             tuple(node_ids)
             if node_ids is not None
-            else tuple(range(cluster.n_nodes))
+            else tuple(range(self._scheduler.engine.cluster.n_nodes))
         )
         if len(apps) > len(pool):
             raise SchedulingError(
@@ -196,36 +180,3 @@ class MultiJobCoordinator:
                 )
             )
         return placements
-
-    def run(
-        self,
-        apps: list[WorkloadCharacteristics],
-        total_budget_w: float,
-        iterations: int | None = None,
-        node_ids: tuple[int, ...] | None = None,
-    ) -> list[tuple[JobPlacement, RunResult]]:
-        """Partition and execute every job on its node set.
-
-        Placements are paired with apps by *index* — partition order
-        matches submission order — so two distinct workloads sharing a
-        name (the same kernel at different problem sizes) each run
-        their own characteristics.  The batch's combined cap set is
-        audited against the budget on the shared monitor.
-        """
-        placements = self.partition(apps, total_budget_w, node_ids=node_ids)
-        monitor = self._scheduler.pipeline.monitor
-        batch_caps = tuple(
-            (p.config.pkg_cap_w, p.config.dram_cap_w)
-            for p in placements
-            for _ in range(p.n_nodes)
-        )
-        monitor.audit(
-            "multijob.batch",
-            "+".join(p.app_name for p in placements),
-            total_budget_w,
-            batch_caps,
-        )
-        return [
-            (p, self._engine.run(apps[i], p.to_execution_config(iterations)))
-            for i, p in enumerate(placements)
-        ]

@@ -2,11 +2,10 @@
 
 Algorithm 1 is an explicit chain — profile → classify → predict NP →
 fit perf/power models → allocate nodes/budgets → recommend per-node
-configurations — but the original code re-derived that chain ad hoc in
-four places (`ClipScheduler.schedule`, `MultiJobCoordinator`,
-`PowerBoundedJobQueue`, `PowerBoundedRuntime`), re-fitting the models
-from scratch on every call.  This module is the
-single home of that chain:
+configurations.  This module is the single home of that chain; its
+consumers (`ClipScheduler`, `MultiJobCoordinator` and
+`PowerBoundedRuntime`, which also runs every queued job) never
+re-derive or re-fit it:
 
 * :class:`DecisionContext` — an immutable dataclass threaded through
   the stages; every stage returns a *new* context with its outputs
@@ -19,7 +18,7 @@ single home of that chain:
 * :class:`ModelBundle` / :class:`ModelBundleCache` — the fitted
   (predictor, power model, recommender) triple is built **once** per
   knowledge-DB entry and reused across decisions; every consumer
-  (scheduler, multi-job coordinator, queue, runtime, the Coordinated
+  (scheduler, multi-job coordinator, runtime, the Coordinated
   baseline) shares the same bundles.
 * :class:`SchedulingDecision` — Algorithm 1's output, JSON-serializable
   via :meth:`~SchedulingDecision.to_dict` /

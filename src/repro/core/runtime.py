@@ -276,19 +276,22 @@ class PowerBoundedRuntime:
         unbounded choice and is only revisited later if
         ``allow_concurrency_change`` is set.  ``allow_shrink`` permits
         the runtime to re-split the job onto surviving nodes after a
-        node failure instead of parking it.
+        node failure instead of parking it.  The job is placed on the
+        first in-service nodes that no unfinished, unparked job holds,
+        so jobs launched side by side get disjoint nodes.
         """
         cluster = self._engine.cluster
         if not 1 <= n_nodes <= cluster.n_nodes:
             raise SchedulingError(
                 f"n_nodes {n_nodes} outside [1, {cluster.n_nodes}]"
             )
-        node_ids = cluster.available_node_ids[:n_nodes]
-        if len(node_ids) < n_nodes:
+        held = {i for j in self._jobs if not (j.done or j.parked) for i in j.node_ids}
+        free = tuple(i for i in cluster.available_node_ids if i not in held)
+        if len(free) < n_nodes:
             raise NodeFailureError(
-                f"{n_nodes} nodes requested but only "
-                f"{cluster.n_available} are in service"
+                f"{n_nodes} nodes requested but only {len(free)} are free"
             )
+        node_ids = free[:n_nodes]
         recommender = self._models(app)
         if n_threads is None:
             n_threads = recommender.unbounded_concurrency()

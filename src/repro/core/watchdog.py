@@ -20,10 +20,8 @@ power-bounded runtime:
   :class:`~repro.core.monitor.BudgetInvariantMonitor`, so the ledger
   shows the correction as well as the breach that motivated it.
 
-:class:`EnforcementGuard` is the queue-side sibling: a lightweight
-measured-vs-budget feedback loop that derates the budget handed to
-*subsequent* scheduling decisions while breaches persist and relaxes
-back to the full budget once enforcement heals.
+The job queue drains every job through the runtime, so queued jobs are
+watched the same way.
 """
 
 from __future__ import annotations
@@ -35,11 +33,10 @@ from repro.errors import ActuationError, InfeasibleBudgetError
 __all__ = [
     "WatchdogObservation",
     "PowerEnforcementWatchdog",
-    "EnforcementGuard",
 ]
 
-#: Guard band: measured draw may exceed the committed caps (or the
-#: queue's budget) by this fraction before it counts as a breach.  Wide
+#: Guard band: measured draw may exceed the job's budget by this
+#: fraction before it counts as a breach.  Wide
 #: enough to ignore honest sensor jitter, narrow enough to catch real
 #: drift.
 DEFAULT_GUARD_BAND_FRAC = 0.05
@@ -50,10 +47,6 @@ DEFAULT_GUARD_BAND_FRAC = 0.05
 #: makes real progress).
 MIN_DERATE = 0.4
 MAX_DERATE = 0.95
-
-#: Share of the gap back to the full budget that the queue's guard
-#: closes after each in-band observation.
-GUARD_RELAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -235,60 +228,4 @@ class PowerEnforcementWatchdog:
             "mean_breach_segments": (
                 sum(episodes) / len(episodes) if episodes else 0.0
             ),
-        }
-
-
-class EnforcementGuard:
-    """Measured-power feedback for the job queue's drain loops.
-
-    The queue cannot re-coordinate a finished job, but it can stop
-    trusting the model for the *next* one: after each job (or batch)
-    the drain loop reports measured draw vs. the budget in force, and
-    while breaches persist the guard derates the budget handed to
-    subsequent scheduling decisions, relaxing back once enforcement
-    heals.
-    """
-
-    def __init__(self):
-        self._derate = 1.0
-        self._breaches = 0
-        self._checks = 0
-
-    @property
-    def derate(self) -> float:
-        """Current budget multiplier in (0, 1]."""
-        return self._derate
-
-    @property
-    def breaches(self) -> int:
-        """How many observations exceeded budget + band."""
-        return self._breaches
-
-    def scheduling_budget(self, budget_w: float) -> float:
-        """The budget the next decision should be planned against."""
-        return budget_w * self._derate
-
-    def observe(self, measured_w: float, budget_w: float) -> bool:
-        """Report one measured draw against the budget then in force."""
-        self._checks += 1
-        if measured_w > budget_w * (1.0 + DEFAULT_GUARD_BAND_FRAC):
-            self._breaches += 1
-            self._derate = max(
-                MIN_DERATE,
-                self._derate * min(MAX_DERATE, budget_w / measured_w),
-            )
-            return True
-        # heal: close half the gap back toward the full budget
-        self._derate = min(
-            1.0, self._derate + GUARD_RELAX * (1.0 - self._derate)
-        )
-        return False
-
-    def report(self) -> dict:
-        """JSON-ready summary of the guard's activity."""
-        return {
-            "checks": self._checks,
-            "breaches": self._breaches,
-            "derate": self._derate,
-            "guard_band_frac": DEFAULT_GUARD_BAND_FRAC,
         }

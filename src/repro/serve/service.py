@@ -137,7 +137,7 @@ def _checked_budget(value, name: str) -> float:
     """*value* as a finite, positive float, else a 400 :class:`ServeError`.
 
     JSON bodies can carry ``NaN``, ``Infinity``, strings or ``null``;
-    none of them may reach the scheduler as a budget.
+    none of them may reach the scheduler as a budget or a measurement.
     """
     try:
         return check_positive(float(value), name)
@@ -368,15 +368,14 @@ class SchedulerService:
             raise ServeError(
                 "outcome needs 'performance' or 'measured_time_s'"
             )
+        # validate every number before the outcome slot is claimed, so
+        # a rejected report leaves the job reportable
         if perf is None:
-            time_s = float(time_s)
-            if time_s <= 0:
-                raise ServeError("measured_time_s must be > 0")
-            perf = 1.0 / time_s
-        perf = float(perf)
-        if perf <= 0:
-            raise ServeError("performance must be > 0")
+            perf = 1.0 / _checked_budget(time_s, "measured_time_s")
+        perf = _checked_budget(perf, "performance")
         power = payload.get("measured_power_w")
+        if power is not None:
+            power = _checked_budget(power, "measured_power_w")
         flags = payload.get("flags", ())
         if isinstance(flags, str):
             flags = (flags,)
@@ -402,16 +401,14 @@ class SchedulerService:
             get_app(rec.app_name),
             decision=rec.decision,
             measured_perf=perf,
-            measured_power_w=float(power) if power is not None else None,
+            measured_power_w=power,
             source="serve",
             flags=tuple(str(f) for f in flags),
         )
         with self._lock:
             rec.outcome = {
                 "performance": perf,
-                "measured_power_w": (
-                    float(power) if power is not None else None
-                ),
+                "measured_power_w": power,
                 "recorded": obs is not None,
             }
             self._outcomes += 1

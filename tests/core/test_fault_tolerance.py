@@ -11,11 +11,15 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.experiments import build_trained_inflection
 from repro.core.jobqueue import PowerBoundedJobQueue
 from repro.core.knowledge import KnowledgeDB
 from repro.core.runtime import PowerBoundedRuntime
 from repro.core.scheduler import ClipScheduler
 from repro.errors import InfeasibleBudgetError, NodeFailureError
+from repro.hw.cluster import SimulatedCluster
+from repro.hw.specs import mixed_gpu_testbed
+from repro.sim.engine import ExecutionEngine
 from repro.sim.faults import FaultEvent, FaultInjector, run_scripted
 from repro.workloads.apps import get_app
 
@@ -219,10 +223,11 @@ class TestQueueUnderFaults:
         )
         apps = [get_app("comd"), get_app("comd")]
         queue.drain(apps, 1600.0, iterations=3, faults=injector)
+        # the runtime audits each job's cap set once, at launch
         budgets = [
             a.cluster_budget_w
             for a in queue._scheduler.monitor.audits
-            if a.source == "jobqueue.sequential"
+            if a.source == "runtime"
         ]
         assert budgets == [1600.0, 900.0]
 
@@ -241,6 +246,56 @@ class TestQueueUnderFaults:
             by_batch[j.batch] = by_batch.get(j.batch, 0) + j.n_nodes
         assert all(n <= 7 for n in by_batch.values())
         queue._scheduler.monitor.assert_clean()
+
+    def test_mixed_fleet_caps_match_each_node_class(self, monkeypatch):
+        """Regression: queued jobs ran under caps planned for other slots.
+
+        With GPU slot 3 failed on the mixed GPU/CPU fleet, the queue
+        used to re-place a decision's per-slot caps on the surviving
+        pool, so CPU-only node 4 got slot 3's three-domain GPU tuple,
+        and its audit summed only ``(pkg, dram)``.  Every cap tuple a
+        queued job runs under must match its node's hardware class, and
+        every audit of queue work must cover the GPU domain.
+        """
+        engine = ExecutionEngine(SimulatedCluster(mixed_gpu_testbed()), seed=42)
+        clip = ClipScheduler(
+            engine,
+            inflection=build_trained_inflection(engine),
+            knowledge=KnowledgeDB(),
+        )
+        spec = engine.cluster.spec
+        runs = []
+        real_run = engine.run
+
+        def spy(app, config):
+            runs.append(config)
+            return real_run(app, config)
+
+        monkeypatch.setattr(engine, "run", spy)
+        injector = FaultInjector(
+            engine.cluster,
+            [FaultEvent(at_s=0.0, action="fail_node", node_id=3)],
+        )
+        apps = [get_app(n) for n in SIX_JOBS]
+        report = PowerBoundedJobQueue(clip).drain(
+            apps, 1600.0, iterations=3, faults=injector
+        )
+        assert len(report.jobs) == 6
+        assert any(j.n_nodes > 3 for j in report.jobs)  # crosses classes
+        executed = [c for c in runs if c.node_ids is not None]
+        assert executed
+        for config in executed:
+            assert 3 not in config.node_ids
+            for node_id, caps in zip(config.node_ids, config.per_node_caps):
+                has_gpu = spec.node_classes[spec.slot_class[node_id]].has_gpu
+                assert len(caps) == (3 if has_gpu else 2), (node_id, caps)
+        queue_audits = [
+            a for a in clip.monitor.audits if not a.source.startswith("pipeline")
+        ]
+        assert queue_audits
+        for audit in queue_audits:
+            assert any(len(caps) == 3 for caps in audit.caps), audit.source
+        clip.monitor.assert_clean()
 
     @pytest.mark.parametrize("policy", ["sequential", "coscheduled"])
     def test_acceptance_scenario_drains_clean(self, queue, engine, policy):

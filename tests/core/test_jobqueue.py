@@ -81,6 +81,20 @@ class TestCoscheduled:
         assert cos.total_energy_j < seq.total_energy_j
 
 
+class TestRuntimeLifecycle:
+    @pytest.mark.parametrize("policy", ["sequential", "coscheduled"])
+    def test_jobs_run_through_the_runtime(self, queue, policy):
+        apps = [get_app(n) for n in APPS]
+        report = queue.drain(apps, 1600.0, policy=policy, iterations=3)
+        # every job is launched (one audited commit each) and runs in
+        # watched segments, more than one so the watchdog can correct
+        # inside the job
+        sources = queue._scheduler.monitor.report()["audits_by_source"]
+        assert sources["runtime"] == len(apps)
+        assert report.watchdog["observations"] >= 2 * len(apps)
+        assert report.watchdog["breaches"] == 0
+
+
 class TestValidation:
     def test_empty_queue_rejected(self, queue):
         with pytest.raises(SchedulingError):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.jobqueue import PowerBoundedJobQueue
 from repro.core.knowledge import KnowledgeDB
 from repro.core.multijob import MultiJobCoordinator
 from repro.core.scheduler import ClipScheduler
@@ -12,11 +13,20 @@ from repro.workloads.apps import get_app
 
 
 @pytest.fixture()
-def coordinator(engine, trained_inflection):
-    clip = ClipScheduler(
+def clip(engine, trained_inflection):
+    return ClipScheduler(
         engine, inflection=trained_inflection, knowledge=KnowledgeDB()
     )
+
+
+@pytest.fixture()
+def coordinator(clip):
     return MultiJobCoordinator(clip)
+
+
+@pytest.fixture()
+def queue(clip):
+    return PowerBoundedJobQueue(clip)
 
 
 THREE_APPS = ("comd", "sp-mz.C", "stream")
@@ -75,27 +85,51 @@ class TestPartition:
 
 
 class TestRun:
-    def test_run_executes_all_jobs(self, coordinator):
-        apps = [get_app(n) for n in THREE_APPS]
-        results = coordinator.run(apps, 1800.0, iterations=3)
-        assert len(results) == 3
-        for placement, result in results:
-            assert result.performance > 0
-            assert result.n_nodes == placement.n_nodes
-            assert {r.node_id for r in result.nodes} == set(placement.node_ids)
+    """Partitioned batches execute through the co-scheduled queue."""
 
-    def test_combined_power_within_budget(self, coordinator):
+    def test_run_executes_all_jobs(self, coordinator, queue):
         apps = [get_app(n) for n in THREE_APPS]
-        results = coordinator.run(apps, 1800.0, iterations=3)
+        placements = coordinator.partition(apps, 1800.0)
+        report = queue.drain(apps, 1800.0, policy="coscheduled", iterations=3)
+        assert len(report.jobs) == 3
+        assert {j.batch for j in report.jobs} == {0}
+        for placement, job in zip(placements, report.jobs):
+            assert job.app_name == placement.app_name
+            assert job.n_nodes == placement.n_nodes
+            assert job.performance > 0
+
+    def test_combined_power_within_budget(self, queue, monkeypatch):
+        apps = [get_app(n) for n in THREE_APPS]
+        engine = queue._scheduler.engine
+        results = []
+        real_run = engine.run
+
+        def spy(app, config):
+            results.append(real_run(app, config))
+            return results[-1]
+
+        monkeypatch.setattr(engine, "run", spy)
+        queue.drain(apps, 1800.0, policy="coscheduled", iterations=3)
+        # each job's first segment runs under the batch's launch caps
+        first = {}
+        for result in results:
+            first.setdefault(result.app_name, result)
         drawn = sum(
             rec.operating_point.pkg_power_w + rec.operating_point.dram_power_w
-            for _, result in results
+            for result in first.values()
             for rec in result.nodes
         )
+        assert len(first) == 3
         assert drawn <= 1800.0 * (1 + 1e-6)
+        (batch,) = [
+            a for a in queue._scheduler.monitor.audits
+            if a.source == "multijob.batch"
+        ]
+        assert batch.ok
+        assert batch.total_capped_w <= 1800.0 * (1 + 1e-9)
 
     def test_duplicate_names_run_their_own_workloads(
-        self, coordinator, monkeypatch
+        self, coordinator, queue, monkeypatch
     ):
         """Regression: placements pair with apps by index, not by name.
 
@@ -107,27 +141,28 @@ class TestRun:
         twin = dataclasses.replace(base, problem_size="twin-large")
         coordinator.partition([base, twin], 1600.0)  # warm model bundles
         executed = []
-        engine = coordinator._engine
+        engine = queue._scheduler.engine
         real_run = engine.run
 
         def spy(app, config):
-            executed.append(app)
+            executed.append(app.problem_size)
             return real_run(app, config)
 
         monkeypatch.setattr(engine, "run", spy)
-        results = coordinator.run([base, twin], 1600.0, iterations=2)
-        assert len(results) == 2
-        assert executed[0] is base
-        assert executed[1] is twin
+        report = queue.drain(
+            [base, twin], 1600.0, policy="coscheduled", iterations=2
+        )
+        assert {j.batch for j in report.jobs} == {0}
+        assert executed[0] == base.problem_size
+        assert executed[-1] == twin.problem_size
+        assert set(executed) == {base.problem_size, twin.problem_size}
 
-    def test_fairness_no_job_starved(self, coordinator):
+    def test_fairness_no_job_starved(self, queue):
         apps = [get_app(n) for n in THREE_APPS]
-        results = coordinator.run(apps, 2000.0, iterations=3)
+        report = queue.drain(apps, 2000.0, policy="coscheduled", iterations=3)
+        assert {j.batch for j in report.jobs} == {0}
         # every job achieves a nontrivial fraction of its solo
-        # unbounded throughput
-        for placement, result in results:
-            solo = coordinator._engine.run(
-                get_app(placement.app_name),
-                placement.to_execution_config(iterations=3),
-            )
-            assert result.performance == pytest.approx(solo.performance, rel=1e-6)
+        # throughput on the whole cluster under the same budget
+        for job in report.jobs:
+            solo = queue.drain([get_app(job.app_name)], 2000.0, iterations=3)
+            assert job.performance >= 0.15 * solo.jobs[0].performance

@@ -24,7 +24,7 @@ from repro.core.jobqueue import PowerBoundedJobQueue
 from repro.core.knowledge import KnowledgeDB
 from repro.core.runtime import PowerBoundedRuntime
 from repro.core.scheduler import ClipScheduler
-from repro.core.watchdog import EnforcementGuard, PowerEnforcementWatchdog
+from repro.core.watchdog import PowerEnforcementWatchdog
 from repro.errors import KnowledgeError, RuntimeCrashError
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.specs import mixed_gpu_testbed, mixed_testbed
@@ -246,9 +246,10 @@ class TestKnowledgeDegradation:
         )
         queue = PowerBoundedJobQueue(clip_fresh)
         report = queue.drain(
-            [get_app("comd"), get_app("stream")], 1200.0, iterations=2,
-            guard=EnforcementGuard(),
+            [get_app("comd"), get_app("stream")], 1200.0, iterations=2
         )
         assert len(report.jobs) == 2
+        # both jobs ran in watched segments
+        assert report.watchdog["observations"] >= 4
         assert len(db) >= 1
         clip_fresh.monitor.assert_clean()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.knowledge import KnowledgeDB
 from repro.core.runtime import PowerBoundedRuntime
 from repro.core.scheduler import ClipScheduler
-from repro.errors import InfeasibleBudgetError, SchedulingError
+from repro.errors import InfeasibleBudgetError, NodeFailureError, SchedulingError
 from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import get_app
 
@@ -40,6 +40,17 @@ class TestLaunch:
         job = runtime.launch(get_app("comd"), 900.0, n_nodes=4)
         total = sum(pkg + dram for pkg, dram in job.per_node_caps)
         assert total <= 900.0 * (1 + 1e-9)
+
+    def test_side_by_side_jobs_get_disjoint_nodes(self, runtime):
+        first = runtime.launch(get_app("comd"), 900.0, n_nodes=4)
+        second = runtime.launch(get_app("stream"), 900.0, n_nodes=3)
+        assert first.node_ids == (0, 1, 2, 3)
+        assert second.node_ids == (4, 5, 6)
+        with pytest.raises(NodeFailureError):
+            runtime.launch(get_app("comd"), 900.0, n_nodes=2)
+        runtime.run_to_completion(first)
+        third = runtime.launch(get_app("comd"), 900.0, n_nodes=2)
+        assert third.node_ids == (0, 1)  # a finished job frees its nodes
 
     def test_rejects_bad_node_count(self, runtime):
         with pytest.raises(SchedulingError):

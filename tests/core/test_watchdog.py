@@ -17,9 +17,6 @@ from repro.core.runtime import PowerBoundedRuntime
 from repro.core.scheduler import ClipScheduler
 from repro.core.watchdog import (
     DEFAULT_GUARD_BAND_FRAC,
-    MAX_DERATE,
-    MIN_DERATE,
-    EnforcementGuard,
     PowerEnforcementWatchdog,
 )
 from repro.hw.actuation import FaultyActuation
@@ -206,34 +203,3 @@ class TestWatchdogProperties:
             runtime.advance(job, 5)
         assert all(o.action in ("none", "blind") for o in dog.observations)
         assert dog.report()["breaches"] == 0
-
-
-class TestEnforcementGuard:
-    def test_breach_derates_and_heal_relaxes(self):
-        guard = EnforcementGuard()
-        assert guard.scheduling_budget(1000.0) == pytest.approx(1000.0)
-        assert guard.observe(1200.0, 1000.0) is True
-        assert guard.derate < 1.0
-        derated = guard.derate
-        assert guard.observe(990.0, 1000.0) is False
-        assert guard.derate > derated
-        for _ in range(20):
-            guard.observe(990.0, 1000.0)
-        assert guard.derate == pytest.approx(1.0)
-
-    def test_derate_is_clamped(self):
-        guard = EnforcementGuard()
-        for _ in range(50):
-            guard.observe(10_000.0, 1000.0)
-        assert guard.derate >= MIN_DERATE
-        guard2 = EnforcementGuard()
-        guard2.observe(1001.0 * (1 + DEFAULT_GUARD_BAND_FRAC), 1000.0)
-        assert guard2.derate >= MAX_DERATE - 1e-9
-
-    def test_report_shape(self):
-        guard = EnforcementGuard()
-        guard.observe(1200.0, 1000.0)
-        rep = guard.report()
-        assert rep["checks"] == 1
-        assert rep["breaches"] == 1
-        assert 0 < rep["derate"] < 1

@@ -309,6 +309,47 @@ class TestOutcomeReporting:
             )
             assert status == 400, payload
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"performance": float("nan")},
+            {"performance": float("inf")},
+            {"performance": "fast"},
+            {"measured_time_s": float("nan")},
+            {"measured_time_s": "slow"},
+            {"measured_time_s": 1e-320},  # its inverse overflows to inf
+            {"performance": 1.0, "measured_power_w": float("nan")},
+            {"performance": 1.0, "measured_power_w": float("inf")},
+            {"performance": 1.0, "measured_power_w": "hot"},
+            {"performance": 1.0, "measured_power_w": -5.0},
+        ],
+        ids=[
+            "perf-nan", "perf-inf", "perf-str", "time-nan", "time-str",
+            "time-denormal", "power-nan", "power-inf", "power-str",
+            "power-negative",
+        ],
+    )
+    def test_non_finite_or_non_numeric_outcome_is_400(self, client, payload):
+        (job,) = client.submit("comd")
+        status, data = client.request(
+            "POST", f"/v1/jobs/{job['job_id']}/outcome", payload
+        )
+        assert status == 400, (payload, data)
+
+    def test_rejected_report_leaves_the_job_reportable(self, client):
+        (job,) = client.submit("comd")
+        path = f"/v1/jobs/{job['job_id']}/outcome"
+        status, _ = client.request(
+            "POST", path, {"performance": 1.0, "measured_power_w": "hot"}
+        )
+        assert status == 400
+        assert client.job(job["job_id"])["outcome"] is None
+        record = client.record_outcome(
+            job["job_id"], performance=1.0, measured_power_w=1200.0
+        )
+        assert record["outcome"]["recorded"] is True
+        assert record["outcome"]["measured_power_w"] == 1200.0
+
     def test_outcome_requires_post(self, client):
         (job,) = client.submit("comd")
         status, _ = client.request(

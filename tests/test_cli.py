@@ -118,14 +118,30 @@ class TestCommands:
         assert payload["monitor"]["n_audits"] > 0
         assert len(payload["events"]) >= 2  # the script actually fired
 
-    def test_faults_chaos_reports_guard_and_actuation(self, capsys):
+    @pytest.mark.parametrize("policy", ["sequential", "coscheduled"])
+    def test_faults_chaos_reports_watchdog_and_actuation(self, capsys, policy):
         import json
 
-        assert main(["faults", "--chaos", "--iterations", "2", "--json"]) == 0
+        assert main([
+            "faults", "--chaos", "--policy", policy, "--iterations", "2",
+            "--json",
+        ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["monitor"]["n_violations"] == 0
-        assert payload["guard"]["checks"] == len(payload["jobs"])
+        # every job ran in at least two watched segments
+        assert payload["watchdog"]["observations"] >= 2 * len(payload["jobs"])
         assert payload["actuation"]["writes"] > 0
+        # queued caps go through the verified write path
+        assert payload["actuation"]["verified"] > 0
+        if policy == "sequential":
+            actions = payload["watchdog"]["actions"]
+            assert set(actions) - {"none", "blind"}, actions
+
+    def test_faults_chaos_text_reports_watchdog(self, capsys):
+        assert main(["faults", "--chaos", "--iterations", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "enforcement watchdog:" in out
+        assert "verified" in out
 
     def test_replay_without_journal_or_demo_fails(self, capsys):
         assert main(["replay"]) == 2
