@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro import __version__
@@ -61,6 +62,28 @@ from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import all_apps, get_app
 
 __all__ = ["main", "build_parser"]
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_non_negative(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,16 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="initial cluster power budget (W, default 1400)",
     )
     p.add_argument(
-        "--window-ms", type=float, default=0.0,
+        "--window-ms", type=_finite_non_negative, default=0.0,
         help="coalescing window in ms (default 0: pure drain batching "
         "— whatever queued while the previous burst decided)",
     )
     p.add_argument(
-        "--max-burst", type=int, default=512,
+        "--max-burst", type=_at_least_one, default=512,
         help="largest burst handed to schedule_many (default 512)",
     )
     p.add_argument(
-        "--max-pending", type=int, default=4096,
+        "--max-pending", type=_at_least_one, default=4096,
         help="admission control: queued-job bound (default 4096)",
     )
     p.add_argument(

@@ -29,6 +29,7 @@ from repro.core import hierarchy
 from repro.core.coordination import VARIABILITY_THRESHOLD, coordinate_power
 from repro.core.recommend import Recommender
 from repro.errors import InfeasibleBudgetError, SchedulingError
+from repro.units import check_positive
 
 __all__ = ["ClusterAllocation", "ClusterAllocator", "acceptable_range"]
 
@@ -200,8 +201,7 @@ class ClusterAllocator:
         floor for predefined decompositions, budget over the range top
         otherwise).
         """
-        if cluster_budget_w <= 0:
-            raise InfeasibleBudgetError("cluster budget must be > 0")
+        check_positive(cluster_budget_w, "cluster budget", InfeasibleBudgetError)
         lo, hi = self.acceptable_range()
         if mode == "simple":
             n_nodes = self._simple_node_count(cluster_budget_w, predefined)

@@ -74,6 +74,7 @@ from repro.errors import SchedulingError
 from repro.hw.numa import AffinityKind
 from repro.hw.specs import NodeSpec
 from repro.sim.engine import ExecutionConfig, ExecutionEngine
+from repro.units import check_positive
 from repro.workloads.characteristics import WorkloadCharacteristics
 
 __all__ = [
@@ -1180,8 +1181,7 @@ class DecisionPipeline:
         allocation_mode: str,
         trace: DecisionTrace | None,
     ) -> tuple[SchedulingDecision, DecisionTrace | None]:
-        if cluster_budget_w <= 0:
-            raise SchedulingError("cluster budget must be > 0")
+        check_positive(cluster_budget_w, "cluster budget", SchedulingError)
         ctx = DecisionContext(
             app=app,
             cluster_budget_w=cluster_budget_w,

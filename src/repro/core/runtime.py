@@ -81,6 +81,7 @@ from repro.errors import (
     SchedulingError,
 )
 from repro.sim.engine import ExecutionConfig
+from repro.units import check_positive
 from repro.workloads.characteristics import (
     CommPattern,
     Phase,
@@ -280,6 +281,7 @@ class PowerBoundedRuntime:
         first in-service nodes that no unfinished, unparked job holds,
         so jobs launched side by side get disjoint nodes.
         """
+        check_positive(budget_w, "budget", SchedulingError)
         cluster = self._engine.cluster
         if not 1 <= n_nodes <= cluster.n_nodes:
             raise SchedulingError(
@@ -326,8 +328,7 @@ class PowerBoundedRuntime:
         hardware commit) leaves the job bit-identical to its pre-call
         state.
         """
-        if new_budget_w <= 0:
-            raise SchedulingError("budget must be > 0")
+        check_positive(new_budget_w, "budget", SchedulingError)
         if job.parked:
             raise NodeFailureError(
                 f"cannot re-budget a parked job ({job.park_reason})"
@@ -357,8 +358,8 @@ class PowerBoundedRuntime:
             raise NodeFailureError(
                 f"cannot re-coordinate a parked job ({job.park_reason})"
             )
-        if budget_w is not None and budget_w <= 0:
-            raise SchedulingError("budget must be > 0")
+        if budget_w is not None:
+            check_positive(budget_w, "budget", SchedulingError)
         self._recoordinate(
             job,
             self._models(job.app),

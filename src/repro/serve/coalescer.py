@@ -1,10 +1,12 @@
 """Burst coalescing: many concurrent submissions, one batch decision.
 
 The warm decision path is fastest in batches —
-``ClipScheduler.schedule_many`` amortizes the pipeline over a burst at
-~0.1–1.3 ms/job (BENCH_pipeline.json) — so the service must not decide
-submissions one HTTP request at a time.  :class:`BurstCoalescer` sits
-between the event loop and a single decision thread:
+``ClipScheduler.schedule_many`` amortizes the pipeline over a burst
+(0.25–0.45 ms/job for warm 8-job bursts on a shared 2-vCPU host: the
+bare baseline of the serve gates in ``benchmarks/test_perf_gates.py``)
+— so the service must not decide submissions one HTTP request at a
+time.  :class:`BurstCoalescer` sits between the event loop and a
+single decision thread:
 
 * submissions land on an :class:`asyncio.Queue`;
 * the coalescer loop takes the first one, then *drains whatever else

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
@@ -462,6 +463,10 @@ class ServeDaemon:
             limit = int(request.query.get("events", "0"))
         except ValueError as exc:
             raise _BadRequest(f"bad telemetry parameter: {exc}") from exc
+        if not math.isfinite(interval):
+            raise _BadRequest(f"bad telemetry interval {interval!r}: not finite")
+        if limit < 0:
+            raise _BadRequest(f"bad telemetry events {limit}: must be >= 0")
         interval = max(0.01, interval)
         writer.write(
             b"HTTP/1.1 200 OK\r\n"

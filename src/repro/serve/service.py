@@ -51,6 +51,14 @@ class TenantQuota:
     budget_w: float | None = None
     max_pending: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.budget_w is not None:
+            check_positive(self.budget_w, "quota budget_w", ServeError)
+        if self.max_pending is not None and self.max_pending < 1:
+            raise ServeError(
+                f"quota max_pending must be >= 1, got {self.max_pending}"
+            )
+
     @classmethod
     def parse(cls, spec: str) -> tuple[str, "TenantQuota"]:
         """Parse a CLI quota spec, ``tenant=WATTS[:MAX_PENDING]``."""
@@ -61,9 +69,10 @@ class TenantQuota:
                 budget_w=float(watts) if watts else None,
                 max_pending=int(pending) if pending else None,
             )
-        except ValueError as exc:
+        except (ValueError, ServeError) as exc:
             raise ServeError(
-                f"bad quota spec {spec!r} (want tenant=WATTS[:MAX_PENDING])"
+                f"bad quota spec {spec!r} (want tenant=WATTS[:MAX_PENDING] "
+                f"with WATTS finite and > 0, MAX_PENDING >= 1): {exc}"
             ) from exc
         if not tenant:
             raise ServeError(f"bad quota spec {spec!r}: empty tenant name")
@@ -161,6 +170,8 @@ class SchedulerService:
         self._lock = threading.Lock()
         self._budget_w = _checked_budget(budget_w, "service budget")
         self._max_pending = int(max_pending)
+        if self._max_pending < 1:
+            raise ServeError(f"max_pending must be >= 1, got {max_pending}")
         self._quotas = dict(quotas or {})
         self._history_limit = int(history_limit)
         self._jobs: dict[str, JobRecord] = {}

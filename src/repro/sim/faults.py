@@ -39,6 +39,7 @@ from repro.errors import NodeFailureError, RuntimeCrashError, SchedulingError
 from repro.hw.actuation import FaultyActuation
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.meter import TelemetryFault
+from repro.units import check_positive
 
 __all__ = ["FAULT_ACTIONS", "FaultEvent", "FaultInjector", "run_scripted"]
 
@@ -94,10 +95,10 @@ class FaultEvent:
             self.factor is None or self.factor <= 0
         ):
             raise SchedulingError("degrade_node requires factor > 0")
-        if self.action == "set_budget" and (
-            self.budget_w is None or self.budget_w <= 0
-        ):
-            raise SchedulingError("set_budget requires budget_w > 0")
+        if self.action == "set_budget":
+            if self.budget_w is None:
+                raise SchedulingError("set_budget requires budget_w")
+            check_positive(self.budget_w, "set_budget budget_w", SchedulingError)
         if self.action == "cap_write_fail" and (
             self.factor is None or not 0.0 < self.factor <= 1.0
         ):

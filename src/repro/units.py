@@ -86,10 +86,16 @@ def as_gbps(bps: float) -> float:
     return bps / GB
 
 
-def check_positive(value: float, name: str) -> float:
-    """Validate that *value* is finite and strictly positive."""
+def check_positive(
+    value: float, name: str, error: type[Exception] = ValueError
+) -> float:
+    """Validate that *value* is finite and strictly positive.
+
+    Raises *error* otherwise, so a call site keeps its own exception
+    type while NaN and infinity are rejected the same way everywhere.
+    """
     if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        raise error(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 

@@ -276,6 +276,11 @@ class TestClusterAllocator:
         with pytest.raises(InfeasibleBudgetError):
             self._alloc(recommender_for("comd")).allocate(20.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_budget_raises(self, recommender_for, bad):
+        with pytest.raises(InfeasibleBudgetError, match="finite"):
+            self._alloc(recommender_for("comd")).allocate(bad)
+
     def test_predefined_counts_respected(self, recommender_for):
         alloc = self._alloc(recommender_for("comd")).allocate(
             2400.0, predefined=(1, 2, 4, 8)

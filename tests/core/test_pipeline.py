@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.pipeline import DecisionPipeline, SchedulingDecision
 from repro.core.scheduler import ClipScheduler
-from repro.errors import ClipError
+from repro.errors import ClipError, SchedulingError
 from repro.workloads.apps import TABLE2_APPS, get_app
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_decisions.json"
@@ -144,6 +144,14 @@ class TestWarmPath:
         PowerBoundedRuntime(clip).launch(app, 1200.0, n_nodes=4)
         MultiJobCoordinator(clip).partition([app], 1400.0)
         assert cache.misses == builds  # everyone hit the cached bundle
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_bad_budget_rejected_before_any_stage(self, clip, bad):
+        with pytest.raises(SchedulingError, match="finite"):
+            clip.schedule(get_app("comd"), bad)
+        assert len(clip.knowledge) == 0  # nothing was profiled
 
 
 class TestSerialization:

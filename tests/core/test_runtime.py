@@ -137,6 +137,19 @@ class TestBudgetChanges:
         with pytest.raises(SchedulingError):
             runtime.update_budget(job, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_budget(self, runtime, bad):
+        job = runtime.launch(get_app("comd"), 1400.0, n_nodes=4)
+        caps = job.per_node_caps
+        with pytest.raises(SchedulingError, match="finite"):
+            runtime.update_budget(job, bad)
+        with pytest.raises(SchedulingError, match="finite"):
+            runtime.recoordinate(job, bad)
+        assert job.budget_w == 1400.0 and job.per_node_caps == caps
+        with pytest.raises(SchedulingError, match="finite"):
+            runtime.launch(get_app("comd"), bad, n_nodes=2)
+        assert runtime.jobs == (job,)
+
 
 class TestDegradation:
     def test_recalibration_compensates_degraded_node(

@@ -155,6 +155,22 @@ class TestBudgetAndQuotas:
             service.update_budget(float("inf"))
         assert service.budget_w == BUDGET_W
 
+    @pytest.mark.parametrize(
+        "spec", ["a=nan", "a=inf", "a=-100", "a=0", "a=100:-1", "a=100:0"]
+    )
+    def test_bad_quota_spec_rejected(self, spec):
+        with pytest.raises(ServeError, match="bad quota spec"):
+            TenantQuota.parse(spec)
+
+    def test_quota_spec_parses(self):
+        assert TenantQuota.parse("a=900:3") == (
+            "a", TenantQuota(budget_w=900.0, max_pending=3)
+        )
+
+    def test_service_rejects_max_pending_below_one(self, clip):
+        with pytest.raises(ServeError, match="max_pending"):
+            SchedulerService(clip, BUDGET_W, max_pending=0)
+
     def test_tenant_budget_quota_caps_decisions(self, client):
         (job,) = client.submit("comd", tenant="small")
         assert job["decision"]["cluster_budget_w"] == 900.0
@@ -368,6 +384,17 @@ class TestTelemetry:
             assert event["audit_violations"] == 0
             assert "decisions_per_s" in event
             assert "pending" in event
+
+    @pytest.mark.parametrize(
+        "events, interval",
+        [(1, float("inf")), (1, float("nan")), (-3, 0.05)],
+        ids=["interval=inf", "interval=nan", "events=-3"],
+    )
+    def test_bad_stream_parameters_are_400(self, daemon, events, interval):
+        with ServeClient("127.0.0.1", daemon.port, timeout=5) as client:
+            with pytest.raises(ServeError) as exc:
+                client.telemetry(events, interval=interval)
+        assert exc.value.status == 400
 
 
 class TestDaemonLifecycle:

@@ -88,8 +88,9 @@ class TestFaultEvent:
             FaultEvent(at_s=0.0, action="fail_node")  # node_id missing
         with pytest.raises(SchedulingError):
             FaultEvent(at_s=0.0, action="degrade_node", node_id=0)
-        with pytest.raises(SchedulingError):
-            FaultEvent(at_s=0.0, action="set_budget", budget_w=-5.0)
+        for bad in (-5.0, 0.0, float("nan"), float("inf"), None):
+            with pytest.raises(SchedulingError):
+                FaultEvent(at_s=0.0, action="set_budget", budget_w=bad)
 
     def test_describe_mentions_the_action(self):
         assert "fails" in FaultEvent(1.0, "fail_node", node_id=2).describe()

@@ -40,6 +40,23 @@ class TestParser:
         args = build_parser().parse_args(["faults", "--chaos"])
         assert args.chaos
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-pending", "-1"],
+            ["--max-pending", "0"],
+            ["--window-ms", "-5"],
+            ["--window-ms", "nan"],
+            ["--max-burst", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_serve_rejects_bad_limits(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
     def test_replay_defaults(self):
         args = build_parser().parse_args(["replay", "--demo"])
         assert args.command == "replay"
@@ -155,6 +172,10 @@ class TestCommands:
         assert payload["bit_identical"]
         assert payload["job"]["done"]
         assert payload["monitor"]["n_violations"] == 0
+
+    def test_replay_demo_non_finite_budget_is_a_clean_error(self, capsys):
+        assert main(["replay", "--demo", "--budget", "nan"]) == 1
+        assert "error: budget must be finite" in capsys.readouterr().err
 
     def test_compare_subset(self, capsys):
         assert main(["compare", "1400", "--apps", "comd", "sp-mz.C"]) == 0

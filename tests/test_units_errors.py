@@ -54,6 +54,11 @@ class TestValidators:
         with pytest.raises(ValueError, match="bananas"):
             units.check_positive(-1.0, "bananas")
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_check_positive_raises_the_callers_error(self, bad):
+        with pytest.raises(errors.SchedulingError, match="budget"):
+            units.check_positive(bad, "budget", errors.SchedulingError)
+
     def test_close(self):
         assert units.close(1.0, 1.0 + 1e-12)
         assert not units.close(1.0, 1.01)
