@@ -16,7 +16,6 @@ import pytest
 
 from repro.analysis.experiments import build_trained_inflection, make_schedulers
 from repro.hw.cluster import SimulatedCluster
-from repro.sim.batch import RunCache
 from repro.sim.engine import ExecutionEngine
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -24,15 +23,8 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 @pytest.fixture(scope="session")
 def engine():
-    """One shared engine: benchmarks only read aggregate results.
-
-    A shared :class:`RunCache` is attached so repeated candidate
-    evaluations across budgets and figures (oracle sweeps, profiler
-    samples) are memoized for the whole benchmark session.
-    """
-    return ExecutionEngine(
-        SimulatedCluster.testbed(), seed=42, cache=RunCache()
-    )
+    """One shared engine: benchmarks only read aggregate results."""
+    return ExecutionEngine(SimulatedCluster.testbed(), seed=42)
 
 
 @pytest.fixture(scope="session")

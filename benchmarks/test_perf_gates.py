@@ -56,7 +56,6 @@ from repro.hw.specs import (
     mixed_testbed,
 )
 from repro.serve import SchedulerService, ServeClient, ServeDaemon
-from repro.sim.batch import RunCache
 from repro.sim.engine import ExecutionConfig, ExecutionEngine
 from repro.sim.faults import FaultEvent, FaultInjector, run_scripted
 from repro.workloads.apps import GPU_APPS, get_app
@@ -147,10 +146,8 @@ def gates():
     log.write()
 
 
-def _engine(spec=None, seed: int = SEED, cache: RunCache | None = None):
-    return ExecutionEngine(
-        SimulatedCluster(spec or haswell_testbed()), seed=seed, cache=cache
-    )
+def _engine(spec=None, seed: int = SEED):
+    return ExecutionEngine(SimulatedCluster(spec or haswell_testbed()), seed=seed)
 
 
 def _scheduler(engine: ExecutionEngine | None = None, **kwargs) -> ClipScheduler:
@@ -223,36 +220,38 @@ FIGURE_CONFIGS = [
 ]
 
 
+class ScalarEngine(ExecutionEngine):
+    """An engine whose what-if evaluation loops the scalar ``run``: the
+    oracle then scores the same candidates one ``run`` at a time."""
+
+    def evaluate_many(self, app, configs):
+        return [self.run(app, cfg) for cfg in configs]
+
+
 def test_oracle_batch_speedup(gates):
     """The full oracle grid search on a fresh engine, scalar ``run``
     loop vs batched: the median of paired time ratios."""
     app = get_app(ORACLE_APP)
     plans = []
-    seconds: dict[bool, list[float]] = {False: [], True: []}
 
-    def search(use_batch: bool) -> float:
-        oracle = OracleScheduler(_engine(), use_batch=use_batch)
-        plan, elapsed = _timed(oracle.plan, app, ORACLE_BUDGET_W)
+    def search(engine: ExecutionEngine) -> float:
+        plan, elapsed = _timed(OracleScheduler(engine).plan, app, ORACLE_BUDGET_W)
         plans.append(plan)
-        seconds[use_batch].append(elapsed)
         return elapsed
 
     speedups = _paired_ratios(
-        lambda: search(True), lambda: search(False), ORACLE_PAIRS
+        lambda: search(_engine()),
+        lambda: search(ScalarEngine(SimulatedCluster(haswell_testbed()), seed=SEED)),
+        ORACLE_PAIRS,
     )
-    cached = OracleScheduler(_engine(cache=RunCache()), use_batch=True)
-    cached.plan(app, ORACLE_BUDGET_W)  # fill the cache
-    cached_plan, cached_s = _timed(cached.plan, app, ORACLE_BUDGET_W)
 
     # a fast wrong answer is not a speedup
-    assert all(plan == cached_plan for plan in plans)
+    assert all(plan == plans[0] for plan in plans)
     scalar, batched = _engine(), _engine()
     for name in FIGURE_APPS:
         app = get_app(name)
         runs = [scalar.run(app, cfg) for cfg in FIGURE_CONFIGS]
         assert runs == batched.evaluate_many(app, FIGURE_CONFIGS), name
-    # the warm cache makes a repeated search cheaper still
-    assert cached_s < statistics.median(seconds[True]), (cached_s, seconds)
     gates.check(
         "oracle.batch_speedup", statistics.median(speedups),
         MIN_ORACLE_SPEEDUP, "min", "x", samples=speedups,
@@ -378,7 +377,7 @@ def test_per_node_decision_cost_is_flat(gates):
     violations = 0
     for racks in RACK_SCALES:
         spec = haswell_testbed(racks=racks if racks > 1 else None)
-        clip = _scheduler(_engine(spec, cache=RunCache()))
+        clip = _scheduler(_engine(spec))
         budget_w = BUDGET_PER_NODE_W * spec.n_nodes
         sweep = [budget_w * frac for frac in BUDGET_FRACTIONS]
         _, _, warm_s = _cold_warm(clip, apps, budget_w, sweep)
@@ -718,16 +717,15 @@ def ablation():
     cells: dict[tuple[str, int], dict] = {}
     headline = None
     for seed in ABLATION_SEEDS:
-        cache = RunCache()
-        floors = {"clean": _oracle_floor(_engine(seed=seed, cache=cache))}
-        drifted = _engine(seed=seed, cache=cache)
+        floors = {"clean": _oracle_floor(_engine(seed=seed))}
+        drifted = _engine(seed=seed)
         _drift(drifted)
         floors["drift"] = _oracle_floor(drifted)
         for scenario in SCENARIOS:
             cell = cells[scenario, seed] = {}
             for label, learning in (("off", False), ("refit", True)):
                 clip, gaps = _campaign(
-                    _engine(seed=seed, cache=cache), floors, learning, scenario
+                    _engine(seed=seed), floors, learning, scenario
                 )
                 cell[label] = (_final_third(gaps), clip.monitor.n_violations)
                 if (scenario, seed, learning) == ("clean", SEED, True):
@@ -793,7 +791,7 @@ def test_learning_warm_overhead(gates, ablation):
     """The converged headline scheduler vs a warm learning-off one on
     the same grid: the median of paired per-decision time ratios."""
     learned = ablation[1][0]
-    off = _scheduler(_engine(cache=RunCache()))
+    off = _scheduler(_engine())
     apps = {name: get_app(name) for name in LEARN_APPS}
 
     def per_decision_s(clip: ClipScheduler) -> float:

@@ -24,8 +24,7 @@ model: a node hosting ``n`` threads draws at least
 (zero dynamic power, zero delivered bandwidth), so when the floors of
 the participating nodes sum above the tolerated budget the candidate
 can never pass the budget filter — skipping it cannot change the
-search result.  Pass ``use_batch=False`` to fall back to the scalar
-:meth:`ExecutionEngine.run` path; both paths return identical plans.
+search result.
 """
 
 from __future__ import annotations
@@ -68,10 +67,6 @@ class OracleScheduler(PowerBoundedScheduler):
         Stride of the thread sweep.  One thread is always tried in
         addition to the stepped range, so ``thread_step=2`` covers
         ``1, 2, 4, ...`` instead of silently skipping serial execution.
-    use_batch:
-        Score candidates on the vectorized batch path (default).  The
-        scalar path is kept as an escape hatch and for equivalence
-        testing; both choose the same plan.
     """
 
     name = "Optimal"
@@ -81,7 +76,6 @@ class OracleScheduler(PowerBoundedScheduler):
         engine: ExecutionEngine,
         dram_grid_w: tuple[float, ...] | None = None,
         thread_step: int = 2,
-        use_batch: bool = True,
     ):
         super().__init__(engine)
         classes = engine.cluster.spec.node_classes
@@ -99,7 +93,6 @@ class OracleScheduler(PowerBoundedScheduler):
         self._thread_grid = tuple(
             sorted({1} | set(range(self._thread_step, min_cores + 1, self._thread_step)))
         )
-        self._use_batch = use_batch
         self._last_stats: dict[str, int] = {}
 
     @property
@@ -212,10 +205,7 @@ class OracleScheduler(PowerBoundedScheduler):
                             )
                         )
 
-        if self._use_batch:
-            results = self.engine.evaluate_many(app, candidates)
-        else:
-            results = [self.engine.run(app, cfg) for cfg in candidates]
+        results = self.engine.evaluate_many(app, candidates)
 
         best_cfg: ExecutionConfig | None = None
         best_perf = -np.inf

@@ -59,6 +59,7 @@ from repro.hw.specs import (
     mixed_testbed,
 )
 from repro.sim.engine import ExecutionEngine
+from repro.units import check_positive
 from repro.workloads.apps import all_apps, get_app
 
 __all__ = ["main", "build_parser"]
@@ -73,6 +74,15 @@ def _at_least_one(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _budget_w(text: str) -> float:
+    """argparse type: a power budget, a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    return check_positive(value, "budget", argparse.ArgumentTypeError)
 
 
 def _finite_non_negative(text: str) -> float:
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--racks",
-            type=int,
+            type=_at_least_one,
             default=1,
             help="replicate the testbed into N racks behind one fabric "
             "(default 1: the paper's flat testbed)",
@@ -132,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         add_testbed(p)
         p.add_argument("app")
-        p.add_argument("budget", type=float, help="cluster power budget (W)")
+        p.add_argument("budget", type=_budget_w, help="cluster power budget (W)")
         p.add_argument(
             "--mode",
             choices=("predictive", "simple"),
@@ -149,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare the four methods at one budget")
     add_testbed(p)
-    p.add_argument("budget", type=float)
+    p.add_argument("budget", type=_budget_w, help="cluster power budget (W)")
     p.add_argument(
         "--apps", nargs="*", default=None, help="subset of application names"
     )
@@ -166,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue policy to drain under faults",
     )
     p.add_argument(
-        "--budget", type=float, default=1600.0,
+        "--budget", type=_budget_w, default=1600.0,
         help="initial cluster power budget (W, default 1600)",
     )
     p.add_argument(
-        "--iterations", type=int, default=5,
+        "--iterations", type=_at_least_one, default=5,
         help="iterations per job (default 5, keeps the demo fast)",
     )
     p.add_argument(
@@ -205,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mid-flight, restore, verify bit-identity, resume",
     )
     p.add_argument(
-        "--budget", type=float, default=1200.0,
+        "--budget", type=_budget_w, default=1200.0,
         help="cluster budget for the --demo run (W, default 1200)",
     )
     p.add_argument(
@@ -225,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 8587; 0 picks an ephemeral port)",
     )
     p.add_argument(
-        "--budget", type=float, default=1400.0,
+        "--budget", type=_budget_w, default=1400.0,
         help="initial cluster power budget (W, default 1400)",
     )
     p.add_argument(
@@ -283,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least_one,
         default=24,
         help="demo campaign length when no --knowledge is given "
         "(default 24 learning-on decisions)",
     )
     p.add_argument(
         "--budget",
-        type=float,
+        type=_budget_w,
         default=1400.0,
         help="cluster budget for the demo campaign (default 1400 W)",
     )
@@ -309,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _engine(
     seed: int, testbed: str = "haswell", racks: int = 1
 ) -> ExecutionEngine:
-    racks_arg = racks if racks and racks > 1 else None
+    racks_arg = racks if racks > 1 else None
     spec = {
         "haswell": haswell_testbed,
         "broadwell": broadwell_testbed,
@@ -871,10 +881,7 @@ def cmd_learn(args) -> int:
         )
     )
     if stats is not None:
-        print(
-            f"outcomes={stats['outcomes']} refits={stats['refits']} "
-            f"inflection_refits={stats['inflection_refits']}"
-        )
+        print(f"outcomes={stats['outcomes']} refits={stats['refits']}")
     return 0
 
 

@@ -38,18 +38,6 @@ class InflectionPredictor:
         self._mean: np.ndarray | None = None
         self._scale: np.ndarray | None = None
         self._n_cores: int | None = None
-        self._train_X: np.ndarray | None = None
-        self._train_y: np.ndarray | None = None
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has run."""
-        return self._weights is not None
-
-    @property
-    def n_training_rows(self) -> int:
-        """Rows in the current training set (0 before :meth:`fit`)."""
-        return 0 if self._train_X is None else len(self._train_X)
 
     # ------------------------------------------------------------------
 
@@ -76,38 +64,6 @@ class InflectionPredictor:
         reg[-1, -1] = 0.0
         self._weights = np.linalg.solve(Xs.T @ Xs + reg, Xs.T @ y)
         self._n_cores = n_cores
-        # keep the corpus so outcome-driven refits can augment it
-        self._train_X = X.copy()
-        self._train_y = y.copy()
-
-    def refit_with(self, features: np.ndarray, targets: np.ndarray) -> int:
-        """Augment the training corpus with observed rows and re-solve.
-
-        The closed-loop learner calls this when execution history pins
-        an application's true knee away from the recorded prediction:
-        the (feature-vector, observed-NP) evidence joins the original
-        exhaustive-search corpus and the ridge regression re-solves on
-        the union — the same standardization and damping as
-        :meth:`fit`.  Returns the new corpus size.  Raises
-        :class:`~repro.errors.ModelNotFittedError` before the first
-        :meth:`fit` (there is no corpus to augment).
-        """
-        if self._train_X is None or self._train_y is None:
-            raise ModelNotFittedError(
-                "InflectionPredictor.refit_with needs an initial fit"
-            )
-        rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        y_new = np.atleast_1d(np.asarray(targets, dtype=np.float64))
-        if rows.shape[1] != self._train_X.shape[1] or len(rows) != len(y_new):
-            raise ProfilingError(
-                "refit rows must match the corpus feature width and targets"
-            )
-        self.fit(
-            np.vstack([self._train_X, rows]),
-            np.concatenate([self._train_y, y_new]),
-            self._n_cores,
-        )
-        return len(self._train_X)
 
     def fit_from_corpus(
         self,

@@ -16,10 +16,6 @@ history without touching the fit-once math:
   **Disabled by default**: a learning-off deployment records history
   but never changes a decision, which the golden suites enforce
   bit-for-bit.
-* :func:`empirical_best_concurrency` — measured-performance argmax
-  over the thread counts an entry has actually executed; a refit
-  feeds it to the inflection corpus when it disagrees with the
-  predicted knee.
 
 Learning acts only through refits: a refitted entry gets a new model
 version and every entry point (``schedule``, ``schedule_traced``,
@@ -39,7 +35,6 @@ __all__ = [
     "RefitPolicy",
     "LearningConfig",
     "fit_calibration",
-    "empirical_best_concurrency",
 ]
 
 #: Sanity clamp on learned time scales; the identity sits inside the
@@ -148,23 +143,3 @@ def fit_calibration(
         seg2_scale=solve(seg_pred[2], seg_meas[2]),
         n_observations=n,
     )
-
-
-def empirical_best_concurrency(
-    observations: Iterable[ObservationRecord], min_samples: int = 2
-) -> int | None:
-    """Measured-performance argmax over observed thread counts.
-
-    Needs at least two qualified thread-count groups — a single group
-    carries no comparative evidence about where the knee really is.
-    """
-    groups: dict[int, list[float]] = {}
-    for o in observations:
-        if o.measured_time_s > 0:
-            groups.setdefault(o.n_threads, []).append(o.measured_perf)
-    qualified = {
-        k: sum(v) / len(v) for k, v in groups.items() if len(v) >= min_samples
-    }
-    if len(qualified) < 2:
-        return None
-    return max(qualified, key=lambda k: (qualified[k], -k))

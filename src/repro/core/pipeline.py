@@ -35,7 +35,6 @@ a test greps the consumer modules to keep it that way.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import threading
 import time
@@ -60,11 +59,7 @@ from repro.core.knowledge import (
     KnowledgeEntry,
     ObservationRecord,
 )
-from repro.core.learning import (
-    LearningConfig,
-    empirical_best_concurrency,
-    fit_calibration,
-)
+from repro.core.learning import LearningConfig, fit_calibration
 from repro.core.monitor import BudgetInvariantMonitor
 from repro.core.perfmodel import PerformancePredictor
 from repro.core.powermodel import ClipPowerModel
@@ -824,16 +819,10 @@ class DecisionPipeline:
         self._profiler = profiler or SmartProfiler(engine)
         self._monitor = monitor if monitor is not None else BudgetInvariantMonitor()
         self._learning = learning if learning is not None else LearningConfig()
-        if self._learning.enabled:
-            # a learning pipeline may refit the MLR corpus online; give
-            # it a private copy so shared/session-cached predictors
-            # (and every learning-off consumer) stay untouched
-            inflection = copy.deepcopy(inflection)
         self._inflection = inflection
         self._learn_lock = threading.Lock()
         self._outcomes = 0
         self._refits = 0
-        self._inflection_refits = 0
         self._factors = (
             np.asarray(node_factors, dtype=np.float64)
             if node_factors is not None
@@ -1021,9 +1010,9 @@ class DecisionPipeline:
         enabled** — the :class:`~repro.core.learning.RefitPolicy` may
         trigger a refit: the per-segment time calibration is re-fitted
         from the observation window, the entry's ``model_version`` is
-        bumped, exactly that knowledge key is invalidated in the bundle
-        cache, and (when the history pins an empirically better knee)
-        the MLR inflection corpus is augmented.
+        bumped, and exactly that knowledge key is invalidated in the
+        bundle cache.  The inflection predictor is never written, so a
+        predictor shared between schedulers stays as trained.
 
         Returns the recorded observation, or ``None`` when the app has
         no knowledge entry or the measurement is degenerate.  With
@@ -1092,30 +1081,16 @@ class DecisionPipeline:
             if self._learning.enabled and self._learning.refit.should_refit(
                 new_entry
             ):
-                new_entry = self._refit_entry(new_entry)
+                new_entry = new_entry.with_refit(
+                    fit_calibration(
+                        new_entry.observations, new_entry.inflection_point
+                    )
+                )
                 self._refits += 1
                 self._bundles.invalidate(entry.key)
             self._kb.put(new_entry)
             self._outcomes += 1
         return obs
-
-    def _refit_entry(self, entry: KnowledgeEntry) -> KnowledgeEntry:
-        """Refit one entry's models from its observation history."""
-        calibration = fit_calibration(
-            entry.observations, entry.inflection_point
-        )
-        refitted = entry.with_refit(calibration)
-        if entry.profile.scalability_class.is_nonlinear:
-            best = empirical_best_concurrency(entry.observations)
-            if best is not None and best != entry.inflection_point:
-                # observed execution pins the knee elsewhere: feed the
-                # evidence to the (private) MLR corpus so future
-                # profiles of similar apps predict a better NP
-                self._inflection.refit_with(
-                    entry.profile.feature_vector(), [float(best)]
-                )
-                self._inflection_refits += 1
-        return refitted
 
     def learning_stats(self) -> dict:
         """JSON-safe learning-telemetry snapshot."""
@@ -1134,7 +1109,6 @@ class DecisionPipeline:
                 "enabled": self._learning.enabled,
                 "outcomes": self._outcomes,
                 "refits": self._refits,
-                "inflection_refits": self._inflection_refits,
                 "observed_entries": observed_entries,
                 "observations_held": observations,
                 "refitted_entries": refitted_entries,

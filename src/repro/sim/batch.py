@@ -1,4 +1,4 @@
-"""What-if candidate evaluation: path choice, array kernel, run cache.
+"""What-if candidate evaluation: path choice and array kernel.
 
 The exhaustive oracle, node calibration, the profiler, and every figure
 benchmark score :class:`~repro.sim.engine.ExecutionConfig` candidates
@@ -6,21 +6,15 @@ without executing them.  The scalar :meth:`ExecutionEngine.run` pays
 Python-loop cost per node, per phase, per fixed-point round; the array
 kernel here pays a fixed cost per call instead.  So
 :meth:`BatchEvaluator.run_many` answers a small batch (at most
-:data:`FLOAT_PATH_MAX_CELLS` participating node-cells after the cache)
-on the engine's own float code, run as a what-if, and a larger one as
-one ``(n_candidates, n_nodes)`` NumPy array program:
-
-* :class:`RunCache` — memoizes :class:`~repro.sim.trace.RunResult`s on
-  ``(app, config, engine seed, cluster spec, node efficiencies)`` with
-  hit/miss counters, so repeated candidate evaluations across budgets
-  and figures are free;
-* :class:`BatchEvaluator` — the path choice, and the vectorized
-  replication of the engine's damped fixed-point loop (cap resolution
-  ↔ timing), numerically identical to the scalar path: every
-  expression keeps the scalar code's evaluation order, per-socket
-  reductions run in socket order, and per-element convergence is
-  tracked with a done-mask so each (candidate, node) cell freezes at
-  exactly the round the scalar loop would have broken.
+:data:`FLOAT_PATH_MAX_CELLS` participating node-cells) on the engine's
+own float code, run as a what-if, and a larger one as one
+``(n_candidates, n_nodes)`` NumPy array program: a vectorized
+replication of the engine's damped fixed-point loop (cap resolution ↔
+timing), numerically identical to the scalar path.  Every expression
+keeps the scalar code's evaluation order, per-socket reductions run in
+socket order, and per-element convergence is tracked with a done-mask
+so each (candidate, node) cell freezes at exactly the round the scalar
+loop would have broken.
 
 Heterogeneous clusters are first-class: hardware constants are tabled
 per node *class* and gathered per (candidate, rank) cell, frequency
@@ -31,16 +25,14 @@ Haswell + Broadwell fleet stays bit-exact against the scalar engine.
 
 Both paths are side-effect-free: they do not program RAPL caps,
 count throttle events, accumulate energy counters, or touch power
-meters, and they take caps from the config rather than the nodes.
-That is what makes memoization sound — a cache hit answers "what would
-this run produce?" without replaying hardware bookkeeping
-(:meth:`ExecutionEngine.run` remains the way to *execute* a job when
-those side effects matter).
+meters, and they take caps from the config rather than the nodes
+(:meth:`ExecutionEngine.run` is the way to *execute* a job when those
+side effects matter).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,15 +54,10 @@ from repro.workloads.model import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us lazily)
     from repro.sim.engine import ExecutionConfig, ExecutionEngine
 
-__all__ = [
-    "FLOAT_PATH_MAX_CELLS",
-    "RunCache",
-    "BatchEvaluator",
-    "config_cache_key",
-]
+__all__ = ["FLOAT_PATH_MAX_CELLS", "BatchEvaluator"]
 
 #: Largest batch, in participating node-cells (the sum of ``n_nodes``
-#: over the uncached configs), that :meth:`BatchEvaluator.run_many`
+#: over the configs), that :meth:`BatchEvaluator.run_many`
 #: evaluates on the engine's float code instead of the array program.
 #: The kernel pays ~0.55 ms per call plus a little per cell, the float
 #: path ~0.15 ms per cell; they break even at about 6 cells for
@@ -82,94 +69,6 @@ _MAX_ROUNDS = 12
 _DAMPING = 0.5
 _REL_TOL = 1e-6
 _IDLE_ACTIVITY = 0.05
-
-
-def config_cache_key(config: "ExecutionConfig") -> tuple:
-    """A hashable identity for an :class:`ExecutionConfig`.
-
-    ``phase_threads`` is a dict (unhashable); it enters the key as a
-    sorted item tuple.  All other fields are already hashable.
-    """
-    return (
-        config.n_nodes,
-        config.n_threads,
-        config.affinity,
-        config.pkg_cap_w,
-        config.dram_cap_w,
-        config.gpu_cap_w,
-        config.per_node_caps,
-        config.node_ids,
-        config.frequency_hz,
-        config.iterations,
-        tuple(sorted(config.phase_threads.items())),
-        config.scaling,
-    )
-
-
-class RunCache:
-    """Memoization table for simulated run results.
-
-    Keys must capture everything a run's outcome depends on: the
-    workload, the configuration, the engine's noise seed, the cluster
-    specification, and the *current* per-node efficiency factors (which
-    :meth:`SimulatedCluster.degrade_node` can change mid-life).  The
-    engine builds that key via :meth:`ExecutionEngine.cache_key`.
-
-    A cache hit skips the hardware side effects of a run (RAPL energy
-    accumulation, meter records, cap programming) — by design: the
-    cache answers repeated *evaluation* questions, where only the
-    returned :class:`RunResult` matters.
-    """
-
-    def __init__(self, max_entries: int = 200_000):
-        self._store: dict[Hashable, RunResult] = {}
-        self._max_entries = max_entries
-        self._hits = 0
-        self._misses = 0
-
-    @property
-    def hits(self) -> int:
-        """Number of lookups answered from the cache."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Number of lookups that required a simulation."""
-        return self._misses
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, key: Hashable) -> RunResult | None:
-        """Look up a result, counting the hit or miss."""
-        result = self._store.get(key)
-        if result is None:
-            self._misses += 1
-        else:
-            self._hits += 1
-        return result
-
-    def put(self, key: Hashable, result: RunResult) -> None:
-        """Store a result (evicting everything if the table overflows)."""
-        if len(self._store) >= self._max_entries:
-            self._store.clear()
-        self._store[key] = result
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        self._store.clear()
-        self._hits = 0
-        self._misses = 0
-
-    def stats(self) -> dict[str, float]:
-        """Counters plus the derived hit rate."""
-        total = self._hits + self._misses
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._store),
-            "hit_rate": self._hits / total if total else 0.0,
-        }
 
 
 class BatchEvaluator:
@@ -289,40 +188,19 @@ class BatchEvaluator:
         app: WorkloadCharacteristics,
         configs: list["ExecutionConfig"],
     ) -> list[RunResult]:
-        """Evaluate *app* under every config, consulting the engine cache.
+        """Evaluate *app* under every config.
 
         Returns one :class:`RunResult` per config, in input order.  The
-        uncached configs run on the engine's float code when they span
-        at most :data:`FLOAT_PATH_MAX_CELLS` node-cells, else on the
-        array kernel; both validate every config first, raise the same
+        configs run on the engine's float code when they span at most
+        :data:`FLOAT_PATH_MAX_CELLS` node-cells, else on the array
+        kernel; both validate every config first, raise the same
         errors, and give the same bits.
         """
         if not configs:
             return []
-        cache = self._engine.cache
-        out: list[RunResult | None] = [None] * len(configs)
-        todo: list[int] = []
-        if cache is not None:
-            keys = [self._engine.cache_key(app, c) for c in configs]
-            for i, key in enumerate(keys):
-                hit = cache.get(key)
-                if hit is not None:
-                    out[i] = hit
-                else:
-                    todo.append(i)
-        else:
-            todo = list(range(len(configs)))
-        if todo:
-            pending = [configs[i] for i in todo]
-            if sum(c.n_nodes for c in pending) <= FLOAT_PATH_MAX_CELLS:
-                fresh = self._engine._what_if(app, pending)
-            else:
-                fresh = self._evaluate(app, pending)
-            for i, result in zip(todo, fresh):
-                out[i] = result
-                if cache is not None:
-                    cache.put(keys[i], result)
-        return out  # type: ignore[return-value]
+        if sum(c.n_nodes for c in configs) <= FLOAT_PATH_MAX_CELLS:
+            return self._engine._what_if(app, configs)
+        return self._evaluate(app, configs)
 
     # ------------------------------------------------------------------
     # the vectorized array program

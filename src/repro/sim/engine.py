@@ -136,18 +136,9 @@ class ExecutionConfig:
 
 
 class ExecutionEngine:
-    """Runs workloads on a :class:`SimulatedCluster`.
+    """Runs workloads on a :class:`SimulatedCluster`."""
 
-    ``cache`` optionally attaches a :class:`~repro.sim.batch.RunCache`:
-    when set, :meth:`run`, :meth:`evaluate` and :meth:`evaluate_many`
-    memoize results on ``(app, config, seed, cluster spec, node
-    efficiencies)``.  A cache hit skips the run's hardware side effects
-    (RAPL energy accumulation, meter records), so attach a cache only
-    where repeated *evaluation* is the point — search, profiling,
-    benchmarks — not where per-run accounting matters.
-    """
-
-    def __init__(self, cluster: SimulatedCluster, seed: int = 42, cache=None):
+    def __init__(self, cluster: SimulatedCluster, seed: int = 42):
         self._cluster = cluster
         # each slot's hardware class as an int: the per-run code keys
         # on it, since hashing a NodeSpec walks all its nested specs
@@ -158,7 +149,6 @@ class ExecutionEngine:
         )
         self._comm = CommModel(cluster.spec)
         self._seed = seed
-        self._cache = cache
         self._batch = None
         self._calibration: dict = {}
 
@@ -176,15 +166,6 @@ class ExecutionEngine:
     def seed(self) -> int:
         """Seed of the per-run counter-noise RNG."""
         return self._seed
-
-    @property
-    def cache(self):
-        """Attached :class:`~repro.sim.batch.RunCache` (or ``None``)."""
-        return self._cache
-
-    @cache.setter
-    def cache(self, cache) -> None:
-        self._cache = cache
 
     @property
     def calibration_cache(self) -> dict:
@@ -205,22 +186,6 @@ class ExecutionEngine:
             self._cluster.failed_node_ids,
         )
 
-    def cache_key(self, app: WorkloadCharacteristics, config: ExecutionConfig):
-        """Memoization key for one (app, config) run on this engine.
-
-        Includes the current per-node efficiency factors so cluster
-        mutations (``degrade_node``) invalidate stale entries.
-        """
-        from repro.sim.batch import config_cache_key
-
-        return (
-            app,
-            config_cache_key(config),
-            self._seed,
-            self._cluster.spec,
-            tuple(n.efficiency for n in self._cluster.nodes),
-        )
-
     # ------------------------------------------------------------------
 
     def evaluate_many(
@@ -229,10 +194,9 @@ class ExecutionEngine:
         """What-if evaluation of many configs at once.
 
         Returns one :class:`RunResult` per config, in order, identical
-        to what :meth:`run` would produce on a fault-free cluster, and
-        memoized through :attr:`cache` when one is attached.  Caps come
-        from each config, availability is ignored, and no node state
-        changes.  A small uncached remainder (at most
+        to what :meth:`run` would produce on a fault-free cluster.  Caps
+        come from each config, availability is ignored, and no node
+        state changes.  A small batch (at most
         :data:`~repro.sim.batch.FLOAT_PATH_MAX_CELLS` node-cells) runs
         on :meth:`run`'s own float code; a larger one runs as a single
         ``(n_candidates, n_nodes)`` array program.
@@ -242,13 +206,6 @@ class ExecutionEngine:
 
             self._batch = BatchEvaluator(self)
         return self._batch.run_many(app, configs)
-
-    def evaluate(
-        self, app: WorkloadCharacteristics, config: ExecutionConfig
-    ) -> RunResult:
-        """Side-effect-free single-config evaluation (see
-        :meth:`evaluate_many`)."""
-        return self.evaluate_many(app, [config])[0]
 
     # ------------------------------------------------------------------
 
@@ -280,17 +237,7 @@ class ExecutionEngine:
                 f"cannot run on failed node(s) {down}; "
                 f"available: {list(cluster.available_node_ids)}"
             )
-        # Validate before the lookup: the key does not cover the failed
-        # set, so a hit must not answer for a run that cannot execute.
-        if self._cache is not None:
-            key = self.cache_key(app, config)
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-        result = self._simulate(app, config, participants, execute=True)
-        if self._cache is not None:
-            self._cache.put(key, result)
-        return result
+        return self._simulate(app, config, participants, execute=True)
 
     def _what_if(
         self, app: WorkloadCharacteristics, configs: list[ExecutionConfig]
@@ -300,7 +247,6 @@ class ExecutionEngine:
         The batch kernel's semantics: every config is validated first,
         caps come from the config alone, availability is ignored, and
         no RAPL register, actuation policy or meter is read or written.
-        Uncached; the caller owns the cache.
         """
         participants = [self._what_if_participants(c) for c in configs]
         return [

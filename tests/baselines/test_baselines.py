@@ -9,9 +9,17 @@ from repro.baselines import (
     OracleScheduler,
 )
 from repro.baselines.allin import ALLIN_MEM_W
-from repro.baselines.lowerlimit import NODE_FLOOR_W
 from repro.errors import InfeasibleBudgetError
+from repro.hw.cluster import SimulatedCluster
+from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import get_app
+
+
+class ScalarEngine(ExecutionEngine):
+    """An engine whose what-if evaluation loops the scalar ``run``."""
+
+    def evaluate_many(self, app, configs):
+        return [self.run(app, cfg) for cfg in configs]
 
 
 class TestAllIn:
@@ -148,8 +156,10 @@ class TestOracle:
 
     def test_batch_and_scalar_paths_agree(self, engine):
         app = get_app("sp-mz.C")
-        batch = OracleScheduler(engine, thread_step=6, use_batch=True)
-        scalar = OracleScheduler(engine, thread_step=6, use_batch=False)
+        batch = OracleScheduler(engine, thread_step=6)
+        scalar = OracleScheduler(
+            ScalarEngine(SimulatedCluster.testbed(), seed=42), thread_step=6
+        )
         for budget in (900.0, 1400.0):
             assert batch.plan(app, budget) == scalar.plan(app, budget)
             assert batch.search_stats == scalar.search_stats

@@ -34,7 +34,16 @@ class TestFitMechanics:
         y = X @ w + 12.0
         pred = InflectionPredictor()
         pred.fit(X, y, n_cores=24)
-        assert pred.is_fitted
+
+        class Row:
+            def __init__(self, x):
+                self.x = x
+
+            def feature_vector(self):
+                return self.x
+
+        for x, target in zip(X[:5], y[:5]):
+            assert pred.predict_raw(Row(x)) == pytest.approx(target, abs=1e-2)
 
     def test_prediction_floored_to_even(self, trained_inflection, profiler):
         for name in ("sp-mz.C", "bt-mz.C", "tealeaf"):

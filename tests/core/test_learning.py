@@ -29,10 +29,10 @@ from repro.core.knowledge import (
 from repro.core.learning import (
     LearningConfig,
     RefitPolicy,
-    empirical_best_concurrency,
     fit_calibration,
 )
 from repro.core.pipeline import SchedulingDecision
+from repro.core.profile import SmartProfiler
 from repro.core.scheduler import ClipScheduler
 from repro.errors import SchedulingError
 from repro.hw.cluster import SimulatedCluster
@@ -162,18 +162,6 @@ class TestObservationHistoryProperty:
         cells = entry.quality_cells()
         assert sum(c.n for c in cells) == len(budgets)
         assert {c.band_w for c in cells} == {budget_band(b) for b in budgets}
-
-
-# ----------------------------------------------------------------------
-# empirical argmax helpers
-# ----------------------------------------------------------------------
-
-class TestEmpiricalBest:
-    def test_best_concurrency_needs_two_groups(self):
-        obs = [_obs(1.0, 0.5, n_threads=14)] * 4
-        assert empirical_best_concurrency(obs, min_samples=2) is None
-        obs += [_obs(1.0, 0.8, n_threads=20)] * 2
-        assert empirical_best_concurrency(obs, min_samples=2) == 14
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +321,53 @@ class TestLearningOffIdentity:
         for name, budget in combos:
             d = clip.schedule(get_app(name), budget)
             assert d.to_dict() == golden[f"{name}@{budget:.0f}"], (
+                name,
+                budget,
+            )
+
+
+    def test_learning_campaign_leaves_the_shared_predictor_alone(self):
+        """A learning-on campaign whose entries refit, on drifted
+        hardware, shares the cached trained predictor with a
+        learning-off scheduler.  Refits touch only the knowledge
+        entries, so the predictor answers as trained and the
+        learning-off scheduler still decides as the golden capture."""
+        golden = json.loads(
+            (DATA_DIR / "golden_decisions_testbeds.json").read_text()
+        )["testbeds"]["haswell"]
+        clean = ExecutionEngine(SimulatedCluster.testbed(), seed=42)
+        inflection = build_trained_inflection(clean)
+        profiler = SmartProfiler(clean)
+        probes = [
+            profiler.profile(get_app(name))
+            for name in ("sp-mz.C", "bt-mz.C", "tealeaf", "miniaero")
+        ]
+        before = [inflection.predict_raw(p) for p in probes]
+
+        drifted = ExecutionEngine(SimulatedCluster.testbed(), seed=42)
+        learner = ClipScheduler(
+            drifted,
+            inflection=inflection,
+            learning=LearningConfig(enabled=True),
+        )
+        combos = [
+            (name, budget)
+            for name in ("sp-mz.C", "bt-mz.C", "tealeaf")
+            for budget in (1000.0, 1400.0, 1800.0)
+        ]
+        for rnd in range(4):
+            if rnd == 1:
+                for node_id in (1, 3, 5):
+                    drifted.cluster.degrade_node(node_id, 1.3)
+            for name, budget in combos:
+                learner.run(get_app(name), budget, iterations=2)
+        assert learner.pipeline.learning_stats()["refits"] > 0
+
+        assert [inflection.predict_raw(p) for p in probes] == before
+        off = ClipScheduler(clean, inflection=inflection)
+        for name, budget in combos:
+            decision = off.schedule(get_app(name), budget)
+            assert decision.to_dict() == golden[f"{name}@{budget:.0f}"], (
                 name,
                 budget,
             )

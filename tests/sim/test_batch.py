@@ -1,4 +1,4 @@
-"""What-if evaluation: exact equivalence with ``run`` + memoization.
+"""What-if evaluation: exact equivalence with ``run``.
 
 ``evaluate_many`` answers on two paths: small batches run the engine's
 own float code as a what-if, large ones the vectorized array kernel.
@@ -6,10 +6,7 @@ Both must agree *bit-exactly* with ``ExecutionEngine.run`` — every
 ``RunResult`` field, including the synthesized PMU counters — so the
 equivalence cases check the public call and the kernel called
 directly, and a property checks the float what-if against the kernel,
-error for error.  The cache tests pin the memoization semantics: keys
-cover the application, the full configuration, the engine seed, and
-the current per-node efficiency factors, so fault injection and
-reseeding invalidate naturally.
+error for error.
 """
 
 import dataclasses
@@ -17,7 +14,7 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import NodeFailureError, SchedulingError
+from repro.errors import SchedulingError
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.numa import AffinityKind
 from repro.hw.specs import (
@@ -26,12 +23,7 @@ from repro.hw.specs import (
     mixed_gpu_testbed,
     mixed_testbed,
 )
-from repro.sim.batch import (
-    FLOAT_PATH_MAX_CELLS,
-    BatchEvaluator,
-    RunCache,
-    config_cache_key,
-)
+from repro.sim.batch import FLOAT_PATH_MAX_CELLS, BatchEvaluator
 from repro.sim.engine import ExecutionConfig, ExecutionEngine
 from repro.workloads.apps import GPU_APPS, all_apps, get_app
 
@@ -152,7 +144,7 @@ class TestExactEquivalence:
     def test_evaluate_single(self, engine):
         app = get_app("comd")
         cfg = ExecutionConfig(n_nodes=2, n_threads=8, iterations=2)
-        assert_identical(engine.evaluate(app, cfg), engine.run(app, cfg))
+        assert_identical(engine.evaluate_many(app, [cfg])[0], engine.run(app, cfg))
         assert_identical(kernel(engine, app, cfg), engine.run(app, cfg))
 
     def test_order_independence(self, engine):
@@ -174,7 +166,7 @@ class TestExactEquivalence:
         engine = ExecutionEngine(cluster, seed=42)
         app = get_app("sp-mz.C")
         cfg = ExecutionConfig(n_nodes=8, n_threads=12, iterations=2)
-        assert_identical(engine.evaluate(app, cfg), engine.run(app, cfg))
+        assert_identical(engine.evaluate_many(app, [cfg])[0], engine.run(app, cfg))
         one = ExecutionConfig(n_nodes=1, n_threads=12, node_ids=(3,))
         assert_all_paths_match_run(engine, app, one)
 
@@ -258,148 +250,6 @@ class TestMixedClusterEquivalence:
             mixed_engine.evaluate_many(app, [wide])[0],
             mixed_engine.run(app, wide),
         )
-
-
-class TestConfigCacheKey:
-    def test_equal_configs_equal_keys(self):
-        a = ExecutionConfig(n_nodes=2, n_threads=8, phase_threads={"x": 4})
-        b = ExecutionConfig(n_nodes=2, n_threads=8, phase_threads={"x": 4})
-        assert config_cache_key(a) == config_cache_key(b)
-
-    def test_distinct_configs_distinct_keys(self):
-        base = ExecutionConfig(n_nodes=2, n_threads=8)
-        for other in (
-            ExecutionConfig(n_nodes=3, n_threads=8),
-            ExecutionConfig(n_nodes=2, n_threads=8, pkg_cap_w=90.0),
-            ExecutionConfig(n_nodes=2, n_threads=8, scaling="weak"),
-            ExecutionConfig(n_nodes=2, n_threads=8, phase_threads={"x": 4}),
-        ):
-            assert config_cache_key(base) != config_cache_key(other)
-
-    def test_key_is_hashable(self):
-        cfg = ExecutionConfig(n_nodes=2, n_threads=8, phase_threads={"x": 4})
-        hash(config_cache_key(cfg))
-
-
-class TestRunCache:
-    def test_run_hits_after_miss(self, cluster):
-        cache = RunCache()
-        engine = ExecutionEngine(cluster, seed=42, cache=cache)
-        app = get_app("comd")
-        cfg = ExecutionConfig(n_nodes=2, n_threads=8, iterations=2)
-        first = engine.run(app, cfg)
-        assert (cache.hits, cache.misses) == (0, 1)
-        second = engine.run(app, cfg)
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert second is first  # the memoized object itself
-
-    def test_cached_equals_uncached_across_apps(self, cluster):
-        cached_engine = ExecutionEngine(
-            SimulatedCluster.testbed(), seed=42, cache=RunCache()
-        )
-        plain_engine = ExecutionEngine(cluster, seed=42)
-        for name in ("sp-mz.C", "stream"):
-            app = get_app(name)
-            for cfg in (
-                ExecutionConfig(n_nodes=2, n_threads=8, iterations=2),
-                ExecutionConfig(
-                    n_nodes=4, n_threads=12, dram_cap_w=30.0, iterations=2
-                ),
-            ):
-                cached_engine.run(app, cfg)  # prime
-                assert_identical(
-                    cached_engine.run(app, cfg), plain_engine.run(app, cfg)
-                )
-
-    def test_batch_and_scalar_share_entries(self, cluster):
-        cache = RunCache()
-        engine = ExecutionEngine(cluster, seed=42, cache=cache)
-        app = get_app("ep.C")
-        cfg = ExecutionConfig(n_nodes=1, n_threads=12, iterations=2)
-        scalar = engine.run(app, cfg)
-        (batch,) = engine.evaluate_many(app, [cfg])
-        assert batch is scalar  # evaluate_many served from run()'s entry
-        assert cache.hits == 1
-
-    def test_seed_invalidates(self):
-        cache = RunCache()
-        app = get_app("comd")
-        cfg = ExecutionConfig(n_nodes=2, n_threads=8, iterations=2)
-        a = ExecutionEngine(SimulatedCluster.testbed(), seed=42, cache=cache)
-        b = ExecutionEngine(SimulatedCluster.testbed(), seed=43, cache=cache)
-        a.run(app, cfg)
-        b.run(app, cfg)
-        assert cache.misses == 2 and cache.hits == 0
-        assert len(cache) == 2
-
-    def test_degrade_invalidates(self, cluster):
-        cache = RunCache()
-        engine = ExecutionEngine(cluster, seed=42, cache=cache)
-        app = get_app("comd")
-        cfg = ExecutionConfig(n_nodes=2, n_threads=8, iterations=2)
-        before = engine.run(app, cfg)
-        cluster.degrade_node(0, 1.10)
-        after = engine.run(app, cfg)
-        assert cache.misses == 2 and cache.hits == 0
-        assert after.energy_j != before.energy_j
-
-    def test_hit_does_not_bypass_validation(self, cluster):
-        """A run cached before a node failed must not answer after it.
-
-        The key leaves out the failed set, so the availability check
-        has to run before the lookup, as on an uncached engine.
-        """
-        engine = ExecutionEngine(cluster, seed=42, cache=RunCache())
-        plain = ExecutionEngine(SimulatedCluster.testbed(), seed=42)
-        app = get_app("comd")
-        cfg = ExecutionConfig(n_nodes=4, n_threads=12)
-        first = engine.run(app, cfg)
-        cluster.fail_node(1)
-        plain.cluster.fail_node(1)
-        with pytest.raises(NodeFailureError):
-            plain.run(app, cfg)
-        with pytest.raises(NodeFailureError):
-            engine.run(app, cfg)
-        # what-if evaluation keeps ignoring availability
-        assert engine.evaluate(app, cfg) is first
-        cluster.recover_node(1)
-        assert engine.run(app, cfg) is first
-
-    def test_stats_and_clear(self, cluster):
-        cache = RunCache()
-        engine = ExecutionEngine(cluster, seed=42, cache=cache)
-        app = get_app("stream")
-        cfg = ExecutionConfig(n_nodes=1, n_threads=8, iterations=2)
-        engine.run(app, cfg)
-        engine.run(app, cfg)
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 1
-        assert stats["hit_rate"] == pytest.approx(0.5)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats()["hit_rate"] == 0.0
-
-    def test_bounded_eviction(self, cluster):
-        cache = RunCache(max_entries=2)
-        engine = ExecutionEngine(cluster, seed=42, cache=cache)
-        app = get_app("ep.C")
-        for n in (1, 2, 3):
-            engine.run(
-                app, ExecutionConfig(n_nodes=n, n_threads=4, iterations=2)
-            )
-        assert len(cache) <= 2  # overflow emptied the table
-
-    def test_no_cache_by_default(self, engine):
-        assert engine.cache is None
-        evaluator = BatchEvaluator(engine)
-        app = get_app("ep.C")
-        cfg = ExecutionConfig(n_nodes=1, n_threads=4, iterations=2)
-        a = evaluator.run_many(app, [cfg])[0]
-        b = evaluator.run_many(app, [cfg])[0]
-        assert a is not b  # recomputed, not memoized
-        assert_identical(a, b)
 
 
 #: GPU-fleet configs: uncapped offload, a device throttle, three-entry
@@ -562,43 +412,10 @@ class TestPathSelection:
     def test_counts_node_cells_not_configs(self, engine, paths):
         app = get_app("sp-mz.C")
         cfg = ExecutionConfig(n_nodes=FLOAT_PATH_MAX_CELLS + 1, n_threads=12)
-        assert_identical(engine.evaluate(app, cfg), engine.run(app, cfg))
+        assert_identical(engine.evaluate_many(app, [cfg])[0], engine.run(app, cfg))
         assert paths == [("kernel", FLOAT_PATH_MAX_CELLS + 1)]
 
-    def test_only_uncached_configs_count(self, cluster, monkeypatch):
-        engine = ExecutionEngine(cluster, seed=42, cache=RunCache())
-        app = get_app("comd")
-        big = ExecutionConfig(n_nodes=FLOAT_PATH_MAX_CELLS, n_threads=12)
-        small = ExecutionConfig(n_nodes=1, n_threads=12)
-        engine.run(app, big)
-        taken = []
-        what_if = engine._what_if
-        monkeypatch.setattr(
-            engine,
-            "_what_if",
-            lambda a, cs: taken.append(len(cs)) or what_if(a, cs),
-        )
-        first, second = engine.evaluate_many(app, [big, small])
-        assert taken == [1]  # the cached run is not evaluated again
-        assert_identical(second, engine.run(app, small))
-        assert first is engine.run(app, big)
-
-    def test_float_path_caches_the_kernel_answer(self, cluster):
-        cache = RunCache()
-        engine = ExecutionEngine(cluster, seed=42, cache=cache)
-        app = get_app("stream")
-        configs = [
-            ExecutionConfig(n_nodes=n, n_threads=8, iterations=2)
-            for n in (1, 2)
-        ]
-        engine.evaluate_many(app, configs)
-        assert len(cache) == len(configs)
-        for cfg in configs:
-            stored = cache.get(engine.cache_key(app, cfg))
-            assert_identical(stored, kernel(engine, app, cfg))
-
-    def test_errors_match_and_store_nothing(self, cluster):
-        engine = ExecutionEngine(cluster, seed=42, cache=RunCache())
+    def test_errors_match_and_store_nothing(self, engine):
         app = get_app("comd")
         ok = ExecutionConfig(n_nodes=1, n_threads=8)
         too_wide = ExecutionConfig(n_nodes=1, n_threads=25)
@@ -606,7 +423,6 @@ class TestPathSelection:
             engine.evaluate_many(app, [ok, too_wide])
         with pytest.raises(SchedulingError, match="25 threads"):
             kernel(engine, app, too_wide)
-        assert len(engine.cache) == 0
 
 
 #: The four testbed kinds, each with one degraded node, for the

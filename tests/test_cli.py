@@ -57,6 +57,42 @@ class TestParser:
         assert exc.value.code == 2
         assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["schedule", "comd", "nan"], "budget"),
+            (["run", "comd", "0"], "budget"),
+            (["compare", "nan", "--apps", "comd"], "budget"),
+            (["compare", "inf"], "budget"),
+            (["faults", "--budget", "-1"], "--budget"),
+            (["replay", "--demo", "--budget", "inf"], "--budget"),
+            (["serve", "--budget", "nan"], "--budget"),
+            (["learn", "--budget", "0"], "--budget"),
+            (["schedule", "comd", "abc"], "budget"),
+            (["schedule", "comd", "1400", "--racks", "0"], "--racks"),
+            (["schedule", "comd", "1400", "--racks", "-2"], "--racks"),
+            (["faults", "--racks", "0"], "--racks"),
+            (["faults", "--iterations", "0"], "--iterations"),
+            (["learn", "--jobs", "0"], "--jobs"),
+            (["learn", "--jobs", "-3"], "--jobs"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_bad_values_exit_2_before_any_work(
+        self, argv, culprit, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(cli, "_engine", forbidden)
+        monkeypatch.setattr(cli, "build_trained_inflection", forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {culprit}:" in capsys.readouterr().err
+
     def test_replay_defaults(self):
         args = build_parser().parse_args(["replay", "--demo"])
         assert args.command == "replay"
@@ -174,8 +210,10 @@ class TestCommands:
         assert payload["monitor"]["n_violations"] == 0
 
     def test_replay_demo_non_finite_budget_is_a_clean_error(self, capsys):
-        assert main(["replay", "--demo", "--budget", "nan"]) == 1
-        assert "error: budget must be finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--demo", "--budget", "nan"])
+        assert exc.value.code == 2
+        assert "budget must be finite" in capsys.readouterr().err
 
     def test_compare_subset(self, capsys):
         assert main(["compare", "1400", "--apps", "comd", "sp-mz.C"]) == 0
@@ -203,7 +241,6 @@ class TestLearnCommand:
             "enabled",
             "outcomes",
             "refits",
-            "inflection_refits",
             "observed_entries",
             "observations_held",
             "refitted_entries",
