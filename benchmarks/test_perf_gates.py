@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clipbench.stats import machine_stamp, pct
@@ -47,8 +48,10 @@ from repro.core.learning import LearningConfig
 from repro.core.runtime import PowerBoundedRuntime
 from repro.core.scheduler import ClipScheduler
 from repro.core.watchdog import PowerEnforcementWatchdog
+from repro.errors import ActuationError
 from repro.hw.actuation import FaultyActuation
 from repro.hw.cluster import SimulatedCluster
+from repro.hw.rapl import RaplInterface
 from repro.hw.specs import (
     gpu_testbed,
     haswell_testbed,
@@ -394,6 +397,91 @@ def test_per_node_decision_cost_is_flat(gates):
     gates.check(
         "scale.per_node_cost_ratio", per_node_s[-1] / per_node_s[0],
         MAX_PER_NODE_RATIO, "max", "x",
+    )
+
+
+# -- the fleet cap bank -------------------------------------------------
+
+#: Interleaved per-node/bank commit pairs behind the speedup median.
+CAP_COMMIT_PAIRS = 15
+#: Cap-set commits per timed sample: a swing's set and back, twice.
+CAP_COMMITS_PER_SAMPLE = 4
+#: The 1024-node array commit's speedup over the per-node loop.
+MIN_CAP_COMMIT_SPEEDUP = 20.0
+
+
+def _per_node_commit(cluster, node_ids, caps) -> None:
+    """The per-node commit loop the cap bank replaced: a snapshot and a
+    verified write per node, every written node restored on failure."""
+    snapshots = []
+    try:
+        for node_id, cap in zip(node_ids, caps):
+            rapl = cluster.node(node_id).rapl
+            snapshots.append((rapl, rapl.snapshot_caps()))
+            rapl.write_caps_verified(cap)
+    except ActuationError:
+        for rapl, snap in snapshots:
+            rapl.restore_caps(snap)
+        raise
+
+
+def test_fleet_cap_commit(gates, monkeypatch):
+    """A 1024-node budget swing on a perfect-actuation fleet makes no
+    per-node verified write, and the bank's array commit beats the
+    per-node loop: the median of paired time ratios."""
+    build_trained_inflection(_engine())
+    spec = haswell_testbed(racks=RACK_SCALES[-1])
+    clip = _scheduler(_engine(spec))
+    budget_w = BUDGET_PER_NODE_W * spec.n_nodes
+    runtime = PowerBoundedRuntime(clip)
+    job = runtime.launch(
+        get_app("comd"), budget_w, n_nodes=spec.n_nodes,
+        allow_concurrency_change=True,
+    )
+    calls = []
+    verified_write = RaplInterface.write_caps_verified
+
+    def counted(self, caps_w, *args, **kwargs):
+        calls.append(caps_w)
+        return verified_write(self, caps_w, *args, **kwargs)
+
+    monkeypatch.setattr(RaplInterface, "write_caps_verified", counted)
+    runtime.update_budget(job, 0.9 * budget_w)
+    swung = job.per_node_caps
+    runtime.update_budget(job, budget_w)
+    monkeypatch.undo()
+    gates.check("cap_bank.per_node_writes", len(calls), 0, "max", "calls")
+
+    cluster = clip.engine.cluster
+    cap_sets = (swung, job.per_node_caps)
+
+    def commits(commit) -> float:
+        start = time.perf_counter()
+        for i in range(CAP_COMMITS_PER_SAMPLE):
+            commit(job.node_ids, cap_sets[i % 2])
+        return time.perf_counter() - start
+
+    registers = []
+
+    def bank() -> float:
+        elapsed = commits(cluster.cap_bank.commit)
+        registers.append(cluster.cap_bank.cap_w.copy())
+        return elapsed
+
+    speedups = _paired_ratios(
+        bank,
+        lambda: commits(lambda ids, caps: _per_node_commit(cluster, ids, caps)),
+        CAP_COMMIT_PAIRS,
+    )
+    # a fast wrong write is not a speedup: both leave the same registers
+    assert all(
+        np.array_equal(r, cluster.cap_bank.cap_w, equal_nan=True)
+        for r in registers
+    )
+    assert not np.isnan(cluster.cap_bank.cap_w[:, :2]).any()
+    gates.check(
+        "cap_bank.commit_speedup", statistics.median(speedups),
+        MIN_CAP_COMMIT_SPEEDUP, "min", "x", samples=speedups,
     )
 
 

@@ -18,6 +18,8 @@ consumer of the pipeline reports to the same ledger.
 
 from __future__ import annotations
 
+import itertools
+import struct
 from dataclasses import dataclass, field
 
 from repro.errors import BudgetInvariantError
@@ -56,17 +58,28 @@ class CapAudit:
     ``node_lo_w`` / ``node_hi_w`` are floats when every rank is of one
     hardware class (one shared acceptable range) and per-rank tuples
     when the ranks span several classes.
+
+    The ledger keeps the caps packed — float64 bytes plus each node's
+    tuple length, ~8 bytes a cap against ~50 as tuples of floats — so
+    the audits a fleet's budget swings accumulate stay small;
+    :attr:`caps` unpacks them.
     """
 
     source: str
     app_name: str
     cluster_budget_w: float
-    #: Per-node cap tuples: ``(pkg, dram)`` on CPU nodes, ``(pkg,
-    #: dram, gpu)`` on accelerator nodes — a set may mix both.
-    caps: tuple[tuple[float, ...], ...]
+    packed_caps: bytes = field(repr=False)
+    cap_arity: bytes = field(repr=False)
     node_lo_w: float | tuple[float, ...] | None
     node_hi_w: float | tuple[float, ...] | None
     violations: tuple[str, ...]
+
+    @property
+    def caps(self) -> tuple[tuple[float, ...], ...]:
+        """Per-node cap tuples: ``(pkg, dram)`` on CPU nodes, ``(pkg,
+        dram, gpu)`` on accelerator nodes — a set may mix both."""
+        values = iter(memoryview(self.packed_caps).cast("d").tolist())
+        return tuple(tuple(itertools.islice(values, k)) for k in self.cap_arity)
 
     @property
     def ok(self) -> bool:
@@ -138,10 +151,11 @@ class BudgetInvariantMonitor:
         """
         lo_seq = _per_rank_bounds(node_lo_w, len(caps))
         hi_seq = _per_rank_bounds(node_hi_w, len(caps))
-        # one walk: the ledger's copy of the caps, and each node's total
-        # taken once for both the cluster sum and the range checks
-        rows = tuple([tuple(map(float, cap)) for cap in caps])
-        totals = [sum(row) for row in rows]
+        # each node's total, taken once for both the cluster sum and
+        # the range checks; the ledger keeps the caps packed
+        arity = bytes(map(len, caps))
+        packed = struct.pack(f"{sum(arity)}d", *itertools.chain.from_iterable(caps))
+        totals = [sum(cap) for cap in caps]
         violations: list[str] = []
         total = float(sum(totals))
         slack = tolerance_w + 1e-9 * max(abs(cluster_budget_w), 1.0)
@@ -150,9 +164,9 @@ class BudgetInvariantMonitor:
                 f"sum of caps {total:.3f} W exceeds cluster budget "
                 f"{cluster_budget_w:.3f} W"
             )
-        for rank, (row, node_total) in enumerate(zip(rows, totals)):
-            if row and min(row) < -tolerance_w:
-                listed = ", ".join(f"{c:.3f}" for c in row)
+        for rank, (cap, node_total) in enumerate(zip(caps, totals)):
+            if cap and min(cap) < -tolerance_w:
+                listed = ", ".join(f"{c:.3f}" for c in cap)
                 violations.append(
                     f"node {rank}: negative cap ({listed}) W"
                 )
@@ -170,7 +184,8 @@ class BudgetInvariantMonitor:
             source=source,
             app_name=app_name,
             cluster_budget_w=cluster_budget_w,
-            caps=rows,
+            packed_caps=packed,
+            cap_arity=arity,
             node_lo_w=_bound_field(node_lo_w),
             node_hi_w=_bound_field(node_hi_w),
             violations=tuple(violations),

@@ -1193,11 +1193,12 @@ class DecisionPipeline:
             [m.cap_ceiling_w(n_threads) for m in models], ranks
         )
         start = time.perf_counter()
+        caps = decision.per_node_caps  # built once, reused per rack
         audit = self._monitor.audit(
             "pipeline",
             decision.app_name,
             decision.cluster_budget_w,
-            decision.per_node_caps,
+            caps,
             node_lo_w=lo_bound,
             node_hi_w=hi_bound,
         )
@@ -1212,8 +1213,6 @@ class DecisionPipeline:
                 rack_budgets,
             )
             rack_of = self._rack_of
-            # the audit's float copy of the caps, reused per rack
-            caps = audit.caps
             # slots fill in rack order, so each rack's caps are one
             # contiguous run — a single walk audits every rack
             n, i, k = decision.n_nodes, 0, 0

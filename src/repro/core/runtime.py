@@ -121,26 +121,6 @@ def _range_total(bound, n_nodes: int) -> float:
     return float(np.sum(bound)) if isinstance(bound, tuple) else n_nodes * bound
 
 
-def _split_caps(power, budget_w: float, n_threads: int) -> tuple[float, ...]:
-    """Class-aware split of one node's budget into its domain caps.
-
-    CPU classes keep the two-way host split; accelerator classes grant
-    the device the highest ladder level that fits after the host floor
-    is reserved (host-only apps get exactly the board idle draw) and
-    split the remainder, so the cap tuple's arity always matches the
-    node's hardware class.
-    """
-    lo_w, hi_w = power.gpu_power_range()
-    if hi_w <= 0.0:
-        return power.split_node_budget(budget_w, n_threads)
-    rng = power.power_range(n_threads)
-    grant_w = lo_w
-    window_hi_w = budget_w - (rng.cpu_lo_w + rng.mem_lo_w)
-    for cap_w, _clock_hz in power.gpu_shift_candidates(lo_w, window_hi_w):
-        grant_w = max(grant_w, cap_w)
-    return power.split_node_budget_gpu(budget_w, n_threads, grant_w)
-
-
 @dataclass(frozen=True)
 class SegmentRecord:
     """One executed segment of a running job."""
@@ -444,11 +424,23 @@ class PowerBoundedRuntime:
         budgets = coordinate_power(
             min(budget_w, _range_total(hi, n_nodes)), factors, lo_w=lo, hi_w=hi
         )
-        caps = tuple(
-            _split_caps(models[k], float(b), n_threads)
-            for k, b in zip(ranks, budgets)
-        )
-        return n_threads, caps, lo, hi
+        # one split per hardware class, scattered back to slots
+        slots = {k: [i for i, r in enumerate(ranks) if r == k] for k in models}
+        try:
+            splits = {
+                k: m.split_node_budgets(budgets[slots[k]], n_threads)
+                for k, m in models.items()
+            }
+        except InfeasibleBudgetError:
+            # name the first rejected slot, whichever class it is of
+            for k, b in zip(ranks, budgets):
+                models[k].split_node_budgets((b,), n_threads)
+            raise
+        caps = [None] * n_nodes
+        for k, split in splits.items():
+            for slot, row in zip(slots[k], split):
+                caps[slot] = row
+        return n_threads, tuple(caps), lo, hi
 
     def _commit_caps(
         self,
@@ -458,27 +450,14 @@ class PowerBoundedRuntime:
     ) -> None:
         """Physically write a cap set, all nodes or none.
 
-        Each node's tuple goes through the verified write path; on
-        :class:`~repro.errors.ActuationError` every node written so far
-        is rolled back to its snapshot (out-of-band, always lands) and
+        One :meth:`~repro.hw.rapl.CapBank.commit` on the cluster's bank:
+        verified writes, and on :class:`~repro.errors.ActuationError`
+        an out-of-band rollback of every node attempted so far before
         the error propagates — the caller's job state is untouched
         because job fields only change after this returns.  ``force``
-        uses the out-of-band path directly (emergency throttle).
+        writes out-of-band directly (emergency throttle).
         """
-        cluster = self._engine.cluster
-        snapshots = []
-        try:
-            for node_id, cap in zip(node_ids, caps):
-                rapl = cluster.node(node_id).rapl
-                snapshots.append((rapl, rapl.snapshot_caps()))
-                if force:
-                    rapl.force_caps(cap)
-                else:
-                    rapl.write_caps_verified(cap)
-        except ActuationError:
-            for rapl, snap in snapshots:
-                rapl.restore_caps(snap)
-            raise
+        self._engine.cluster.cap_bank.commit(node_ids, caps, force=force)
 
     def _recoordinate(
         self,

@@ -3,14 +3,16 @@
 This is the full stand-in for the paper's 8-node Haswell testbed.  It
 owns the :class:`~repro.hw.variability.VariabilityModel`, instantiates
 one :class:`~repro.hw.node.SimulatedNode` per slot with its drawn
-efficiency factor, and exposes the aggregate power-range facts the
-cluster-level allocator needs.
+efficiency factor, binds every node's RAPL registers to one row of a
+:class:`~repro.hw.rapl.CapBank`, and exposes the aggregate power-range
+facts the cluster-level allocator needs.
 """
 
 from __future__ import annotations
 
 from repro.errors import NodeFailureError, SpecError
 from repro.hw.node import SimulatedNode
+from repro.hw.rapl import CapBank
 from repro.hw.specs import ClusterSpec, haswell_testbed, mixed_testbed
 from repro.hw.variability import VariabilityModel
 
@@ -31,6 +33,9 @@ class SimulatedCluster:
                 zip(spec.node_specs, self._variability.factors)
             )
         ]
+        self._cap_bank = CapBank(len(self._nodes))
+        for i, node in enumerate(self._nodes):
+            self._cap_bank.bind(i, node.rapl)
         self._failed: set[int] = set()
 
     @classmethod
@@ -52,6 +57,11 @@ class SimulatedCluster:
     def variability(self) -> VariabilityModel:
         """Per-node efficiency factors."""
         return self._variability
+
+    @property
+    def cap_bank(self) -> CapBank:
+        """Every node's cap registers as arrays, one row per node id."""
+        return self._cap_bank
 
     @property
     def nodes(self) -> tuple[SimulatedNode, ...]:
@@ -80,6 +90,7 @@ class SimulatedCluster:
             efficiency=old.efficiency * factor,
         )
         self._nodes[node_id] = replacement
+        self._cap_bank.bind(node_id, replacement.rapl)
         return replacement
 
     # -- node failure state (fault injection) ---------------------------
@@ -110,6 +121,7 @@ class SimulatedCluster:
         self._nodes[node_id] = SimulatedNode(
             old.spec, node_id=node_id, efficiency=old.efficiency
         )
+        self._cap_bank.bind(node_id, self._nodes[node_id].rapl)
         self._failed.discard(node_id)
         return self._nodes[node_id]
 

@@ -12,7 +12,10 @@ paper caps — ``PKG`` (all packages of a node) and ``DRAM``:
   (active cores, activity factor, desired bandwidth) find the highest
   ladder frequency and memory level that fit under the caps, which is
   how hardware RAPL actually behaves (it lowers the effective frequency
-  until the running average obeys the limit).
+  until the running average obeys the limit);
+* :class:`CapBank` — every node's limit registers as arrays, so a
+  fleet-wide cap set is written with array operations; the two classes
+  above are views over one of its rows.
 
 The simulated counters are exact integrators of the analytic power
 model, so tests can assert energy conservation to float precision.
@@ -21,7 +24,11 @@ model, so tests can assert energy conservation to float precision.
 from __future__ import annotations
 
 import enum
+import itertools
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ActuationError, PowerDomainError
 from repro.hw.actuation import PERFECT_ACTUATION, ActuationPolicy
@@ -29,7 +36,7 @@ from repro.hw.dvfs import FrequencyLadder
 from repro.hw.power import PowerModel
 from repro.units import check_non_negative, check_positive
 
-__all__ = ["Domain", "RaplDomain", "RaplInterface", "OperatingPoint"]
+__all__ = ["Domain", "CapBank", "RaplDomain", "RaplInterface", "OperatingPoint"]
 
 #: Verified-write retry budget: one initial attempt plus this many
 #: re-issues before :class:`~repro.errors.ActuationError` is raised.
@@ -70,6 +77,135 @@ class Domain(enum.Enum):
 CAP_TUPLE_DOMAINS = (Domain.PKG, Domain.DRAM, Domain.GPU)
 
 
+#: Write-path counters of :attr:`RaplInterface.actuation_stats`, in its
+#: key order (``backoff_s``, a float, follows them).
+_COUNTERS = ("writes", "dropped", "partial", "drifted", "verified",
+             "retries", "forced")
+_WRITES, _DROPPED, _PARTIAL, _DRIFTED, _VERIFIED, _RETRIES, _FORCED = range(7)
+#: Bank column of each domain, and the column indices as an array.
+_COLUMN = {d: i for i, d in enumerate(CAP_TUPLE_DOMAINS)}
+_COLUMNS = np.arange(len(CAP_TUPLE_DOMAINS))
+#: An uncapped register: readback ``None``.
+_NAN = float("nan")
+
+
+class CapBank:
+    """The cap registers of a fleet as arrays, one row per node.
+
+    The register-file view of RAPL, one column per
+    :data:`CAP_TUPLE_DOMAINS` entry: programmed (``cap_w``) and
+    enforced limits (NaN where uncapped or absent), domain maxima,
+    each row's domain count, the write-path counters and a ``faulty``
+    mask of rows whose policy is not
+    :data:`~repro.hw.actuation.PERFECT_ACTUATION`.
+    :class:`RaplInterface` and :class:`RaplDomain` are views over a row.
+
+    The registers and counters live in flat :class:`array.array`
+    buffers, which the per-node views index at Python speed; the
+    public attributes are NumPy arrays over the same memory, for
+    whole-fleet operations.
+    """
+
+    _FIELDS = ("cap_w", "enforced_w", "max_w", "n_domains", "counts",
+               "backoff_s", "faulty")
+
+    def __init__(self, n_rows: int):
+        width = len(CAP_TUPLE_DOMAINS)
+        self._cap = array("d", [_NAN]) * (n_rows * width)
+        self._enforced = array("d", [_NAN]) * (n_rows * width)
+        self._max = array("d", [0.0]) * (n_rows * width)
+        self._counts = array("q", [0]) * (n_rows * len(_COUNTERS))
+        self._backoff = array("d", [0.0]) * n_rows
+        self.cap_w = np.frombuffer(self._cap).reshape(n_rows, width)
+        self.enforced_w = np.frombuffer(self._enforced).reshape(n_rows, width)
+        self.max_w = np.frombuffer(self._max).reshape(n_rows, width)
+        self.counts = np.frombuffer(self._counts, dtype=np.int64).reshape(n_rows, -1)
+        self.backoff_s = np.frombuffer(self._backoff)
+        self.n_domains = np.zeros(n_rows, dtype=np.intp)
+        self.faulty = np.zeros(n_rows, dtype=bool)
+        self._views: list[RaplInterface | None] = [None] * n_rows
+
+    def bind(self, row: int, rapl: "RaplInterface") -> None:
+        """Make *rapl* the view of *row*, carrying its state in; the
+        node it replaces keeps its state in a bank of its own."""
+        old = self._views[row]
+        if old is not None and old is not rapl:
+            old._move(CapBank(1), 0)
+        rapl._move(self, row)
+        self._views[row] = rapl
+
+    def commit(self, rows, caps, force: bool = False) -> None:
+        """Write one cap tuple per row, every row or none.
+
+        Arity and values are checked before any write.  Perfect rows
+        take one assignment, verified by one readback compare; faulty
+        rows go through :meth:`RaplInterface.write_caps_verified` in row
+        order, so their fault draws are a per-node loop's.  When the
+        faulty row at position *k* raises
+        :class:`~repro.errors.ActuationError`, rows ``0..k`` — the
+        attempted prefix — are restored out-of-band from a snapshot
+        copy.  ``force`` assigns every row out-of-band.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        flat, n_domains = self._checked(rows, caps)
+        faulty = [] if force else np.flatnonzero(self.faulty[rows]).tolist()
+        if force or len(faulty) < rows.size:  # some row takes the array write
+            values = np.full((rows.size, len(CAP_TUPLE_DOMAINS)), np.nan)
+            values[_COLUMNS < n_domains[:, None]] = flat
+        if force:
+            self._assign(rows, values)
+            self.counts[rows, _FORCED] += n_domains
+            return
+        saved = (self.cap_w[rows], self.enforced_w[rows]) if faulty else None
+        start = 0
+        try:
+            for pos in faulty + [rows.size]:
+                if pos > start:
+                    self._write_perfect(rows[start:pos], values[start:pos])
+                start = pos + 1
+                if pos < rows.size:
+                    self._views[rows[pos]].write_caps_verified(caps[pos])
+        except ActuationError:
+            self._assign(rows[:start], *(s[:start] for s in saved))
+            self.counts[rows[:start], _FORCED] += n_domains[:start]
+            raise
+
+    def _checked(self, rows: np.ndarray, caps) -> tuple[np.ndarray, np.ndarray]:
+        """The caps' values, flat, and each row's domain count, after
+        checking one tuple per distinct row, arity and values."""
+        ids = rows.tolist()
+        if len(caps) != len(ids) or len(set(ids)) != len(ids) or (
+            ids and not 0 <= min(ids) <= max(ids) < len(self._views)
+        ):
+            raise ValueError("a cap set needs one tuple per distinct row")
+        n_domains = self.n_domains[rows]
+        arity = list(map(len, caps))
+        if arity != n_domains.tolist():
+            i = next(i for i, k in enumerate(arity) if k != n_domains[i])
+            raise PowerDomainError(
+                f"node {ids[i]}: {arity[i]} cap values for its "
+                f"{n_domains[i]} power domains"
+            )
+        flat = np.fromiter(itertools.chain.from_iterable(caps), float)
+        if flat.size and not 0 <= flat.min() <= flat.max() < np.inf:
+            # NaN (a None cap among them), negative or infinite
+            bad = flat[~np.isfinite(flat) | (flat < 0)]
+            check_non_negative(float(bad[0]), "cap")
+        return flat, n_domains
+
+    def _assign(self, rows: np.ndarray, cap_w: np.ndarray, enforced_w=None) -> None:
+        self.cap_w[rows] = cap_w
+        self.enforced_w[rows] = cap_w if enforced_w is None else enforced_w
+
+    def _write_perfect(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Every write lands under perfect actuation, so one assignment
+        and one readback compare stand in for per-domain round-trips."""
+        self._assign(rows, values)
+        landed = np.abs(self.cap_w[rows] - values) <= CAP_READBACK_TOLERANCE_W
+        self.counts[rows, _WRITES] += self.n_domains[rows]
+        self.counts[rows, _VERIFIED] += landed.sum(axis=1)
+
+
 class RaplDomain:
     """One power domain: an energy counter plus a power limit.
 
@@ -78,17 +214,36 @@ class RaplDomain:
     value is what the silicon actually honours.  Under perfect
     actuation the two are identical; a drifted write makes them
     diverge, which is exactly the failure mode readback verification
-    cannot see.
+    cannot see.  Both live in a :class:`CapBank` row (a bank of its own
+    for a domain built standalone); the energy and throttle counters
+    live here.
     """
 
     def __init__(self, domain: Domain, max_power_w: float):
+        bank = CapBank(1)
+        bank.max_w[0, _COLUMN[domain]] = check_positive(
+            max_power_w, "max_power_w"
+        )
+        self._setup(domain, bank)
+
+    @classmethod
+    def _view(cls, domain: Domain, bank: CapBank) -> "RaplDomain":
+        reg = cls.__new__(cls)
+        reg._setup(domain, bank)
+        return reg
+
+    def _setup(self, domain: Domain, bank: CapBank) -> None:
         self._domain = domain
-        self._max_power_w = check_positive(max_power_w, "max_power_w")
-        self._cap_w: float | None = None
-        self._enforced_w: float | None = None
+        self._col = _COLUMN[domain]
+        self._bind(bank, 0)
         self._raw_energy = 0  # register value, wraps at ENERGY_WRAP
         self._total_energy_j = 0.0  # unwrapped, for tests/metrics
         self._throttle_events = 0
+
+    def _bind(self, bank: CapBank, row: int) -> None:
+        # the row's registers, at their flat buffer position
+        self._cap, self._enforced, self._max = bank._cap, bank._enforced, bank._max
+        self._at = row * len(CAP_TUPLE_DOMAINS) + self._col
 
     @property
     def domain(self) -> Domain:
@@ -98,24 +253,28 @@ class RaplDomain:
     @property
     def cap_w(self) -> float | None:
         """Programmed power limit (readback value), ``None`` if uncapped."""
-        return self._cap_w
+        value = self._cap[self._at]
+        return None if value != value else value
 
     @property
     def enforced_w(self) -> float | None:
         """Limit the silicon honours; differs from ``cap_w`` under drift."""
-        return self._enforced_w
+        value = self._enforced[self._at]
+        return None if value != value else value
 
     @property
     def effective_cap_w(self) -> float:
         """Cap actually enforced: the limit, clipped to the domain max."""
-        return self.clip(self._enforced_w)
+        limit_w, max_w = self._enforced[self._at], self._max[self._at]
+        return max_w if limit_w != limit_w else min(limit_w, max_w)
 
     def clip(self, limit_w: float | None) -> float:
         """A limit as the silicon honours it: ``None`` is the domain
         max, anything else is clipped to it."""
+        max_w = self._max[self._at]
         if limit_w is None:
-            return self._max_power_w
-        return min(float(limit_w), self._max_power_w)
+            return max_w
+        return min(float(limit_w), max_w)
 
     @property
     def throttle_events(self) -> int:
@@ -130,10 +289,7 @@ class RaplDomain:
         which routes through the node's policy and may call
         :meth:`program` with diverging values instead.
         """
-        if watts is not None:
-            check_non_negative(watts, "cap")
-        self._cap_w = watts
-        self._enforced_w = watts
+        self.program(watts, watts)
 
     def program(self, readback_w: float | None, enforced_w: float | None) -> None:
         """Set the programmed (readback) and enforced limits separately."""
@@ -141,8 +297,9 @@ class RaplDomain:
             check_non_negative(readback_w, "cap")
         if enforced_w is not None:
             check_non_negative(enforced_w, "enforced cap")
-        self._cap_w = readback_w
-        self._enforced_w = enforced_w
+        at = self._at
+        self._cap[at] = _NAN if readback_w is None else readback_w
+        self._enforced[at] = _NAN if enforced_w is None else enforced_w
 
     def read_energy_register(self) -> int:
         """Raw energy-status register (wraps like the hardware MSR)."""
@@ -244,34 +401,42 @@ class RaplInterface:
         actuation: ActuationPolicy | None = None,
     ):
         self._model = power_model
-        self._actuation = actuation if actuation is not None else PERFECT_ACTUATION
-        self._stats = {
-            "writes": 0,
-            "dropped": 0,
-            "partial": 0,
-            "drifted": 0,
-            "verified": 0,
-            "retries": 0,
-            "forced": 0,
-            "backoff_s": 0.0,
-        }
         node = power_model.node
         self._ladder = FrequencyLadder.from_socket(node.socket)
         # Factory defaults: PL1 = TDP per package; DRAM limited only by
         # its own peak draw.  Turbo above TDP is therefore only
         # reachable when few cores are active, as on real parts.
-        self._domains = {
-            Domain.PKG: RaplDomain(Domain.PKG, node.n_sockets * node.socket.tdp_w),
-            Domain.DRAM: RaplDomain(Domain.DRAM, node.p_mem_max_w),
+        maxima = {
+            Domain.PKG: node.n_sockets * node.socket.tdp_w,
+            Domain.DRAM: node.p_mem_max_w,
         }
         # The GPU domain exists only on accelerator-bearing nodes, so
         # CPU-only interfaces keep exactly the legacy PKG/DRAM pair.
         self._gpu_ladder: FrequencyLadder | None = None
         if node.has_gpu:
-            self._domains[Domain.GPU] = RaplDomain(
-                Domain.GPU, node.p_gpu_max_w
-            )
+            maxima[Domain.GPU] = node.p_gpu_max_w
             self._gpu_ladder = FrequencyLadder.from_gpu(node.gpu)
+        # A bank of its own until a cluster binds this node to a row of
+        # the fleet's bank (:meth:`CapBank.bind`).
+        self._bank, self._row = CapBank(1), 0
+        self._counts, self._counts_at = self._bank._counts, 0
+        self._domains = {d: RaplDomain._view(d, self._bank) for d in maxima}
+        for d, max_w in maxima.items():
+            self._bank.max_w[0, _COLUMN[d]] = check_positive(max_w, "max_power_w")
+        self._bank.n_domains[0] = len(maxima)
+        self.actuation = actuation if actuation is not None else PERFECT_ACTUATION
+
+    def _move(self, bank: CapBank, row: int) -> None:
+        """Carry this node's row into *row* of *bank* and view it there."""
+        for name in CapBank._FIELDS:
+            getattr(bank, name)[row] = getattr(self._bank, name)[self._row]
+        self._bank, self._row = bank, row
+        self._counts, self._counts_at = bank._counts, row * len(_COUNTERS)
+        for reg in self._domains.values():
+            reg._bind(bank, row)
+
+    def _count(self, counter: int, n: int = 1) -> None:
+        self._counts[self._counts_at + counter] += n
 
     @property
     def model(self) -> PowerModel:
@@ -304,19 +469,23 @@ class RaplInterface:
     @actuation.setter
     def actuation(self, policy: ActuationPolicy) -> None:
         self._actuation = policy
+        self._bank.faulty[self._row] = policy is not PERFECT_ACTUATION
 
     @property
     def actuation_stats(self) -> dict[str, float]:
         """Write-path counters: writes, drops, partials, drifts, retries,
         verified writes, forced (out-of-band) writes, and the total
         simulated backoff the retry schedule accumulated."""
-        return dict(self._stats)
+        at = self._counts_at
+        stats = dict(zip(_COUNTERS, self._counts[at:at + len(_COUNTERS)]))
+        stats["backoff_s"] = self._bank._backoff[self._row]
+        return stats
 
     def reset_actuation(self) -> None:
         """Restore perfect actuation and zero the write-path counters."""
-        self._actuation = PERFECT_ACTUATION
-        for key in self._stats:
-            self._stats[key] = 0.0 if key == "backoff_s" else 0
+        self.actuation = PERFECT_ACTUATION
+        self._bank.counts[self._row] = 0
+        self._bank.backoff_s[self._row] = 0.0
 
     def set_cap(self, domain: Domain, watts: float | None) -> bool:
         """Program a domain power limit through the actuation policy.
@@ -328,28 +497,31 @@ class RaplInterface:
         retry.  A *drifted* write returns ``True``: its readback is
         correct by construction, only the enforcement is wrong.
         """
-        reg = self.domain(domain)
+        return self._set(self.domain(domain), watts)
+
+    def _set(self, reg: RaplDomain, watts: float | None) -> bool:
         if watts is None:
             reg.set_cap(None)
             return True
         requested = float(watts)
         check_non_negative(requested, "cap")
-        self._stats["writes"] += 1
+        counts, at = self._counts, self._counts_at
+        counts[at + _WRITES] += 1
         result = self._actuation.apply(
-            domain.value, requested, reg.effective_cap_w
+            reg.domain.value, requested, reg.effective_cap_w
         )
         if result.kind == "drop":
-            self._stats["dropped"] += 1
+            counts[at + _DROPPED] += 1
             return False
         if result.kind == "partial":
-            self._stats["partial"] += 1
+            counts[at + _PARTIAL] += 1
             reg.program(result.enforced_w, result.enforced_w)
             return False
         if result.kind == "drift":
-            self._stats["drifted"] += 1
+            counts[at + _DRIFTED] += 1
             reg.program(requested, result.enforced_w)
             return True
-        reg.set_cap(requested)
+        reg.program(requested, requested)
         return True
 
     def set_cap_verified(
@@ -371,7 +543,7 @@ class RaplInterface:
         backoff_s = CAP_BACKOFF_INITIAL_S
         reg = self.domain(domain)
         for attempt in range(1 + max_retries):
-            self.set_cap(domain, watts)
+            self._set(reg, watts)
             read = reg.cap_w
             if watts is None:
                 landed = read is None
@@ -381,12 +553,13 @@ class RaplInterface:
                     and abs(read - float(watts)) <= CAP_READBACK_TOLERANCE_W
                 )
             if landed:
-                self._stats["verified"] += 1
-                self._stats["retries"] += attempt
+                self._count(_VERIFIED)
+                if attempt:
+                    self._count(_RETRIES, attempt)
                 return attempt
-            self._stats["backoff_s"] += backoff_s
+            self._bank._backoff[self._row] += backoff_s
             backoff_s *= 2.0
-        self._stats["retries"] += max_retries
+        self._count(_RETRIES, max_retries)
         raise ActuationError(
             f"{domain.value} cap write of "
             f"{'None' if watts is None else f'{float(watts):.3f} W'} failed "
@@ -406,8 +579,11 @@ class RaplInterface:
         positionally onto :data:`CAP_TUPLE_DOMAINS`.  Returns total
         retries across the tuple; raises
         :class:`~repro.errors.ActuationError` as soon as one domain
-        exhausts its budget (caller is responsible for rollback).
+        exhausts its budget (caller is responsible for rollback), and
+        :class:`PowerDomainError`, before any write, for a tuple whose
+        length is not the node's domain count.
         """
+        self._check_arity(caps_w)
         retries = 0
         for dom, watts in zip(CAP_TUPLE_DOMAINS, caps_w):
             retries += self.set_cap_verified(dom, watts, max_retries=max_retries)
@@ -419,11 +595,20 @@ class RaplInterface:
         Models the BMC/service-processor path real clusters fall back
         to when the in-band write path is wedged: slower, but it always
         lands.  Used for transactional rollback and for the watchdog's
-        emergency throttle.
+        emergency throttle.  Checks the arity as
+        :meth:`write_caps_verified` does.
         """
+        self._check_arity(caps_w)
         for dom, watts in zip(CAP_TUPLE_DOMAINS, caps_w):
             self.domain(dom).set_cap(None if watts is None else float(watts))
-            self._stats["forced"] += 1
+            self._count(_FORCED)
+
+    def _check_arity(self, caps_w) -> None:
+        if len(caps_w) != len(self._domains):
+            raise PowerDomainError(
+                f"{len(caps_w)} cap values for the node's "
+                f"{len(self._domains)} power domains"
+            )
 
     def snapshot_caps(self) -> dict[str, tuple[float | None, float | None]]:
         """Capture every domain's (programmed, enforced) limit pair."""
@@ -438,7 +623,7 @@ class RaplInterface:
         """Out-of-band restore of a :meth:`snapshot_caps` capture."""
         for name, (readback_w, enforced_w) in snapshot.items():
             self._domains[Domain(name)].program(readback_w, enforced_w)
-            self._stats["forced"] += 1
+            self._count(_FORCED)
 
     def caps(self) -> dict[Domain, float | None]:
         """Currently programmed caps."""

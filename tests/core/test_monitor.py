@@ -24,6 +24,18 @@ class TestAudit:
         assert monitor.n_audits == 1
         assert monitor.n_violations == 0
 
+    def test_ledger_packs_caps_and_unpacks_them_exactly(self, monitor):
+        import numpy as np
+
+        caps = ((150.1, 40.2, 210.3), (0.1 + 0.2, np.float64(1 / 3)), (7, 2.5))
+        audit = monitor.audit("test", "app", 1e6, caps)
+        assert audit.caps == ((150.1, 40.2, 210.3), (0.1 + 0.2, 1 / 3), (7.0, 2.5))
+        assert all(type(c) is float for row in audit.caps for c in row)
+        # 8 bytes a cap plus one arity byte a node, not tuples of floats
+        assert len(audit.packed_caps) == 8 * 7 and audit.cap_arity == bytes((3, 2, 2))
+        assert audit.total_capped_w == sum(sum(row) for row in audit.caps)
+        assert audit == monitor.audit("test", "app", 1e6, caps)
+
     def test_sum_over_budget_flagged(self, monitor):
         audit = monitor.audit("test", "app", 300.0, ((150.0, 40.0), (150.0, 40.0)))
         assert not audit.ok
