@@ -131,7 +131,7 @@ class ClusterAllocator:
         # multi-rack fleets split hierarchically and search
         # rack-decomposed candidates
         self._rack_of = (
-            tuple(int(r) for r in rack_of_slot)
+            tuple(map(int, rack_of_slot))
             if rack_of_slot is not None
             else None
         )
@@ -240,7 +240,7 @@ class ClusterAllocator:
         perf = self._predict_cluster_perf(n_nodes, float(np.mean(budgets)))
         return ClusterAllocation(
             n_nodes=n_nodes,
-            node_budgets_w=tuple(float(b) for b in budgets),
+            node_budgets_w=tuple(budgets.tolist()),
             node_lo_w=lo,
             node_hi_w=hi,
             predicted_cluster_perf=perf,

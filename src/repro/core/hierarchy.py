@@ -11,9 +11,12 @@ the cluster budget is divided across racks proportionally to each
 rack's aggregate power capacity (the sum of its slots' acceptable
 ceilings), clamped into ``[sum(lo), sum(hi)]`` per rack by the
 node level's own clamp-and-redistribute step
-(:func:`~repro.core.coordination.clamp_to_ranges`), then each rack's
-share is handed to :func:`~repro.core.coordination.coordinate_power`
-for the variability-aware intra-rack split.  Both levels are auditable: the
+(:func:`~repro.core.coordination.clamp_to_ranges`), then every rack's
+share is split over its nodes in one segmented pass
+(:func:`~repro.core.coordination.coordinate_segments`: each rack split
+exactly as :func:`~repro.core.coordination.coordinate_power` would
+split it alone, the racks of one width solved as the rows of one
+array).  Both levels are auditable: the
 returned :class:`RackBudget` records carry the rack shares so
 :class:`~repro.core.monitor.BudgetInvariantMonitor` can check
 ``sum(rack budgets) <= cluster budget`` and, per rack,
@@ -22,7 +25,7 @@ returned :class:`RackBudget` records carry the rack shares so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,20 +33,26 @@ from repro.core.coordination import (
     VARIABILITY_THRESHOLD,
     clamp_to_ranges,
     coordinate_power,
+    coordinate_segments,
+    segment_sums,
 )
 from repro.errors import SchedulingError
 
-__all__ = ["RackBudget", "split_cluster_budget"]
+# ``coordinate_power``, the one-rack split, stays importable from here
+# for callers and tracers that patch it module by module
+__all__ = ["RackBudget", "coordinate_power", "split_cluster_budget"]
 
 
-@dataclass(frozen=True)
-class RackBudget:
+class RackBudget(NamedTuple):
     """One rack's share of the cluster budget.
 
     ``budget_w`` is the share assigned by the cluster-level split;
     ``allocated_w`` is what the intra-rack coordination actually handed
     out (at most ``budget_w``).  ``lo_w`` / ``hi_w`` are the rack's
     aggregate floor and ceiling (sums over its participating slots).
+    An immutable named tuple: every 1024-node decision builds 128 of
+    them, and a tuple builds several times faster than a frozen
+    dataclass.
     """
 
     index: int
@@ -160,26 +169,25 @@ def split_cluster_budget(
         total_eff, total_eff * rack_hi / rack_hi.sum(), rack_hi, rack_lo, rack_hi
     )
 
-    # rack → node: the existing variability-aware coordinator per rack
-    budgets = np.empty(n)
-    records = []
-    for k in range(n_present):
-        s, e = int(starts[k]), int(starts[k] + sizes[k])
-        rack_nodes = coordinate_power(
-            float(shares[k]), factors[s:e], lo[s:e], hi[s:e], threshold
+    # rack → node: every rack's variability-aware split in one pass
+    budgets = coordinate_segments(shares, factors, lo, hi, sizes, threshold)
+    allocated = segment_sums(budgets, sizes).tolist()
+    names = (
+        [f"rack{r}" for r in present.tolist()]
+        if rack_names is None
+        else [rack_names[r] for r in present.tolist()]
+    )
+    records = tuple(
+        map(
+            RackBudget,
+            present.tolist(),
+            names,
+            starts.tolist(),
+            sizes.tolist(),
+            shares.tolist(),
+            allocated,
+            rack_lo.tolist(),
+            rack_hi.tolist(),
         )
-        budgets[s:e] = rack_nodes
-        r = int(present[k])
-        records.append(
-            RackBudget(
-                index=r,
-                name=rack_names[r] if rack_names is not None else f"rack{r}",
-                start_slot=s,
-                n_nodes=int(sizes[k]),
-                budget_w=float(shares[k]),
-                allocated_w=float(rack_nodes.sum()),
-                lo_w=float(rack_lo[k]),
-                hi_w=float(rack_hi[k]),
-            )
-        )
-    return budgets, tuple(records)
+    )
+    return budgets, records

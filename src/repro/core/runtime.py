@@ -72,7 +72,7 @@ from repro.core.coordination import (
 )
 from repro.core.journal import RuntimeJournal
 from repro.core.monitor import BudgetInvariantMonitor
-from repro.core.recommend import Recommender
+from repro.core.pipeline import ModelBundle, split_per_class
 from repro.core.scheduler import ClipScheduler
 from repro.errors import (
     ActuationError,
@@ -237,9 +237,14 @@ class PowerBoundedRuntime:
 
     # ------------------------------------------------------------------
 
-    def _models(self, app: WorkloadCharacteristics) -> Recommender:
-        """The app's fitted recommendation engine (shared bundle cache)."""
-        return self._scheduler.pipeline.bundle_for(app).recommender
+    def _models(self, app: WorkloadCharacteristics) -> ModelBundle:
+        """The app's fitted model bundle (shared bundle cache).
+
+        Resolved once per launch or re-coordination: the bundle carries
+        the knowledge entry the other hardware classes' models are
+        fitted from, so a refit between two calls is seen by the next.
+        """
+        return self._scheduler.pipeline.bundle_for(app)
 
     def launch(
         self,
@@ -274,9 +279,9 @@ class PowerBoundedRuntime:
                 f"{n_nodes} nodes requested but only {len(free)} are free"
             )
         node_ids = free[:n_nodes]
-        recommender = self._models(app)
+        bundle = self._models(app)
         if n_threads is None:
-            n_threads = recommender.unbounded_concurrency()
+            n_threads = bundle.recommender.unbounded_concurrency()
         job = RunningJob(
             app=app,
             n_nodes=n_nodes,
@@ -288,7 +293,7 @@ class PowerBoundedRuntime:
             allow_concurrency_change=allow_concurrency_change,
             allow_shrink=allow_shrink,
         )
-        payload = self._recoordinate(job, recommender, journal_kind=None)
+        payload = self._recoordinate(job, bundle, journal_kind=None)
         self._jobs.append(job)
         payload.update(
             app=_app_to_dict(app),
@@ -358,35 +363,33 @@ class PowerBoundedRuntime:
 
     def _slot_models(
         self,
-        app: WorkloadCharacteristics,
-        recommender: Recommender,
+        bundle: ModelBundle,
         node_ids: tuple[int, ...],
     ) -> tuple[dict, tuple[int, ...]]:
         """Power models of the job's hardware classes, indexed by slot.
 
         Returns ``(models, ranks)``: one fitted power model per class
         the slots use (keyed by class index) and each slot's class.
-        The recommender's model is the slot-0 class's; any other class
-        is resolved once through the pipeline's bundle cache.
+        The bundle's model is the slot-0 class's; any other class is
+        fitted from the bundle's knowledge entry through the pipeline's
+        bundle cache.
         """
         spec = self._engine.cluster.spec
         ranks = tuple(spec.slot_class[i] for i in node_ids)
         models = {}
         for k in set(ranks):
             if k == 0:
-                models[k] = recommender.power_model
+                models[k] = bundle.power_model
             else:
-                pipeline = self._scheduler.pipeline
-                entry = pipeline.ensure_knowledge(app)
-                models[k] = pipeline.class_bundle(
-                    entry, spec.node_classes[k]
+                models[k] = self._scheduler.pipeline.class_bundle(
+                    bundle.entry, spec.node_classes[k]
                 ).power_model
         return models, ranks
 
     def _plan(
         self,
         job: RunningJob,
-        recommender: Recommender,
+        bundle: ModelBundle,
         budget_w: float,
         node_ids: tuple[int, ...],
     ) -> tuple[int, tuple[tuple[float, ...], ...], object, object]:
@@ -398,7 +401,7 @@ class PowerBoundedRuntime:
         class's power model.  The bounds are scalars when every slot
         is of one class and per-rank tuples otherwise.
         """
-        models, ranks = self._slot_models(job.app, recommender, node_ids)
+        models, ranks = self._slot_models(bundle, node_ids)
         n_nodes = len(node_ids)
         n_threads = job.n_threads
 
@@ -417,29 +420,18 @@ class PowerBoundedRuntime:
                     f"floor at the pinned concurrency {n_threads}"
                 )
             # re-recommend threads for the reduced per-node share
-            cfg = recommender.recommend(budget_w / n_nodes)
+            cfg = bundle.recommender.recommend(budget_w / n_nodes)
             n_threads = cfg.n_threads
             lo, hi = bounds_at(n_threads)
         factors = self._factors[list(node_ids)]
         budgets = coordinate_power(
             min(budget_w, _range_total(hi, n_nodes)), factors, lo_w=lo, hi_w=hi
         )
-        # one split per hardware class, scattered back to slots
-        slots = {k: [i for i, r in enumerate(ranks) if r == k] for k in models}
-        try:
-            splits = {
-                k: m.split_node_budgets(budgets[slots[k]], n_threads)
-                for k, m in models.items()
-            }
-        except InfeasibleBudgetError:
-            # name the first rejected slot, whichever class it is of
-            for k, b in zip(ranks, budgets):
-                models[k].split_node_budgets((b,), n_threads)
-            raise
-        caps = [None] * n_nodes
-        for k, split in splits.items():
-            for slot, row in zip(slots[k], split):
-                caps[slot] = row
+        caps = split_per_class(
+            ranks,
+            budgets,
+            lambda k, distinct: models[k].split_node_budgets(distinct, n_threads),
+        )
         return n_threads, tuple(caps), lo, hi
 
     def _commit_caps(
@@ -462,7 +454,7 @@ class PowerBoundedRuntime:
     def _recoordinate(
         self,
         job: RunningJob,
-        recommender: Recommender,
+        bundle: ModelBundle,
         budget_w: float | None = None,
         node_ids: tuple[int, ...] | None = None,
         source: str = "runtime",
@@ -488,7 +480,7 @@ class PowerBoundedRuntime:
         """
         budget = job.budget_w if budget_w is None else budget_w
         ids = job.node_ids if node_ids is None else node_ids
-        n_threads, caps, lo, hi = self._plan(job, recommender, budget, ids)
+        n_threads, caps, lo, hi = self._plan(job, bundle, budget, ids)
         self._commit_caps(ids, caps, force=force)
         if commit_budget:
             job.budget_w = budget
@@ -647,15 +639,15 @@ class PowerBoundedRuntime:
         """
         if job.parked:
             raise NodeFailureError(f"job is parked: {job.park_reason}")
-        recommender = self._models(job.app)
-        models, ranks = self._slot_models(job.app, recommender, job.node_ids)
+        bundle = self._models(job.app)
+        models, ranks = self._slot_models(bundle, job.node_ids)
         floors = {
             k: m.power_range(job.n_threads).node_lo_w for k, m in models.items()
         }
         floor_w = float(sum(floors[k] for k in ranks))
         self._recoordinate(
             job,
-            recommender,
+            bundle,
             budget_w=min(job.budget_w, floor_w),
             source="watchdog.emergency",
             force=True,

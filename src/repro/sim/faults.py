@@ -183,6 +183,7 @@ class FaultInjector:
         self.fired: list[FaultEvent] = []
         # one mutable FaultyActuation / TelemetryFault per touched node,
         # so repeated events compose instead of resetting RNG streams
+        # (until the node is replaced: its successor starts fresh)
         self._actuation: dict[int, FaultyActuation] = {}
         self._telemetry: dict[int, TelemetryFault] = {}
 
@@ -214,19 +215,23 @@ class FaultInjector:
         return tuple(range(self._cluster.n_nodes))
 
     def _node_actuation(self, node_id: int, seed: int) -> FaultyActuation:
+        rapl = self._cluster.node(node_id).rapl
         policy = self._actuation.get(node_id)
-        if policy is None:
+        if policy is None or rapl.actuation is not policy:
+            # first event on this node, or recover/degrade replaced the
+            # node since: the node in service now gets a fresh policy
             policy = FaultyActuation(seed=seed + node_id)
             self._actuation[node_id] = policy
-            self._cluster.node(node_id).rapl.actuation = policy
+            rapl.actuation = policy
         return policy
 
     def _node_telemetry(self, node_id: int, seed: int) -> TelemetryFault:
+        meter = self._cluster.node(node_id).meter
         fault = self._telemetry.get(node_id)
-        if fault is None:
+        if fault is None or meter.telemetry is not fault:
             fault = TelemetryFault(seed=seed + node_id)
             self._telemetry[node_id] = fault
-            self._cluster.node(node_id).meter.telemetry = fault
+            meter.telemetry = fault
         return fault
 
     def _apply(self, event: FaultEvent, runtime) -> None:

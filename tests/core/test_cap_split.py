@@ -74,8 +74,8 @@ def models(mixed_runtime):
                             ("gpu-host-only", "comd", 0),
                             ("cpu", "comd", 4)):
         app = get_app(app)
-        rec = mixed_runtime._models(app)
-        slot_models, ranks = mixed_runtime._slot_models(app, rec, (slot,))
+        bundle = mixed_runtime._models(app)
+        slot_models, ranks = mixed_runtime._slot_models(bundle, (slot,))
         out[kind] = slot_models[ranks[0]]
     return out
 
@@ -132,8 +132,8 @@ class TestPlanRejection:
         runtime = PowerBoundedRuntime(mixed_runtime.scheduler)
         app = get_app("comd")
         job = runtime.launch(app, 4800.0, n_nodes=16)
-        rec = runtime._models(app)
-        slot_models, ranks = runtime._slot_models(app, rec, job.node_ids)
+        bundle = runtime._models(app)
+        slot_models, ranks = runtime._slot_models(bundle, job.node_ids)
         floors = {
             k: m.power_range(job.n_threads).node_lo_w
             for k, m in slot_models.items()
@@ -151,5 +151,5 @@ class TestPlanRejection:
                                job.n_threads)
         assert f"{budgets[first]:.1f} W" in want
         with pytest.raises(InfeasibleBudgetError) as err:
-            runtime._plan(job, rec, 4800.0, job.node_ids)
+            runtime._plan(job, bundle, 4800.0, job.node_ids)
         assert str(err.value) == want

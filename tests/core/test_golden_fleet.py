@@ -3,7 +3,8 @@
 ``golden_decisions_fleet.json`` pins what the 8-node CPU capture does
 not reach: three-domain GPU splits, per-slot class power models, the
 rack hierarchy, and the runtime's re-coordination cap sets over a
-seeded budget-swing sequence on 32-node jobs.
+seeded budget-swing sequence on 32-node jobs, and (by digest) a
+1024-node fleet's decisions, batch and audit ledger.
 """
 
 from __future__ import annotations
@@ -42,3 +43,12 @@ def test_fleet_decisions_match_stored_golden(captured, stored, testbed):
 def test_swing_cap_sets_match_stored_golden(captured, stored, fleet):
     assert captured["swings"][fleet] == stored["swings"][fleet]
     assert stored["swings"][fleet]["audit_violations"] == 0
+
+
+@pytest.mark.parametrize("fleet", ["haswell-racks128"])
+def test_hashed_fleet_decisions_match_stored_golden(captured, stored, fleet):
+    # 1024 nodes: single decisions, a 64-job batch and the ledger they
+    # wrote, pinned by sha256
+    assert captured["hashed"][fleet] == stored["hashed"][fleet]
+    assert stored["hashed"][fleet]["audit_violations"] == 0
+    assert stored["hashed"][fleet]["n_audits"] > 0

@@ -264,3 +264,67 @@ class TestOneClassBounds:
         for live, back in zip(runtime.jobs, restored.jobs):
             assert back.per_node_caps == live.per_node_caps
             assert back.node_ids == live.node_ids
+
+
+class TestModelsResolvedOncePerSwing:
+    """A re-coordination resolves the app's knowledge entry once and
+    fits every hardware class from it; nothing is cached across swings,
+    so a refit between two swings reaches every class."""
+
+    @pytest.fixture()
+    def mixed(self, trained_inflection):
+        from repro.hw.cluster import SimulatedCluster
+
+        engine = ExecutionEngine(SimulatedCluster.mixed_testbed(), seed=42)
+        clip = ClipScheduler(
+            engine, inflection=trained_inflection, knowledge=KnowledgeDB()
+        )
+        return clip, PowerBoundedRuntime(clip)
+
+    def test_one_knowledge_pass_per_swing(self, mixed, monkeypatch):
+        clip, runtime = mixed
+        job = runtime.launch(get_app("comd"), 1500.0, n_nodes=8)
+        assert len({clip.engine.cluster.spec.slot_class[i] for i in job.node_ids}) == 2
+        passes = []
+        pipeline_type = type(clip.pipeline)
+        resolve = pipeline_type._ensure_knowledge_ctx
+
+        def counted(self, ctx, trace):
+            passes.append(ctx.app.name)
+            return resolve(self, ctx, trace)
+
+        monkeypatch.setattr(pipeline_type, "_ensure_knowledge_ctx", counted)
+        runtime.update_budget(job, 1400.0)
+        runtime.recoordinate(job, 1300.0)
+        assert passes == ["comd", "comd"]
+        runtime.monitor.assert_clean()
+
+    def test_refit_between_swings_reaches_every_class(self, mixed):
+        from repro.core.perfmodel import TimeCalibration
+
+        clip, runtime = mixed
+        app = get_app("comd")
+        job = runtime.launch(app, 1500.0, n_nodes=8)
+        pipeline = clip.pipeline
+        before, ranks = runtime._slot_models(runtime._models(app), job.node_ids)
+        refitted = pipeline.ensure_knowledge(app).with_refit(
+            TimeCalibration(seg1_scale=1.5, seg2_scale=1.5, n_observations=3)
+        )
+        pipeline.knowledge.put(refitted)
+        used = []
+        slot_models = runtime._slot_models
+
+        def spy(bundle, node_ids):
+            used.append(bundle)
+            return slot_models(bundle, node_ids)
+
+        runtime._slot_models = spy
+        runtime.update_budget(job, 1400.0)
+        (bundle,) = used
+        assert bundle.entry is refitted
+        after, _ = slot_models(bundle, job.node_ids)
+        for k in set(ranks):
+            assert after[k] is not before[k]
+            spec = pipeline.node_specs[ranks.index(k)]
+            assert after[k] is pipeline.class_bundle(refitted, spec).power_model
+        runtime.monitor.assert_clean()

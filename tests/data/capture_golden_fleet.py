@@ -6,7 +6,12 @@ over a seeded ``update_budget`` swing sequence on 32-node jobs.  These
 exercise what the 8-node CPU capture (``golden_decisions_testbeds.json``)
 never reaches: three-domain GPU splits, per-slot class models, the
 rack hierarchy and its audits, and the runtime's re-coordination
-splits.  Run from the repo root:
+splits.  At 1024 nodes (``haswell-racks128``, the fleet clipbench's
+decide-fleet workload decides on) the capture keeps sha256 digests
+instead of the decisions themselves: one per single decision, one for
+a 64-job ``schedule_many`` batch, and one for the monitor ledger those
+decisions wrote (every record's source, budget, packed caps, arities,
+bounds and violations, in order).  Run from the repo root:
 
     PYTHONPATH=src python tests/data/capture_golden_fleet.py
 
@@ -16,6 +21,7 @@ behaviour change moves the decisions.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -47,6 +53,15 @@ SWINGS = {
 }
 SWING_SEED = 2017
 N_SWINGS = 16
+
+#: 1024-node fleets pinned by digest: decide-fleet's apps and budgets
+#: (0.6–1.3x 150 W a node) plus one seeded 64-job batch.
+HASHED = {"haswell-racks128": lambda: haswell_testbed(racks=128)}
+HASHED_PER_NODE_W = 150.0
+HASHED_FACTORS = (0.6, 0.8, 1.0, 1.2, 1.3)
+BATCH_SIZE = 64
+BATCH_SEED = 2024
+BATCH_FACTOR = 0.9
 
 
 def _scheduler(spec) -> ClipScheduler:
@@ -105,6 +120,58 @@ def _swing(factory, app_name: str) -> dict:
     }
 
 
+def _digest(payload) -> str:
+    """sha256 of *payload*'s canonical JSON."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _ledger_digest(audits) -> str:
+    """sha256 over every ledger record, in the order they were written."""
+    h = hashlib.sha256()
+    for a in audits:
+        record = [a.source, a.app_name, a.cluster_budget_w,
+                  a.packed_caps.hex(), a.cap_arity.hex(),
+                  list(a.node_lo_w) if isinstance(a.node_lo_w, tuple) else a.node_lo_w,
+                  list(a.node_hi_w) if isinstance(a.node_hi_w, tuple) else a.node_hi_w,
+                  list(a.violations)]
+        h.update(json.dumps(record, separators=(",", ":")).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _hashed(factory) -> dict:
+    """Digests of 1024-node decisions, one batch and their ledger."""
+    clip = _scheduler(factory())
+    n_nodes = clip.engine.cluster.n_nodes
+    base = HASHED_PER_NODE_W * n_nodes
+    decisions: dict = {}
+    for app_name in APPS:
+        for f in HASHED_FACTORS:
+            budget = round(base * f, 1)
+            key = f"{app_name}@{budget:.0f}"
+            try:
+                d = clip.schedule(get_app(app_name), budget)
+            except ClipError as exc:
+                decisions[key] = {"error": type(exc).__name__}
+                continue
+            decisions[key] = _digest(d.to_dict())
+    rng = random.Random(BATCH_SEED)
+    mix = [APPS[i % len(APPS)] for i in range(BATCH_SIZE)]
+    rng.shuffle(mix)
+    batch = clip.schedule_many(
+        [get_app(a) for a in mix], round(base * BATCH_FACTOR, 1)
+    )
+    return {
+        "n_nodes": n_nodes,
+        "decisions": decisions,
+        "batch": _digest([d.to_dict() for d in batch]),
+        "ledger": _ledger_digest(clip.monitor.audits),
+        "n_audits": clip.monitor.n_audits,
+        "audit_violations": clip.monitor.n_violations,
+    }
+
+
 def capture() -> dict:
     return {
         "per_node_budgets": list(PER_NODE_BUDGETS),
@@ -116,6 +183,7 @@ def capture() -> dict:
             name: _swing(factory, app)
             for name, (factory, app) in SWINGS.items()
         },
+        "hashed": {name: _hashed(factory) for name, factory in HASHED.items()},
     }
 
 

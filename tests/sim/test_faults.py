@@ -10,6 +10,7 @@ from repro.errors import (
     SchedulingError,
     SpecError,
 )
+from repro.hw.actuation import PERFECT_ACTUATION
 from repro.hw.rapl import Domain
 from repro.sim.engine import ExecutionConfig
 from repro.sim.faults import FaultEvent, FaultInjector
@@ -247,6 +248,61 @@ class TestEnforcementFaultEvents:
         injector.advance_to(0.0)
         cluster.reset()
         assert cluster.node(0).rapl.set_cap(Domain.PKG, 100.0) is True
+
+    def test_cap_faults_reach_a_node_replaced_by_recovery(self, cluster):
+        injector = FaultInjector(
+            cluster,
+            [
+                FaultEvent(at_s=0.0, action="cap_write_fail", node_id=1,
+                           factor=1.0, seed=9),
+                FaultEvent(at_s=1.0, action="fail_node", node_id=1),
+                FaultEvent(at_s=2.0, action="recover_node", node_id=1),
+                FaultEvent(at_s=3.0, action="cap_write_fail", node_id=1,
+                           factor=1.0, seed=9),
+                FaultEvent(at_s=4.0, action="degrade_node", node_id=1,
+                           factor=1.1),
+                FaultEvent(at_s=5.0, action="cap_drift", node_id=1,
+                           factor=0.25, seed=9),
+            ],
+        )
+        injector.advance_to(2.0)
+        # the recovered node is a fresh one: perfect until the next event
+        assert cluster.node(1).rapl.set_cap(Domain.PKG, 100.0) is True
+        injector.advance_to(3.0)
+        rapl = cluster.node(1).rapl
+        assert rapl.actuation is not PERFECT_ACTUATION
+        assert cluster.cap_bank.faulty[1]
+        assert rapl.set_cap(Domain.PKG, 100.0) is False
+        injector.advance_to(5.0)
+        # degrading replaced the node again; the drift lands on the new one
+        rapl = cluster.node(1).rapl
+        assert rapl.actuation.drift_frac == 0.25
+        assert rapl.actuation.drop_prob == 0.0
+        rapl.set_cap(Domain.PKG, 100.0)
+        assert rapl.domain(Domain.PKG).enforced_w == pytest.approx(125.0)
+
+    def test_sensor_faults_reach_a_node_replaced_by_recovery(self, cluster):
+        injector = FaultInjector(
+            cluster,
+            [
+                FaultEvent(at_s=0.0, action="sensor_noise", node_id=1,
+                           factor=0.1, seed=4),
+                FaultEvent(at_s=1.0, action="fail_node", node_id=1),
+                FaultEvent(at_s=2.0, action="recover_node", node_id=1),
+                FaultEvent(at_s=3.0, action="sensor_stale", node_id=1,
+                           factor=2, seed=4),
+            ],
+        )
+        injector.advance_to(2.0)
+        assert cluster.node(1).meter.telemetry is None
+        injector.advance_to(3.0)
+        fault = cluster.node(1).meter.telemetry
+        assert fault is not None
+        # a fresh fault: the stale read, without the noise of the
+        # replaced node's fault
+        assert fault.noise_frac == 0.0
+        assert fault.corrupt(100.0) == pytest.approx(100.0)
+        assert fault.corrupt(50.0) == pytest.approx(100.0)
 
     def test_crash_records_itself_before_raising(self, cluster):
         injector = FaultInjector(
