@@ -3,16 +3,12 @@
 from repro.analysis.metrics import (
     geometric_mean,
     improvement_over,
-    relative_performance,
 )
 from repro.analysis.tables import render_table
 from repro.analysis.report import REPORT_SECTIONS, assemble_report
 from repro.analysis.traces import (
     CapViolation,
     audit_cap_violations,
-    cluster_trace_csv,
-    samples_to_csv,
-    summarize_run,
 )
 from repro.analysis.experiments import (
     ClipSchedulerAdapter,
@@ -26,7 +22,6 @@ from repro.analysis.experiments import (
 __all__ = [
     "geometric_mean",
     "improvement_over",
-    "relative_performance",
     "render_table",
     "ClipSchedulerAdapter",
     "ComparisonCell",
@@ -36,9 +31,6 @@ __all__ = [
     "make_schedulers",
     "CapViolation",
     "audit_cap_violations",
-    "cluster_trace_csv",
-    "samples_to_csv",
-    "summarize_run",
     "REPORT_SECTIONS",
     "assemble_report",
 ]

@@ -2,8 +2,7 @@
 
 The paper reports *relative performance*: each method's throughput
 normalized "based on the All-In method without a power bound"
-(§V-C).  These helpers compute that and the aggregate improvement
-statistics behind the headline claims (">20 % on average", "up to 60 %
+(§V-C).  These helpers compute the aggregate improvement statistics behind the headline claims (">20 % on average", "up to 60 %
 for parabolic applications").
 """
 
@@ -13,14 +12,7 @@ import numpy as np
 
 from repro.errors import ClipError
 
-__all__ = ["relative_performance", "improvement_over", "geometric_mean"]
-
-
-def relative_performance(perf: float, reference_perf: float) -> float:
-    """Throughput normalized to the unbounded All-In reference."""
-    if reference_perf <= 0:
-        raise ClipError("reference performance must be > 0")
-    return perf / reference_perf
+__all__ = ["improvement_over", "geometric_mean"]
 
 
 def improvement_over(perf: float, baseline_perf: float) -> float:

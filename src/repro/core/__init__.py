@@ -40,7 +40,6 @@ from repro.core.pipeline import (
     ModelBundleCache,
 )
 from repro.core.scheduler import ClipScheduler, SchedulingDecision
-from repro.core.execution import ApplicationExecutionModule
 from repro.core.runtime import PowerBoundedRuntime, RunningJob, SegmentRecord
 from repro.core.multijob import JobPlacement, MultiJobCoordinator
 from repro.core.jobqueue import CompletedJob, PowerBoundedJobQueue, QueueReport
@@ -67,7 +66,6 @@ __all__ = [
     "ModelBundleCache",
     "ClipScheduler",
     "SchedulingDecision",
-    "ApplicationExecutionModule",
     "PowerBoundedRuntime",
     "RunningJob",
     "SegmentRecord",

@@ -74,7 +74,7 @@ def measure_node_factors(engine: ExecutionEngine, n_threads: int | None = None) 
     within-class silicon spread is manufacturing variability.
 
     The per-node kernels are scored in **one what-if call**
-    (:meth:`ExecutionEngine.evaluate_many`; an array program on any
+    (:meth:`ExecutionEngine.evaluate_many`; an array program on a CPU
     fleet above :data:`~repro.sim.batch.FLOAT_PATH_MAX_CELLS`
     available nodes), and the resulting factors
     are cached on the engine keyed by the cluster fingerprint (specs,

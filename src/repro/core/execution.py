@@ -1,72 +1,19 @@
-"""The Application Execution Module (§IV-B.3).
+"""The Application Execution Module's launch script (§IV-B.3).
 
-The user-facing entry point of the framework: takes a program, checks
-the knowledge database, triggers smart profiling on a miss, asks the
-recommendation pipeline for a configuration, and "creates a script to
-launch the job with the execution configuration on a power-bounded
-multicore cluster through our job scheduler".
-
-On the simulated testbed the "launch" is an engine run; the launch
-script is still rendered (mpirun + OMP environment + RAPL cap
-commands) so users can see exactly what the real framework would have
-executed.
+The framework "creates a script to launch the job with the execution
+configuration on a power-bounded multicore cluster through our job
+scheduler".  On the simulated testbed the launch is an engine run
+(:meth:`~repro.sim.engine.ExecutionEngine.run`); the launch script is
+still rendered (mpirun + OMP environment + RAPL cap commands) so users
+can see exactly what the real framework would have executed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.scheduler import ClipScheduler, SchedulingDecision
-from repro.sim.trace import RunResult
+from repro.core.scheduler import SchedulingDecision
 from repro.workloads.characteristics import WorkloadCharacteristics
 
-__all__ = ["LaunchPlan", "ApplicationExecutionModule"]
-
-
-@dataclass(frozen=True)
-class LaunchPlan:
-    """A decision rendered as the job launch the real framework emits."""
-
-    decision: SchedulingDecision
-    script: str
-
-
-class ApplicationExecutionModule:
-    """User interface: program in, scheduled (and executed) job out."""
-
-    def __init__(self, scheduler: ClipScheduler):
-        self._scheduler = scheduler
-
-    @property
-    def scheduler(self) -> ClipScheduler:
-        """The underlying CLIP scheduler."""
-        return self._scheduler
-
-    def prepare(
-        self,
-        app: WorkloadCharacteristics,
-        cluster_budget_w: float,
-        **schedule_kwargs,
-    ) -> LaunchPlan:
-        """Schedule the job and render its launch script."""
-        decision = self._scheduler.schedule(
-            app, cluster_budget_w, **schedule_kwargs
-        )
-        return LaunchPlan(decision=decision, script=render_script(app, decision))
-
-    def execute(
-        self,
-        app: WorkloadCharacteristics,
-        cluster_budget_w: float,
-        iterations: int | None = None,
-        **schedule_kwargs,
-    ) -> tuple[LaunchPlan, RunResult]:
-        """Schedule, render, and run the job on the simulated testbed."""
-        plan = self.prepare(app, cluster_budget_w, **schedule_kwargs)
-        result = self._scheduler._engine.run(
-            app, plan.decision.to_execution_config(iterations=iterations)
-        )
-        return plan, result
+__all__ = ["render_script"]
 
 
 def render_script(

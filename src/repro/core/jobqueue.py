@@ -60,16 +60,6 @@ class CompletedJob:
     n_threads: int
     batch: int
 
-    @property
-    def turnaround_s(self) -> float:
-        """Submission-to-completion latency."""
-        return self.finished_at_s - self.submitted_at_s
-
-    @property
-    def wait_s(self) -> float:
-        """Time spent queued before execution started."""
-        return self.started_at_s - self.submitted_at_s
-
 
 @dataclass(frozen=True)
 class QueueReport:
@@ -80,16 +70,6 @@ class QueueReport:
     makespan_s: float
     total_energy_j: float
     watchdog: dict
-
-    @property
-    def mean_turnaround_s(self) -> float:
-        """Average submission-to-completion latency."""
-        return sum(j.turnaround_s for j in self.jobs) / len(self.jobs)
-
-    @property
-    def throughput_jobs_per_hour(self) -> float:
-        """Drained jobs per hour of simulated time."""
-        return len(self.jobs) / self.makespan_s * 3600.0 if self.makespan_s else 0.0
 
 
 class PowerBoundedJobQueue:

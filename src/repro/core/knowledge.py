@@ -17,8 +17,8 @@ for every completed job, with the configuration, budget, testbed
 fingerprint, and outcome flags), a monotone ``model_version`` bumped on
 every refit, and the learned :class:`~repro.core.perfmodel.TimeCalibration`.
 Decision quality is a *derived* per-(app, budget-band, testbed) score
-— :meth:`KnowledgeEntry.quality` computes it from the capped window,
-so it can never drift out of sync with the history it summarizes.
+— :meth:`KnowledgeEntry.quality_cells` computes it from the capped
+window, so it can never drift out of sync with the history it summarizes.
 v1 files load transparently (entries migrate to empty histories);
 unknown future versions are still rejected.
 """
@@ -244,10 +244,6 @@ class KnowledgeEntry:
         )
 
     # -- decision quality ----------------------------------------------
-
-    def quality(self, budget_w: float, testbed: str) -> DecisionQuality:
-        """Decision quality of one (budget-band, testbed) cell."""
-        return self._cell_quality(budget_band(budget_w), testbed)
 
     def quality_cells(self) -> tuple[DecisionQuality, ...]:
         """Every populated quality cell, ordered by (band, testbed)."""

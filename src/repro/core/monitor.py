@@ -41,24 +41,21 @@ AUDIT_TOLERANCE_W = 1e-6
 ARRAY_AUDIT_MIN = 24
 
 
-def _per_rank_bounds(bound, n_ranks: int) -> list[float] | None:
-    """Normalize a scalar-or-sequence bound to one float per rank."""
+def _normalized_bound(bound, n_ranks: int):
+    """One bound converted once, as :class:`CapAudit` stores it: a float
+    (one bound for every rank), a tuple of floats (one per rank), or
+    ``None``.  The scalar checks index the tuple; the array pass reads
+    it without a second conversion."""
     if bound is None:
         return None
     if isinstance(bound, (int, float)):
-        return [float(bound)] * n_ranks
-    seq = [float(b) for b in bound]
-    if len(seq) != n_ranks:
+        return float(bound)
+    per_rank = tuple(map(float, bound))
+    if len(per_rank) != n_ranks:
         raise ValueError(
-            f"per-rank bounds cover {len(seq)} ranks, cap set has {n_ranks}"
+            f"per-rank bounds cover {len(per_rank)} ranks, cap set has {n_ranks}"
         )
-    return seq
-
-
-def _bound_array(bound, seq: list[float]):
-    """A normalized bound for array comparisons: the float itself when
-    one bound serves every rank, else the per-rank array."""
-    return float(bound) if isinstance(bound, (int, float)) else np.asarray(seq)
+    return per_rank
 
 
 def _unpack(packed: bytes, arity: bytes) -> tuple[tuple[float, ...], ...]:
@@ -124,13 +121,6 @@ def _budget_violations(total: float, budget_w: float, slack: float) -> list[str]
             f"{budget_w:.3f} W"
         ]
     return []
-
-
-def _bound_field(bound):
-    """The bound as stored on :class:`CapAudit` (scalar or tuple)."""
-    if bound is None or isinstance(bound, (int, float)):
-        return bound if bound is None else float(bound)
-    return tuple(float(b) for b in bound)
 
 
 class CapAudit(NamedTuple):
@@ -241,8 +231,8 @@ class BudgetInvariantMonitor:
         form, where each slot's class has its own range.  Range checks use a relative tolerance on top of
         *tolerance_w* so legitimate float round-off never flags.
         """
-        lo_seq = _per_rank_bounds(node_lo_w, len(caps))
-        hi_seq = _per_rank_bounds(node_hi_w, len(caps))
+        lo = _normalized_bound(node_lo_w, len(caps))
+        hi = _normalized_bound(node_hi_w, len(caps))
         # each node's total, taken once for both the cluster sum and
         # the range checks; the ledger keeps the caps packed
         arity = bytes(map(len, caps))
@@ -256,10 +246,14 @@ class BudgetInvariantMonitor:
             totals, smallest = _node_totals(packed, arity)
             node_totals = totals.tolist()
             bad = smallest < -tolerance_w
-            if lo_seq is not None:
-                bad |= totals < _bound_array(node_lo_w, lo_seq) - slack
-            if hi_seq is not None:
-                bad |= totals > _bound_array(node_hi_w, hi_seq) + slack
+            lo_cmp, hi_cmp = (
+                np.fromiter(b, np.float64, len(b)) if isinstance(b, tuple) else b
+                for b in (lo, hi)
+            )
+            if lo is not None:
+                bad |= totals < lo_cmp - slack
+            if hi is not None:
+                bad |= totals > hi_cmp + slack
             flagged = np.flatnonzero(bad).tolist()
         violations = _budget_violations(
             float(sum(node_totals)), cluster_budget_w, slack
@@ -269,8 +263,8 @@ class BudgetInvariantMonitor:
                 rank,
                 caps[rank],
                 node_totals[rank],
-                None if lo_seq is None else lo_seq[rank],
-                None if hi_seq is None else hi_seq[rank],
+                lo[rank] if isinstance(lo, tuple) else lo,
+                hi[rank] if isinstance(hi, tuple) else hi,
                 slack,
                 tolerance_w,
             )
@@ -280,8 +274,8 @@ class BudgetInvariantMonitor:
             cluster_budget_w=cluster_budget_w,
             packed_caps=packed,
             cap_arity=arity,
-            node_lo_w=_bound_field(node_lo_w),
-            node_hi_w=_bound_field(node_hi_w),
+            node_lo_w=lo,
+            node_hi_w=hi,
             violations=tuple(violations),
         )
         self.audits.append(audit)

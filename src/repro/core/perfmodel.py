@@ -41,8 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.classify import ScalabilityClass
 from repro.core.profile import AppProfile
 from repro.errors import ModelNotFittedError, ProfilingError
@@ -149,7 +147,6 @@ class PerformancePredictor:
         inflection_point: int | None = None,
         calibration: TimeCalibration | None = None,
     ):
-        self._profile = profile
         self._calibration = (
             calibration
             if calibration is not None and not calibration.is_identity
@@ -226,24 +223,9 @@ class PerformancePredictor:
         return self._np
 
     @property
-    def reference_frequency_hz(self) -> float:
-        """Frequency the samples ran at; scaling is relative to it."""
-        return self._f_ref
-
-    @property
     def calibration(self) -> TimeCalibration | None:
         """Outcome-learned correction applied on top of the fit (or None)."""
         return self._calibration
-
-    @property
-    def device_ref_time_s(self) -> float:
-        """Profiled device-busy time per iteration (0 for host-only)."""
-        return self._dev_ref_s
-
-    @property
-    def gpu_clock_ref_hz(self) -> float:
-        """Device clock the profiling sample ran at (0 for host-only)."""
-        return self._gpu_clock_ref_hz
 
     def predict_time(
         self,
@@ -348,12 +330,3 @@ class PerformancePredictor:
         if self._cls is ScalabilityClass.PARABOLIC:
             return tuple(n for n in evens if n <= self._np)
         return evens
-
-    def flat_share(self, n_threads: int) -> float:
-        """Fraction of the predicted time insensitive to frequency."""
-        t = self.predict_time(n_threads)
-        if self._np is None or n_threads <= self._np or self._seg2 is None:
-            flat = self._seg1.b
-        else:
-            flat = min(self._seg1.b, t)
-        return float(np.clip(flat / t, 0.0, 1.0))

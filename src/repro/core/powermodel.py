@@ -86,10 +86,6 @@ class PowerRange:
         """Upper bound — more power than this is wasted on the node."""
         return self.cpu_hi_w + self.mem_hi_w + self.gpu_hi_w
 
-    def contains(self, node_budget_w: float) -> bool:
-        """Whether a node budget falls inside the acceptable range."""
-        return self.node_lo_w <= node_budget_w <= self.node_hi_w
-
 
 class ClipPowerModel:
     """Eq. 5–9 coefficients fitted from one application's profile."""
@@ -137,16 +133,12 @@ class ClipPowerModel:
         self._dram_lo_samples = sorted(
             [(half.n_threads, half.dram_lo_w), (all_.n_threads, all_.dram_lo_w)]
         )
-        self._pkg_hi_samples = sorted(
-            [(half.n_threads, half.pkg_w), (all_.n_threads, all_.pkg_w)]
-        )
         self._dram_hi_samples = sorted(
             [(half.n_threads, half.dram_w), (all_.n_threads, all_.dram_w)]
         )
         self._pkg_lo_samples = sorted(
             [(half.n_threads, half.pkg_lo_w), (all_.n_threads, all_.pkg_lo_w)]
         )
-        self._memory_intensive = profile.memory_intensive
 
         # --- accelerator domain (Eq. 5 extended) -----------------------
         # The device has no fitted coefficients: its power quantizes to

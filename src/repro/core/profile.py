@@ -98,11 +98,6 @@ class SampleRun:
         return self.pkg_w + self.dram_w
 
     @property
-    def capped_lo_w(self) -> float:
-        """Host RAPL power at the lowest frequency."""
-        return self.pkg_lo_w + self.dram_lo_w
-
-    @property
     def device_s(self) -> float:
         """Measured device-busy time per iteration (seconds)."""
         return self.gpu_busy_fraction * self.t_iter_s
@@ -161,13 +156,6 @@ class AppProfile:
     def n_samples(self) -> int:
         """How many sample executions this profile used (2 or 3)."""
         return 2 if self.confirm_run is None else 3
-
-    def sample_runs(self) -> tuple[SampleRun, ...]:
-        """All sample runs, half-core first (ascending thread count)."""
-        runs = [self.half_run, self.all_run]
-        if self.confirm_run is not None:
-            runs.append(self.confirm_run)
-        return tuple(sorted(runs, key=lambda r: r.n_threads))
 
     def feature_vector(self) -> np.ndarray:
         """MLR feature vector from the Table-I event rates.

@@ -164,78 +164,43 @@ class Recommender:
         """Best configuration with the host↔device shift (EcoShift).
 
         At each candidate concurrency (largest first, like the linear
-        rule — host threads only serve the non-offloaded share), every
-        device cap ladder level that leaves the host domains feasible
-        is scored: the device term speeds up with its clock while the
-        host remainder buys frequency, and the predicted-time roofline
-        between them picks the balance point.  The first concurrency
-        with any feasible split wins, mirroring "do not decrease
-        concurrency unless power forces it".
+        rule — host threads only serve the non-offloaded share), the
+        device cap ladder is walked by :meth:`_best_shift`.  The first
+        concurrency with any feasible split wins, mirroring "do not
+        decrease concurrency unless power forces it".
         """
-        lo, hi = self._power.gpu_power_range()
-        best: NodeConfig | None = None
         for n in self._candidates():
-            feasible = False
-            for gpu_cap, clk in self._power.gpu_shift_candidates(
-                lo, min(hi, node_budget_w)
-            ):
-                try:
-                    pkg, dram, gpu = self._power.split_node_budget_gpu(
-                        node_budget_w, n, gpu_cap
-                    )
-                except InfeasibleBudgetError:
-                    continue
-                f = self._power.max_freq_under(pkg, n)
-                if f is None:
-                    continue
-                feasible = True
-                perf = self._predictor.predict_perf(n, f, gpu_clock_hz=clk)
-                if best is None or perf > best.predicted_perf * (1.0 + 1e-9):
-                    best = NodeConfig(
-                        n_threads=n,
-                        affinity=self._profile.affinity,
-                        pkg_cap_w=pkg,
-                        dram_cap_w=dram,
-                        predicted_frequency_hz=f,
-                        predicted_perf=perf,
-                        gpu_cap_w=gpu,
-                        predicted_gpu_clock_hz=clk,
-                    )
-            if feasible:
-                break
-        if best is None:
-            raise InfeasibleBudgetError(
-                f"no feasible GPU-offload configuration for node budget "
-                f"{node_budget_w:.1f} W ({self._profile.app_name})"
-            )
-        return best
+            shift = self._best_shift(node_budget_w, n)
+            if shift is not None:
+                perf, pkg, dram, gpu, f, clk = shift
+                return NodeConfig(
+                    n_threads=n,
+                    affinity=self._profile.affinity,
+                    pkg_cap_w=pkg,
+                    dram_cap_w=dram,
+                    predicted_frequency_hz=f,
+                    predicted_perf=perf,
+                    gpu_cap_w=gpu,
+                    predicted_gpu_clock_hz=clk,
+                )
+        raise InfeasibleBudgetError(
+            f"no feasible GPU-offload configuration for node budget "
+            f"{node_budget_w:.1f} W ({self._profile.app_name})"
+        )
 
-    def config_at(self, node_budget_w: float, base: NodeConfig) -> NodeConfig:
-        """Cap split for one node budget at an already-chosen concurrency.
+    def _best_shift(self, node_budget_w: float, n: int):
+        """The host↔device split predicted best at *n* threads.
 
-        Per-rank budgets differ under variability coordination while
-        the concurrency stays uniform, so each rank re-derives only its
-        cap split (and, on GPU nodes, re-runs the host↔device shift for
-        its own budget).  Used by the recommend stage; CPU-only ranks
-        do not call this (their split stays on the legacy path).
+        Every device cap ladder level that leaves the host domains
+        feasible is scored: the device term speeds up with its clock
+        while the host remainder buys frequency, and the predicted-time
+        roofline between them picks the balance point.  A later level
+        wins only by predicting more than 1e-9 (relative) better.
+        Returns ``(perf, pkg, dram, gpu, frequency, clock)``, or
+        ``None`` when no level is feasible.
         """
-        n = base.n_threads
         lo, hi = self._power.gpu_power_range()
-        if not self._power.gpu_offloaded:
-            pkg, dram, gpu = self._power.split_node_budget_gpu(
-                node_budget_w, n, lo
-            )
-            f = self._power.max_freq_under(pkg, n)
-            return replace(
-                base,
-                pkg_cap_w=pkg,
-                dram_cap_w=dram,
-                gpu_cap_w=gpu,
-                predicted_frequency_hz=(
-                    f if f is not None else base.predicted_frequency_hz
-                ),
-            )
-        best: NodeConfig | None = None
+        best = None
         for gpu_cap, clk in self._power.gpu_shift_candidates(
             lo, min(hi, node_budget_w)
         ):
@@ -249,23 +214,51 @@ class Recommender:
             if f is None:
                 continue
             perf = self._predictor.predict_perf(n, f, gpu_clock_hz=clk)
-            if best is None or perf > best.predicted_perf * (1.0 + 1e-9):
-                best = replace(
-                    base,
-                    pkg_cap_w=pkg,
-                    dram_cap_w=dram,
-                    gpu_cap_w=gpu,
-                    predicted_frequency_hz=f,
-                    predicted_perf=perf,
-                    predicted_gpu_clock_hz=clk,
-                )
-        if best is None:
+            if best is None or perf > best[0] * (1.0 + 1e-9):
+                best = (perf, pkg, dram, gpu, f, clk)
+        return best
+
+    def config_at(self, node_budget_w: float, base: NodeConfig) -> NodeConfig:
+        """Cap split for one node budget at an already-chosen concurrency.
+
+        Per-rank budgets differ under variability coordination while
+        the concurrency stays uniform, so each rank re-derives only its
+        cap split (and, on GPU nodes, re-runs the host↔device shift for
+        its own budget).  Used by the recommend stage; CPU-only ranks
+        do not call this (their split stays on the legacy path).
+        """
+        n = base.n_threads
+        if not self._power.gpu_offloaded:
+            pkg, dram, gpu = self._power.split_node_budget_gpu(
+                node_budget_w, n, self._power.gpu_power_range()[0]
+            )
+            f = self._power.max_freq_under(pkg, n)
+            return replace(
+                base,
+                pkg_cap_w=pkg,
+                dram_cap_w=dram,
+                gpu_cap_w=gpu,
+                predicted_frequency_hz=(
+                    f if f is not None else base.predicted_frequency_hz
+                ),
+            )
+        shift = self._best_shift(node_budget_w, n)
+        if shift is None:
             raise InfeasibleBudgetError(
                 f"no feasible GPU cap split for node budget "
                 f"{node_budget_w:.1f} W at {n} threads "
                 f"({self._profile.app_name})"
             )
-        return best
+        perf, pkg, dram, gpu, f, clk = shift
+        return replace(
+            base,
+            pkg_cap_w=pkg,
+            dram_cap_w=dram,
+            gpu_cap_w=gpu,
+            predicted_frequency_hz=f,
+            predicted_perf=perf,
+            predicted_gpu_clock_hz=clk,
+        )
 
     def phase_overrides(self) -> dict[str, int]:
         """Per-phase concurrency overrides for stagnant phases (§V-B.1).

@@ -12,7 +12,6 @@ __all__ = [
     "ClipError",
     "SpecError",
     "PowerDomainError",
-    "CapViolationError",
     "AffinityError",
     "WorkloadError",
     "ProfilingError",
@@ -41,14 +40,6 @@ class SpecError(ClipError):
 
 class PowerDomainError(ClipError):
     """A RAPL power domain was misused (unknown domain, negative cap, ...)."""
-
-
-class CapViolationError(ClipError):
-    """An enforced power cap was exceeded beyond tolerance.
-
-    The simulator raises this only when invariants are broken internally;
-    well-formed configurations resolve caps by throttling instead.
-    """
 
 
 class AffinityError(ClipError):

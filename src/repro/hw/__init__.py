@@ -35,7 +35,7 @@ from repro.hw.specs import (
     broadwell_testbed,
     mixed_testbed,
 )
-from repro.hw.dvfs import FrequencyLadder, DvfsController
+from repro.hw.dvfs import FrequencyLadder
 from repro.hw.power import PowerModel, PowerBreakdown
 from repro.hw.rapl import RaplDomain, RaplInterface, Domain
 from repro.hw.numa import NumaTopology, AffinityKind
@@ -58,7 +58,6 @@ __all__ = [
     "broadwell_testbed",
     "mixed_testbed",
     "FrequencyLadder",
-    "DvfsController",
     "PowerModel",
     "PowerBreakdown",
     "RaplDomain",

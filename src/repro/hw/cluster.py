@@ -140,11 +140,6 @@ class SimulatedCluster:
         return tuple(i for i in range(self.n_nodes) if i not in self._failed)
 
     @property
-    def n_available(self) -> int:
-        """Number of nodes currently in service."""
-        return self.n_nodes - len(self._failed)
-
-    @property
     def n_nodes(self) -> int:
         """Number of nodes in the cluster."""
         return self._spec.n_nodes
@@ -173,10 +168,3 @@ class SimulatedCluster:
     def p_max_w(self) -> float:
         """Peak cluster power with every node flat out."""
         return self._spec.p_cluster_max_w
-
-    @property
-    def p_other_total_w(self) -> float:
-        """Total uncapped component power when all nodes are on."""
-        if self._spec.is_homogeneous:
-            return self.n_nodes * self._spec.node.p_other_w
-        return float(sum(s.p_other_w for s in self._spec.node_specs))

@@ -3,13 +3,9 @@
 :class:`FrequencyLadder` wraps a socket's discrete P-state table and
 answers the two questions the rest of the system asks:
 
-* "what frequencies may I run at?" (quantization, neighbors), and
+* "what frequencies may I run at?" (quantization), and
 * "what is the highest frequency whose package power fits under a cap?"
   — the core of RAPL cap resolution in :mod:`repro.hw.rapl`.
-
-:class:`DvfsController` holds mutable per-core frequency state for one
-socket, mirroring per-core DVFS on Haswell (Fig. 5 of the paper notes
-"per-core DVFS is available").
 """
 
 from __future__ import annotations
@@ -17,12 +13,10 @@ from __future__ import annotations
 import bisect
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.errors import SpecError
 from repro.hw.specs import GpuSpec, SocketSpec
 
-__all__ = ["FrequencyLadder", "DvfsController"]
+__all__ = ["FrequencyLadder"]
 
 
 class FrequencyLadder:
@@ -75,21 +69,6 @@ class FrequencyLadder:
         i = bisect.bisect_right(self._freqs, f + 1e-6)
         return self._freqs[max(0, i - 1)]
 
-    def quantize_up(self, f: float) -> float:
-        """Smallest ladder frequency >= *f* (clamped to ``f_max``)."""
-        i = bisect.bisect_left(self._freqs, f - 1e-6)
-        return self._freqs[min(len(self._freqs) - 1, i)]
-
-    def step_down(self, f: float) -> float:
-        """One P-state below *f* (saturating at ``f_min``)."""
-        i = bisect.bisect_left(self._freqs, f - 1e-6)
-        return self._freqs[max(0, i - 1)]
-
-    def step_up(self, f: float) -> float:
-        """One P-state above *f* (saturating at ``f_max``)."""
-        i = bisect.bisect_right(self._freqs, f + 1e-6)
-        return self._freqs[min(len(self._freqs) - 1, i)]
-
     def highest_under(self, predicate) -> float | None:
         """Highest frequency for which ``predicate(f)`` is true.
 
@@ -105,53 +84,3 @@ class FrequencyLadder:
             if predicate(f):
                 return f
         return None
-
-
-class DvfsController:
-    """Mutable per-core frequency state for one socket."""
-
-    def __init__(self, socket: SocketSpec):
-        self._socket = socket
-        self._ladder = FrequencyLadder.from_socket(socket)
-        self._freqs = np.full(socket.n_cores, socket.f_nominal, dtype=np.float64)
-
-    @property
-    def ladder(self) -> FrequencyLadder:
-        """The P-state table this controller selects from."""
-        return self._ladder
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Current per-core frequencies (a defensive copy)."""
-        return self._freqs.copy()
-
-    def frequency_of(self, core: int) -> float:
-        """Current frequency of *core*."""
-        self._check_core(core)
-        return float(self._freqs[core])
-
-    def set_core(self, core: int, f: float) -> float:
-        """Pin *core* to the ladder frequency nearest below *f*.
-
-        Returns the frequency actually applied.
-        """
-        self._check_core(core)
-        applied = self._ladder.quantize_down(f)
-        self._freqs[core] = applied
-        return applied
-
-    def set_all(self, f: float) -> float:
-        """Pin every core to the ladder frequency nearest below *f*."""
-        applied = self._ladder.quantize_down(f)
-        self._freqs[:] = applied
-        return applied
-
-    def reset(self) -> None:
-        """Return every core to the nominal frequency."""
-        self._freqs[:] = self._socket.f_nominal
-
-    def _check_core(self, core: int) -> None:
-        if not 0 <= core < self._socket.n_cores:
-            raise SpecError(
-                f"core index {core} outside [0, {self._socket.n_cores})"
-            )

@@ -163,10 +163,6 @@ class PowerMeter:
             return truth
         return self._telemetry.corrupt(truth)
 
-    def average_power_w(self) -> float:
-        """Time-weighted average wall power."""
-        return self._energy_j / self._t if self._t > 0 else 0.0
-
     def peak_power_w(self) -> float:
         """Highest interval wall power."""
         if not self._intervals:

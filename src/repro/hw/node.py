@@ -1,14 +1,13 @@
 """A simulated compute node.
 
 :class:`SimulatedNode` composes the per-node substrate pieces — power
-model (with this node's variability factor), RAPL interface, per-socket
-DVFS controllers, NUMA topology, and a power meter — behind the small
+model (with this node's variability factor), RAPL interface, NUMA
+topology, and a power meter — behind the small
 surface the execution engine and CLIP's helper tools use.
 """
 
 from __future__ import annotations
 
-from repro.hw.dvfs import DvfsController
 from repro.hw.meter import PowerMeter
 from repro.hw.numa import NumaTopology
 from repro.hw.power import PowerModel
@@ -36,9 +35,6 @@ class SimulatedNode:
         self._node_id = node_id
         self._power_model = PowerModel(spec, efficiency=efficiency)
         self._rapl = RaplInterface(self._power_model)
-        self._dvfs = tuple(
-            DvfsController(spec.socket) for _ in range(spec.n_sockets)
-        )
         self._numa = NumaTopology(spec)
         self._meter = PowerMeter()
 
@@ -86,10 +82,6 @@ class SimulatedNode:
         """Wall-power meter for this node."""
         return self._meter
 
-    def dvfs(self, socket: int) -> DvfsController:
-        """Per-socket DVFS controller."""
-        return self._dvfs[socket]
-
     # -- convenience ----------------------------------------------------
 
     @property
@@ -114,9 +106,7 @@ class SimulatedNode:
             self._rapl.set_cap(Domain.GPU, gpu_w)
 
     def reset(self) -> None:
-        """Clear caps, traces, injected faults; return DVFS to nominal."""
+        """Clear caps, traces and injected faults."""
         self._rapl.clear_caps()
         self._rapl.reset_actuation()
         self._meter.reset()
-        for ctrl in self._dvfs:
-            ctrl.reset()

@@ -1,12 +1,11 @@
-"""NUMA topology: socket layout, distances, and placement queries.
+"""NUMA topology: socket layout and placement queries.
 
 The paper's nodes are dual-socket NUMA machines; CLIP's node level
 chooses both *how many* threads to run and *where* to put them
 ("core-thread affinity", §I).  This module provides the topology facts
 those decisions consume:
 
-* which cores belong to which socket,
-* the ACPI-SLIT-style distance matrix (local 10, one-hop remote 21),
+* which socket owns each core,
 * the remote-access fraction implied by a placement and a page policy.
 
 Placement policies themselves live in :mod:`repro.sim.affinity`; this
@@ -23,10 +22,6 @@ from repro.errors import AffinityError, SpecError
 from repro.hw.specs import NodeSpec
 
 __all__ = ["AffinityKind", "NumaTopology"]
-
-#: Conventional SLIT distances for local and one-hop-remote accesses.
-LOCAL_DISTANCE = 10
-REMOTE_DISTANCE = 21
 
 
 class AffinityKind(enum.Enum):
@@ -45,15 +40,11 @@ class AffinityKind(enum.Enum):
 
 
 class NumaTopology:
-    """Socket/core layout of one node and distance queries."""
+    """Socket/core layout of one node and placement queries."""
 
     def __init__(self, node: NodeSpec):
-        self._node = node
         self._n_sockets = node.n_sockets
         self._cores_per_socket = node.socket.n_cores
-        n = self._n_sockets
-        self._distances = np.full((n, n), REMOTE_DISTANCE, dtype=np.int64)
-        np.fill_diagonal(self._distances, LOCAL_DISTANCE)
 
     @property
     def n_sockets(self) -> int:
@@ -70,25 +61,11 @@ class NumaTopology:
         """Total cores on the node."""
         return self._n_sockets * self._cores_per_socket
 
-    @property
-    def distances(self) -> np.ndarray:
-        """SLIT-style distance matrix (copy)."""
-        return self._distances.copy()
-
     def socket_of(self, core: int) -> int:
         """NUMA domain owning *core*.  Cores are numbered socket-major."""
         if not 0 <= core < self.n_cores:
             raise AffinityError(f"core {core} outside [0, {self.n_cores})")
         return core // self._cores_per_socket
-
-    def cores_of(self, socket: int) -> range:
-        """Core ids belonging to *socket*."""
-        if not 0 <= socket < self._n_sockets:
-            raise AffinityError(
-                f"socket {socket} outside [0, {self._n_sockets})"
-            )
-        start = socket * self._cores_per_socket
-        return range(start, start + self._cores_per_socket)
 
     def threads_per_socket(self, placement) -> np.ndarray:
         """Histogram of a placement's threads over sockets.

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import SpecError
 from repro.hw.specs import MemorySpec, NodeSpec, SocketSpec
-from repro.units import check_fraction, check_non_negative
+from repro.units import check_non_negative
 
 __all__ = [
     "PowerModel",
@@ -108,17 +108,6 @@ class PowerBreakdown:
         for _, value in self.present_domains():
             total = total + value
         return total
-
-    def scaled(self, factor: float) -> "PowerBreakdown":
-        """Apply a node-wide efficiency multiplier (variability).
-
-        Scales every present cappable domain; ``other_w`` (fans, board)
-        does not vary with silicon quality.
-        """
-        scaled = {
-            name: value * factor for name, value in self.present_domains()
-        }
-        return PowerBreakdown(other_w=self.other_w, **scaled)
 
 
 class PowerModel:
@@ -202,8 +191,7 @@ class PowerModel:
         """Package power (Eq. 7) with *n_active* cores at frequency *f*.
 
         All active cores are assumed to share one frequency, matching
-        how caps are resolved (socket-uniform throttling); per-core
-        heterogeneity is available via :meth:`pkg_power_percore`.
+        how caps are resolved (socket-uniform throttling).
         """
         socket = self._node.socket
         if not 0 <= n_active <= socket.n_cores:
@@ -216,21 +204,6 @@ class PowerModel:
             return float((base + n_active * core_w) * self._efficiency)
         out = np.asarray((base + n_active * np.asarray(core_w)) * self._efficiency)
         return float(out) if out.ndim == 0 else out
-
-    def pkg_power_percore(self, freqs: np.ndarray, activities: np.ndarray) -> float:
-        """Package power with per-core frequencies and activities.
-
-        Inactive cores are indicated by frequency 0.
-        """
-        freqs = np.asarray(freqs, dtype=np.float64)
-        acts = np.broadcast_to(
-            np.asarray(activities, dtype=np.float64), freqs.shape
-        )
-        active = freqs > 0
-        core_w = np.where(active, self.core_power(freqs, acts), 0.0)
-        return float(
-            (self._node.socket.p_base_w + core_w.sum()) * self._efficiency
-        )
 
     def dram_power(self, bandwidth, memory: MemorySpec | None = None):
         """DRAM power of one socket's memory (Eq. 9) at *bandwidth* B/s."""
@@ -248,38 +221,6 @@ class PowerModel:
         util = np.minimum(bw / mem.peak_bandwidth, 1.0)
         out = (mem.p_base_w + mem.p_load_max_w * util) * self._efficiency
         return float(out) if out.ndim == 0 else out
-
-    def node_power(
-        self,
-        active_per_socket,
-        f,
-        bandwidth_per_socket,
-        activity=1.0,
-    ) -> PowerBreakdown:
-        """Full node power (Eq. 5) for a symmetric operating point.
-
-        Parameters
-        ----------
-        active_per_socket:
-            Sequence of active-core counts, one per socket.
-        f:
-            Shared core frequency (Hz).
-        bandwidth_per_socket:
-            Sequence of delivered DRAM bandwidths (B/s), one per socket.
-        activity:
-            Core activity factor in [0, 1].
-        """
-        node = self._node
-        if len(active_per_socket) != node.n_sockets:
-            raise SpecError("active_per_socket length must equal n_sockets")
-        if len(bandwidth_per_socket) != node.n_sockets:
-            raise SpecError("bandwidth_per_socket length must equal n_sockets")
-        check_fraction(float(np.min(activity)), "activity")
-        pkg = sum(
-            self.pkg_power(int(n), f, activity) for n in active_per_socket
-        )
-        dram = sum(self.dram_power(bw) for bw in bandwidth_per_socket)
-        return PowerBreakdown(pkg_w=pkg, dram_w=dram, other_w=node.p_other_w)
 
     def gpu_power(self, clock_hz: float, utilization: float = 1.0) -> float:
         """Aggregate device power at *clock_hz* and busy-fraction *util*.

@@ -364,15 +364,6 @@ class OperatingPoint:
     gpu_cap_violated: bool = False
 
     @property
-    def cap_violated(self) -> bool:
-        """Whether any domain runs above its programmed limit."""
-        return (
-            self.cpu_cap_violated
-            or self.mem_cap_violated
-            or self.gpu_cap_violated
-        )
-
-    @property
     def effective_frequency_hz(self) -> float:
         """Throughput-equivalent clock: P-state x duty cycle.
 
@@ -644,14 +635,12 @@ class RaplInterface:
         activity: float,
         demanded_bandwidth_per_socket,
         demanded_frequency_hz: float | None = None,
-        strict: bool = False,
     ) -> OperatingPoint:
         """Find the operating point under the caps enforced now.
 
         Calls :meth:`resolve_under` with the enforced PKG/DRAM limits,
         then records one throttle event on each domain the result
-        throttles.  A ``strict`` floor error propagates before any
-        event is recorded.
+        throttles.
         """
         pkg_reg = self._domains[Domain.PKG]
         dram_reg = self._domains[Domain.DRAM]
@@ -662,7 +651,6 @@ class RaplInterface:
             activity,
             demanded_bandwidth_per_socket,
             demanded_frequency_hz,
-            strict,
         )
         if op.mem_throttled:
             dram_reg.note_throttled()
@@ -678,7 +666,6 @@ class RaplInterface:
         activity: float,
         demanded_bandwidth_per_socket,
         demanded_frequency_hz: float | None = None,
-        strict: bool = False,
     ) -> OperatingPoint:
         """Find the operating point hardware capping would settle at
         under the given PKG/DRAM limits.
@@ -693,7 +680,10 @@ class RaplInterface:
         the DRAM limit by stepping down the memory power level, which
         bounds delivered bandwidth.  Both mirror the mechanisms listed
         in the paper (§I: "memory power level setting, thread
-        concurrency throttling").
+        concurrency throttling").  A cap below the hardware floor is
+        handled as real RAPL does: the domain clamps at its lowest
+        operating point and exceeds the limit (flagged via
+        ``cpu_cap_violated`` / ``mem_cap_violated``).
 
         Parameters
         ----------
@@ -705,11 +695,6 @@ class RaplInterface:
             Bandwidth (B/s) the workload would consume uncapped.
         demanded_frequency_hz:
             Optional software frequency pin; defaults to the ladder max.
-        strict:
-            When true, a cap below the hardware floor raises
-            :class:`PowerDomainError`; the default mirrors real RAPL,
-            which clamps at the lowest operating point and lets the
-            limit be exceeded (flagged via ``cap_violated``).
         """
         node = self._model.node
         active = tuple(int(n) for n in active_per_socket)
@@ -728,10 +713,6 @@ class RaplInterface:
         limit = self._model.max_bandwidth_under_dram_cap(per_socket_cap)
         mem_cap_violated = False
         if limit is None:
-            if strict:
-                raise PowerDomainError(
-                    f"DRAM cap {dram_cap:.1f} W below base power; cannot honor"
-                )
             # hardware floor: lowest memory power level keeps running
             mem = node.socket.memory
             limit = mem.bandwidth_at_level(0)
@@ -753,11 +734,6 @@ class RaplInterface:
         f_cont = self._model.max_freq_under_pkg_cap(pkg_cap, active, activity)
         cpu_cap_violated = False
         duty = 1.0
-        if f_cont is None and strict:
-            raise PowerDomainError(
-                f"PKG cap {pkg_cap:.1f} W below static power of "
-                f"{sum(active)} active cores; cannot honor"
-            )
         # each socket's static draw: pkg_power at f = 0, where the
         # dynamic term vanishes
         static_w = [self._model.pkg_power(n, 0.0, activity) for n in active]
@@ -803,22 +779,20 @@ class RaplInterface:
             duty_cycle=duty,
         )
 
-    def resolve_gpu(self, strict: bool = False) -> tuple[float, bool, bool]:
+    def resolve_gpu(self) -> tuple[float, bool, bool]:
         """Device clock under the enforced GPU cap.
 
         Calls :meth:`resolve_gpu_under` with the enforced limit; a
         throttled result records one throttle event.
         """
         reg = self.domain(Domain.GPU)
-        clock, throttled, violated = self.resolve_gpu_under(
-            reg.enforced_w, strict
-        )
+        clock, throttled, violated = self.resolve_gpu_under(reg.enforced_w)
         if throttled:
             reg.note_throttled()
         return clock, throttled, violated
 
     def resolve_gpu_under(
-        self, gpu_limit_w: float | None, strict: bool = False
+        self, gpu_limit_w: float | None
     ) -> tuple[float, bool, bool]:
         """Highest device clock whose full-utilization power fits the
         given GPU limit (side effect free, like :meth:`resolve_under`).
@@ -832,8 +806,7 @@ class RaplInterface:
         Returns ``(clock_hz, throttled, cap_violated)``.  When the cap
         sits below the lowest clock's busy power the device clamps at
         the ladder floor and the limit may be exceeded (real boards
-        behave the same below their minimum P-state); ``strict`` turns
-        that into :class:`PowerDomainError`.
+        behave the same below their minimum P-state).
         """
         if self._gpu_ladder is None:
             raise PowerDomainError("node has no 'gpu' power domain")
@@ -843,11 +816,6 @@ class RaplInterface:
         )
         violated = False
         if clock is None:
-            if strict:
-                raise PowerDomainError(
-                    f"GPU cap {cap:.1f} W below the lowest clock's busy "
-                    f"power; cannot honor"
-                )
             clock = self._gpu_ladder.f_min
             violated = True
         throttled = violated or clock < self._gpu_ladder.f_max

@@ -208,14 +208,6 @@ class SocketSpec:
         ) ** self.core.dyn_exponent
         return self.p_base_w + self.n_cores * core_w
 
-    @property
-    def p_pkg_min_active_w(self) -> float:
-        """Package power with all cores active at the lowest frequency."""
-        core_w = self.core.p_leak_w + self.core.p_dyn_w * (
-            self.f_min / self.f_nominal
-        ) ** self.core.dyn_exponent
-        return self.p_base_w + self.n_cores * core_w
-
 
 #: Discrete clock ladder of the simulated accelerator board in GHz.
 #: 0.6 GHz is the lowest P-state, 1.1 GHz the nominal clock, 1.3 GHz
@@ -319,7 +311,7 @@ class NodeSpec:
 
     Nodes may carry accelerator boards (``gpu`` + ``n_gpus``): those add
     a third cappable power domain next to PKG and DRAM.  The
-    ``gpu_cap_levels_w`` / ``gpu_level_clock_scale`` views expose the
+    ``gpu_cap_levels_w`` / ``gpu_level_clocks_hz`` views expose the
     quantized cap↔clock trade-off at the spec level, so decision layers
     can reason about the device domain without reaching into
     :class:`GpuSpec` internals.
@@ -396,15 +388,6 @@ class NodeSpec:
         return tuple(
             self.n_gpus * self.gpu.power_at(clk)
             for clk in self.gpu.clock_ladder_hz
-        )
-
-    @property
-    def gpu_level_clock_scale(self) -> tuple[float, ...]:
-        """Clock of each level relative to nominal (device speedup)."""
-        if self.gpu is None:
-            return ()
-        return tuple(
-            clk / self.gpu.clk_nominal_hz for clk in self.gpu.clock_ladder_hz
         )
 
     @property
@@ -664,11 +647,6 @@ class ClusterSpec:
     def node_specs(self) -> tuple[NodeSpec, ...]:
         """One :class:`NodeSpec` per slot, in slot-id order."""
         return self._node_specs
-
-    @property
-    def total_cores(self) -> int:
-        """Total physical cores in the cluster."""
-        return sum(g.count * g.spec.n_cores for g in self.groups)
 
     @property
     def p_cluster_max_w(self) -> float:

@@ -62,12 +62,6 @@ class VariabilityModel:
         """Efficiency multipliers, one per node (copy)."""
         return self._factors.copy()
 
-    def factor_of(self, node: int) -> float:
-        """Efficiency multiplier of one node."""
-        if not 0 <= node < self._n_nodes:
-            raise SpecError(f"node {node} outside [0, {self._n_nodes})")
-        return float(self._factors[node])
-
     @property
     def spread(self) -> float:
         """Max-to-min factor ratio minus one.
@@ -78,13 +72,3 @@ class VariabilityModel:
         is performed.
         """
         return float(self._factors.max() / self._factors.min() - 1.0)
-
-    def slowdown_under_uniform_cap(self) -> np.ndarray:
-        """Relative per-node slowdown when all nodes share one cap.
-
-        Under a cap, deliverable frequency scales roughly inversely
-        with the efficiency factor (more watts per unit of work means a
-        lower sustainable operating point), so the least efficient node
-        paces every bulk-synchronous step.
-        """
-        return self._factors / self._factors.min()

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import AffinityError
 from repro.hw.numa import AffinityKind, NumaTopology
 
@@ -163,22 +161,3 @@ def placement_for(
         else AffinityKind.COMPACT
     )
     return make_placement(topo, n_threads, kind, shared_fraction)
-
-
-def best_placement(
-    topo: NumaTopology,
-    n_threads: int,
-    shared_fraction: float,
-    evaluate,
-) -> Placement:
-    """Pick the placement minimizing ``evaluate(placement)``.
-
-    Used by the oracle baseline; CLIP itself uses the cheap rule in
-    :func:`placement_for`.
-    """
-    candidates = [
-        make_placement(topo, n_threads, kind, shared_fraction)
-        for kind in AffinityKind
-    ]
-    scores = [evaluate(p) for p in candidates]
-    return candidates[int(np.argmin(scores))]

@@ -5,10 +5,8 @@ benchmark score :class:`~repro.sim.engine.ExecutionConfig` candidates
 without executing them.  The scalar :meth:`ExecutionEngine.run` pays
 Python-loop cost per node, per phase, per fixed-point round; the array
 kernel here pays a fixed cost per call instead.  So
-:meth:`BatchEvaluator.run_many` answers a small batch (at most
-:data:`FLOAT_PATH_MAX_CELLS` participating node-cells) on the engine's
-own float code, run as a what-if, and a larger one as one
-``(n_candidates, n_nodes)`` NumPy array program: a vectorized
+:meth:`BatchEvaluator.run_many` answers a large batch on a CPU fleet as
+one ``(n_candidates, n_nodes)`` NumPy array program: a vectorized
 replication of the engine's damped fixed-point loop (cap resolution ↔
 timing), numerically identical to the scalar path.  Every expression
 keeps the scalar code's evaluation order, per-socket reductions run in
@@ -16,12 +14,19 @@ socket order, and per-element convergence is tracked with a done-mask
 so each (candidate, node) cell freezes at exactly the round the scalar
 loop would have broken.
 
-Heterogeneous clusters are first-class: hardware constants are tabled
-per node *class* and gathered per (candidate, rank) cell, frequency
-ladders / ``pow`` tables are applied through per-class masks (a scalar
-exponent per class keeps the exact scalar ``np.power`` kernel), and
-placements are computed once per (class, candidate) pair — so a mixed
-Haswell + Broadwell fleet stays bit-exact against the scalar engine.
+The kernel covers what its callers send -- the exhaustive oracle and
+the node calibration, both on CPU fleets: classes without an
+accelerator that share one socket count, and no per-phase thread
+overrides.  Hardware constants are tabled per node *class* and gathered
+per (candidate, rank) cell, frequency ladders / ``pow`` tables are
+applied through per-class masks (a scalar exponent per class keeps the
+exact scalar ``np.power`` kernel), and placements are computed once
+per (class, candidate) pair -- so a mixed Haswell + Broadwell fleet
+stays bit-exact against the scalar engine.  Everything else -- a batch
+of at most :data:`FLOAT_PATH_MAX_CELLS` node-cells, a fleet with a GPU
+class or with classes of different socket counts, a batch that sets
+``phase_threads`` -- runs on the engine's own float code as a what-if
+(docs/performance.md §8).
 
 Both paths are side-effect-free: they do not program RAPL caps,
 count throttle events, accumulate energy counters, or touch power
@@ -90,9 +95,13 @@ class BatchEvaluator:
         # program with per-cell coefficients
         class_list = list(cluster.spec.node_classes)
         self._class_list = class_list
+        #: Whether the kernel covers this fleet at all (decided once).
+        self.cpu_fleet = (
+            not any(s.has_gpu for s in class_list)
+            and len({s.n_sockets for s in class_list}) == 1
+        )
         self._slot_class = np.array(cluster.spec.slot_class, dtype=np.int64)
-        self._S_max = max(s.n_sockets for s in class_list)
-        self._class_S_int = [s.n_sockets for s in class_list]
+        self._S = class_list[0].n_sockets
         self._ladders = [
             FrequencyLadder.from_socket(s.socket) for s in class_list
         ]
@@ -132,54 +141,6 @@ class BatchEvaluator:
         self._c_ipc = per_class(lambda s: s.socket.core.ipc_peak)
         self._c_dram_max = per_class(lambda s: s.p_mem_max_w)
         self._c_p_other = per_class(lambda s: s.p_other_w)
-        self._c_S = per_class(lambda s: s.n_sockets)
-
-        # GPU domain tables: one entry per class, python-float level
-        # ladders computed with the exact scalar expressions of
-        # GpuSpec.power_at / PowerModel.gpu_power / device_rate so the
-        # batch feasibility tests and power sums stay bit-identical.
-        self._class_has_gpu = [s.has_gpu for s in class_list]
-        self._c_has_gpu = np.array(self._class_has_gpu, dtype=bool)
-        self._c_gpu_max = per_class(
-            lambda s: s.p_gpu_max_w if s.has_gpu else np.inf
-        )
-        self._c_gpu_pidle = per_class(lambda s: s.p_gpu_idle_w)
-        self._gpu_clk_k: list[np.ndarray] = []
-        self._gpu_full_pow_k: list[np.ndarray] = []
-        self._gpu_dyn_k: list[np.ndarray] = []
-        self._gpu_clk_scale_k: list[np.ndarray] = []
-        self._gpu_idle_board_k: list[float] = []
-        self._gpu_rate_nom_k: list[float] = []
-        self._gpu_n_k: list[int] = []
-        for s in class_list:
-            if not s.has_gpu:
-                self._gpu_clk_k.append(np.empty(0))
-                self._gpu_full_pow_k.append(np.empty(0))
-                self._gpu_dyn_k.append(np.empty(0))
-                self._gpu_clk_scale_k.append(np.empty(0))
-                self._gpu_idle_board_k.append(0.0)
-                self._gpu_rate_nom_k.append(0.0)
-                self._gpu_n_k.append(0)
-                continue
-            g = s.gpu
-            clks = [float(c) for c in g.clock_ladder_hz]
-            # p_dyn * (clk/nom)**exp — the scalar scale product
-            dyn = [
-                g.p_dyn_w * ((c / g.clk_nominal_hz) ** g.dyn_exponent)
-                for c in clks
-            ]
-            # full-utilization board power * board count, the quantity
-            # resolve_gpu compares against the cap (before efficiency)
-            full = [s.n_gpus * (g.p_idle_w + d) for d in dyn]
-            self._gpu_clk_k.append(np.asarray(clks))
-            self._gpu_full_pow_k.append(np.asarray(full))
-            self._gpu_dyn_k.append(np.asarray(dyn))
-            self._gpu_clk_scale_k.append(
-                np.asarray([c / g.clk_nominal_hz for c in clks])
-            )
-            self._gpu_idle_board_k.append(g.p_idle_w)
-            self._gpu_rate_nom_k.append(s.n_gpus * g.instr_rate)
-            self._gpu_n_k.append(s.n_gpus)
 
     # ------------------------------------------------------------------
 
@@ -191,14 +152,19 @@ class BatchEvaluator:
         """Evaluate *app* under every config.
 
         Returns one :class:`RunResult` per config, in input order.  The
-        configs run on the engine's float code when they span at most
-        :data:`FLOAT_PATH_MAX_CELLS` node-cells, else on the array
-        kernel; both validate every config first, raise the same
-        errors, and give the same bits.
+        configs run on the array kernel when they span more than
+        :data:`FLOAT_PATH_MAX_CELLS` node-cells of a CPU fleet and set
+        no ``phase_threads``, else on the engine's float code; both
+        validate every config first, raise the same errors, and give
+        the same bits.
         """
         if not configs:
             return []
-        if sum(c.n_nodes for c in configs) <= FLOAT_PATH_MAX_CELLS:
+        if (
+            not self.cpu_fleet
+            or sum(c.n_nodes for c in configs) <= FLOAT_PATH_MAX_CELLS
+            or any(c.phase_threads for c in configs)
+        ):
             return self._engine._what_if(app, configs)
         return self._evaluate(app, configs)
 
@@ -211,11 +177,21 @@ class BatchEvaluator:
         app: WorkloadCharacteristics,
         configs: list["ExecutionConfig"],
     ) -> list[RunResult]:
+        if not self.cpu_fleet:
+            raise ValueError(
+                "the array kernel covers CPU fleets whose classes share "
+                "one socket count; use ExecutionEngine.evaluate_many"
+            )
+        if any(c.phase_threads for c in configs):
+            raise ValueError(
+                "the array kernel takes no phase_threads; use "
+                "ExecutionEngine.evaluate_many"
+            )
         cluster = self._cluster
         class_list = self._class_list
         slot_class = self._slot_class
         K = len(class_list)
-        S = self._S_max
+        S = self._S
         C = len(configs)
 
         # -- validation, shared with the float what-if path -------------
@@ -254,20 +230,10 @@ class BatchEvaluator:
         peak_bw = self._c_peak_bw[cls]
         bw_floor = self._c_bw_floor[cls]
         relmin_k = self._c_relmin[cls]
-        S_cell = self._c_S[cls]
-        # socket-existence weights: needed only when classes disagree
-        # on socket count (weight 1.0 everywhere otherwise)
-        if len(set(self._class_S_int)) == 1:
-            sock_w = None
-        else:
-            sock_w = (
-                np.arange(S)[None, None, :] < S_cell[:, :, None]
-            ).astype(np.float64)
 
         # caps -> effective domain limits, like RaplDomain.effective_cap_w
         pkg_cap = self._c_pkg_max[cls].copy()
         dram_cap = self._c_dram_max[cls].copy()
-        gpu_cap = self._c_gpu_max[cls].copy()
         for c, cfg in enumerate(configs):
             for rank in range(len(participants_ids[c])):
                 p, d = cfg.caps_for(rank)
@@ -275,48 +241,11 @@ class BatchEvaluator:
                     pkg_cap[c, rank] = min(p, pkg_cap[c, rank])
                 if d is not None:
                     dram_cap[c, rank] = min(d, dram_cap[c, rank])
-                g = cfg.gpu_cap_for(rank)
-                if g is not None:
-                    gpu_cap[c, rank] = min(g, gpu_cap[c, rank])
-
-        # -- GPU clock resolution (once per cell, outside the loop) ------
-        # Mirrors RaplInterface.resolve_gpu: the clock is sized against
-        # worst-case fully-busy draw, so it depends only on the cap.
-        hasgpu = self._c_has_gpu[cls]  # (C, NN)
-        offload = hasgpu & (app.gpu_fraction > 0)
-        has_offload = bool(offload.any())
-        gpu_level = np.zeros((C, NN), dtype=np.int64)
-        gpu_clock = np.zeros((C, NN))
-        gpu_violated = np.zeros((C, NN), dtype=bool)
-        gpu_throt = np.zeros((C, NN), dtype=bool)
-        gpu_rate = np.zeros((C, NN))
-        if has_offload:
-            for k in range(K):
-                if not self._class_has_gpu[k] or not (cls_eq[k] & offload).any():
-                    continue
-                m = cls_eq[k] & offload
-                full = self._gpu_full_pow_k[k]  # (L,)
-                # feasible <=> full_pow * eff <= cap (the scalar
-                # gpu_power(clk, 1.0) <= cap, multiplied out)
-                feas = full[None, None, :] * eff[:, :, None] <= gpu_cap[:, :, None]
-                cnt = feas.sum(axis=2)
-                lvl = np.maximum(cnt - 1, 0)
-                viol = cnt == 0
-                clks = self._gpu_clk_k[k]
-                clk = clks[lvl]
-                thr = viol | (clk < clks[-1])
-                rate = self._gpu_rate_nom_k[k] * self._gpu_clk_scale_k[k][lvl]
-                gpu_level = np.where(m, lvl, gpu_level)
-                gpu_clock = np.where(m, clk, gpu_clock)
-                gpu_violated = np.where(m, viol, gpu_violated)
-                gpu_throt = np.where(m, thr, gpu_throt)
-                gpu_rate = np.where(m, rate, gpu_rate)
 
         # per-(class, config) placements: every node of one hardware
         # class shares a placement; a mixed run places each class on
         # its own NUMA shape
         placements_k: list[dict] = [{} for _ in range(K)]
-        topo_k: dict = {}
         primary_k: list[int] = []
         for c, (cfg, ids) in enumerate(zip(configs, participants_ids)):
             primary_k.append(int(slot_class[ids[0]]))
@@ -325,7 +254,6 @@ class BatchEvaluator:
                 if c in placements_k[k]:
                     continue
                 topo = cluster.node(i).numa
-                topo_k[k] = topo
                 if cfg.affinity is None:
                     placement = placement_for(
                         topo, cfg.n_threads, app.shared_fraction,
@@ -341,8 +269,7 @@ class BatchEvaluator:
         remote_k = np.zeros((K, C))
         for k in range(K):
             for c, placement in placements_k[k].items():
-                tps = placement.threads_per_socket
-                tps_full_k[k, c, : len(tps)] = tps
+                tps_full_k[k, c] = placement.threads_per_socket
                 remote_k[k, c] = placement.remote_fraction
         tps_full = tps_full_k[cls, cfg_idx]  # (C, NN, S)
         remote = remote_k[cls, cfg_idx]  # (C, NN)
@@ -351,12 +278,8 @@ class BatchEvaluator:
         iterations = np.array(
             [cfg.iterations or app.iterations for cfg in configs], dtype=np.int64
         )
-        work_fraction = np.array(
-            [
-                1.0 / cfg.n_nodes if cfg.scaling == "strong" else 1.0
-                for cfg in configs
-            ]
-        )
+        # strong scaling: the global problem divided over the nodes
+        work_fraction = np.array([1.0 / cfg.n_nodes for cfg in configs])
 
         # frequency pins -> quantized demand, like resolve(), against
         # each participating node's own ladder
@@ -391,33 +314,23 @@ class BatchEvaluator:
                 for ph in phases
             ]
         )
-        # phase thread histograms after overrides + max_useful clipping.
-        # Per-socket shapes are per-class; the *totals* (and with them
+        # phase thread histograms after max_useful clipping.  Per-socket
+        # shapes are per-class; the *totals* (and with them
         # oversubscription and the odd-count penalty) are class-agnostic
         # because every placement distributes the full thread count, so
         # they are taken from each config's primary (rank-0) class.
         tps_phase_k = np.zeros((K, C, P, S), dtype=np.int64)
         oversub = np.ones((C, P))
         n_phase = np.zeros((C, P), dtype=np.int64)
-        for c, cfg in enumerate(configs):
+        for c in range(C):
             for k in range(K):
                 placement = placements_k[k].get(c)
                 if placement is None:
                     continue
-                phase_tps = {
-                    name: tuple(
-                        int(x)
-                        for x in make_placement(
-                            topo_k[k], n, placement.kind, app.shared_fraction
-                        ).threads_per_socket
-                    )
-                    for name, n in cfg.phase_threads.items()
-                }
                 primary = k == primary_k[c]
                 for j, ph in enumerate(phases):
                     tps = np.asarray(
-                        phase_tps.get(ph.name, placement.threads_per_socket),
-                        dtype=np.int64,
+                        placement.threads_per_socket, dtype=np.int64
                     )
                     if ph.max_useful_threads is not None:
                         excess = int(tps.sum()) - ph.max_useful_threads
@@ -426,7 +339,7 @@ class BatchEvaluator:
                                 excess / ph.max_useful_threads
                             )
                         tps = _clip_total_threads(tps, ph.max_useful_threads)
-                    tps_phase_k[k, c, j, : len(tps)] = tps
+                    tps_phase_k[k, c, j] = tps
                     if primary:
                         n_phase[c, j] = int(tps.sum())
 
@@ -458,7 +371,6 @@ class BatchEvaluator:
             t_iter, activity, per-socket demand, and per-phase times.
             """
             tot_t = np.zeros((C, NN))
-            tot_dev = np.zeros((C, NN))
             busy_weighted = np.zeros((C, NN))
             demand_acc = np.zeros((C, NN, S))
             phase_t = np.empty((C, NN, P))
@@ -470,23 +382,7 @@ class BatchEvaluator:
             peak_u = peak_bw * uncore  # (C, NN)
             for j in range(P):
                 t_serial = serial_instr[:, j, None] / rate1
-                if has_offload:
-                    # dev_instr = par_instr * gpu_fraction where the
-                    # device runs; (par - 0.0) on host-only cells keeps
-                    # their compute time bit-identical
-                    dev = np.where(
-                        gpu_rate > 0,
-                        par_instr[:, j, None] * app.gpu_fraction,
-                        0.0,
-                    )
-                    t_comp = (par_instr[:, j, None] - dev) / (
-                        n_phase[:, j, None] * rate1
-                    )
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        t_dev = np.where(dev > 0, dev / gpu_rate, 0.0)
-                else:
-                    t_comp = par_instr[:, j, None] / (n_phase[:, j, None] * rate1)
-                    t_dev = None
+                t_comp = par_instr[:, j, None] / (n_phase[:, j, None] * rate1)
                 bw = (
                     np.minimum(
                         np.minimum(bw_limit[:, :, None], extract[:, :, j, :]),
@@ -502,8 +398,6 @@ class BatchEvaluator:
                         0.0,
                     )
                 t_par = np.maximum(t_comp, t_mem)
-                if t_dev is not None:
-                    t_par = np.maximum(t_par, t_dev)
                 t_iter = t_serial + t_par + t_sync_phase[:, j, None]
                 t_iter = np.where(
                     odd_phase[:, j, None],
@@ -530,10 +424,6 @@ class BatchEvaluator:
                 t_scaled = t_iter * oversub[:, j, None]
                 phase_t[:, :, j] = t_scaled
                 tot_t = tot_t + t_scaled
-                if t_dev is not None:
-                    # the scalar totals["dev"] accumulates the raw
-                    # per-phase device time (no oversubscription scale)
-                    tot_dev = tot_dev + t_dev
                 busy_weighted = busy_weighted + act * t_scaled
                 demand_acc = demand_acc + dem * t_scaled[:, :, None]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -543,7 +433,7 @@ class BatchEvaluator:
                     demand_acc / tot_t[:, :, None],
                     demand_acc,
                 )
-            return tot_t, act_out, dem_out, phase_t, tot_dev
+            return tot_t, act_out, dem_out, phase_t
 
         def resolve(act: np.ndarray, dem: np.ndarray):
             """Vectorized RaplInterface.resolve over (C, NN).
@@ -555,7 +445,7 @@ class BatchEvaluator:
             in socket order.
             """
             # --- DRAM ---------------------------------------------------
-            per_cap = dram_cap / S_cell  # (C, NN)
+            per_cap = dram_cap / S  # (C, NN)
             budget = per_cap / eff - p_base_mem
             mem_violated = budget < 0
             util = np.minimum(np.maximum(budget, 0.0) / p_load_mem, 1.0)
@@ -566,18 +456,15 @@ class BatchEvaluator:
             ).any(axis=2)
             dram_w = np.zeros((C, NN))
             for s in range(S):
-                term = (
+                dram_w = dram_w + (
                     p_base_mem
                     + p_load_mem
                     * np.minimum(delivered[:, :, s] / peak_bw, 1.0)
                 ) * eff
-                if sock_w is not None:
-                    term = term * sock_w[:, :, s]
-                dram_w = dram_w + term
 
             # --- PKG ----------------------------------------------------
             # continuous inversion, as max_freq_under_pkg_cap computes it
-            base = S_cell * p_base_pkg
+            base = S * p_base_pkg
             static = (base + n_threads[:, None] * p_leak) * eff
             dyn_budget = pkg_cap - static
             act_mean = act  # np.mean of a scalar is the scalar
@@ -607,13 +494,8 @@ class BatchEvaluator:
             pkg_fmin = np.zeros((C, NN))
             for s in range(S):
                 tps_s = tps_full[:, :, s]
-                t_static = (p_base_pkg + tps_s * core0) * eff
-                t_fmin = (p_base_pkg + tps_s * core_fmin) * eff
-                if sock_w is not None:
-                    t_static = t_static * sock_w[:, :, s]
-                    t_fmin = t_fmin * sock_w[:, :, s]
-                static_fb = static_fb + t_static
-                pkg_fmin = pkg_fmin + t_fmin
+                static_fb = static_fb + (p_base_pkg + tps_s * core0) * eff
+                pkg_fmin = pkg_fmin + (p_base_pkg + tps_s * core_fmin) * eff
             dyn_fmin = pkg_fmin - static_fb
             with np.errstate(divide="ignore", invalid="ignore"):
                 duty_fb = np.where(
@@ -665,10 +547,7 @@ class BatchEvaluator:
                 tps_s = tps_full[:, :, s]
                 pkg0 = (p_base_pkg + tps_s * core0) * eff
                 pkgf = (p_base_pkg + tps_s * core_f) * eff
-                term = pkg0 + (pkgf - pkg0) * duty
-                if sock_w is not None:
-                    term = term * sock_w[:, :, s]
-                pkg_w = pkg_w + term
+                pkg_w = pkg_w + (pkg0 + (pkgf - pkg0) * duty)
             return {
                 "f": f,
                 "f_eff": f * duty,
@@ -692,16 +571,14 @@ class BatchEvaluator:
         fz_act = np.zeros((C, NN))
         fz_dem = np.zeros((C, NN, S))
         fz_phase = np.zeros((C, NN, P))
-        fz_dev = np.zeros((C, NN))
         for _ in range(_MAX_ROUNDS):
             op = resolve(state_act, state_dem)
-            t_iter, act_t, dem_t, phase_t, dev_t = timing(op["f_eff"], op["limit"])
+            t_iter, act_t, dem_t, phase_t = timing(op["f_eff"], op["limit"])
             upd = ~done
             fz_t = np.where(upd, t_iter, fz_t)
             fz_act = np.where(upd, act_t, fz_act)
             fz_dem = np.where(upd[:, :, None], dem_t, fz_dem)
             fz_phase = np.where(upd[:, :, None], phase_t, fz_phase)
-            fz_dev = np.where(upd, dev_t, fz_dev)
             state_act = np.where(
                 upd, _DAMPING * state_act + (1 - _DAMPING) * act_t, state_act
             )
@@ -723,26 +600,24 @@ class BatchEvaluator:
         op = resolve(fz_act, fz_dem)
 
         # -- step time, energy, events (same aggregation order) ----------
-        comm_cache: dict[tuple[int, str], float] = {}
+        comm_cache: dict[int, float] = {}
         comm = np.empty(C)
         for c, cfg in enumerate(configs):
-            ckey = (cfg.n_nodes, cfg.scaling)
-            if ckey not in comm_cache:
-                comm_cache[ckey] = self._engine.comm_model.iteration_time(
-                    app, cfg.n_nodes, scaling=cfg.scaling
+            if cfg.n_nodes not in comm_cache:
+                comm_cache[cfg.n_nodes] = self._engine.comm_model.iteration_time(
+                    app, cfg.n_nodes
                 )
-            comm[c] = comm_cache[ckey]
+            comm[c] = comm_cache[cfg.n_nodes]
         t_step = np.where(mask, fz_t, -np.inf).max(axis=1) + comm  # (C,)
         total_time = iterations * t_step
 
         core_idle = p_leak + p_dyn * relmin_k * _IDLE_ACTIVITY  # (C, NN)
         idle_pkg = np.zeros((C, NN))
         for s in range(S):
-            term = (p_base_pkg + tps_full[:, :, s] * core_idle) * eff
-            if sock_w is not None:
-                term = term * sock_w[:, :, s]
-            idle_pkg = idle_pkg + term
-        idle_dram = S_cell * ((p_base_mem + p_load_mem * 0.0) * eff)
+            idle_pkg = idle_pkg + (
+                p_base_pkg + tps_full[:, :, s] * core_idle
+            ) * eff
+        idle_dram = S * ((p_base_mem + p_load_mem * 0.0) * eff)
         with np.errstate(divide="ignore", invalid="ignore"):
             busy_frac = np.where(
                 t_step[:, None] > 0, fz_t / t_step[:, None], 1.0
@@ -750,52 +625,13 @@ class BatchEvaluator:
         avg_pkg = op["pkg_w"] * busy_frac + idle_pkg * (1.0 - busy_frac)
         avg_dram = op["dram_w"] * busy_frac + idle_dram * (1.0 - busy_frac)
         p_other = self._c_p_other[cls]  # (C, NN)
-
-        # -- device power, accounted after timing like the scalar path --
-        any_gpu = bool(hasgpu.any())
-        gpu_w_op = np.zeros((C, NN))
-        dev_busy = np.zeros((C, NN))
-        avg_gpu = np.zeros((C, NN))
-        if any_gpu:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dev_busy = np.where(
-                    fz_t > 0, np.minimum(fz_dev / fz_t, 1.0), 0.0
-                )
-            for k in range(K):
-                if not self._class_has_gpu[k]:
-                    continue
-                # busy boards: idle + dyn(level) * busy-fraction, per
-                # board, times board count and node efficiency — the
-                # exact gpu_power(clock, util) product chain
-                dyn = self._gpu_dyn_k[k][gpu_level]
-                per_board = self._gpu_idle_board_k[k] + dyn * dev_busy
-                w_off = (self._gpu_n_k[k] * per_board) * eff
-                w_idle = self._c_gpu_pidle[k] * eff
-                w = np.where(offload, w_off, w_idle)
-                gpu_w_op = np.where(cls_eq[k], w, gpu_w_op)
-            idle_gpu = self._c_gpu_pidle[cls] * eff
-            avg_gpu = np.where(
-                hasgpu,
-                gpu_w_op * busy_frac + idle_gpu * (1.0 - busy_frac),
-                0.0,
-            )
-            node_energy = np.where(
-                hasgpu,
-                (avg_pkg + avg_dram + avg_gpu + p_other) * total_time[:, None],
-                (avg_pkg + avg_dram + p_other) * total_time[:, None],
-            )
-        else:
-            node_energy = (avg_pkg + avg_dram + p_other) * total_time[:, None]
+        node_energy = (avg_pkg + avg_dram + p_other) * total_time[:, None]
         # sequential rank-order sums replicate the scalar accumulation
         energy = np.zeros(C)
         peak = np.zeros(C)
         for r in range(NN):
             energy = energy + np.where(mask[:, r], node_energy[:, r], 0.0)
             rank_peak = op["pkg_w"][:, r] + op["dram_w"][:, r]
-            if any_gpu:
-                rank_peak = np.where(
-                    hasgpu[:, r], rank_peak + gpu_w_op[:, r], rank_peak
-                )
             peak = peak + np.where(mask[:, r], rank_peak, 0.0)
         # p_other enters peak exactly as the scalar engine adds it:
         # count * value when all participants share one hardware class,
@@ -861,12 +697,9 @@ class BatchEvaluator:
         for c, cfg in enumerate(configs):
             records = []
             for rank, node_id in enumerate(participants_ids[c]):
-                n_sock = self._class_S_int[int(cls[c, rank])]
                 point = OperatingPoint(
                     frequency_hz=float(op["f"][c, rank]),
-                    bandwidth_per_socket=tuple(
-                        float(op["limit"][c, rank]) for _ in range(n_sock)
-                    ),
+                    bandwidth_per_socket=(float(op["limit"][c, rank]),) * S,
                     pkg_power_w=float(op["pkg_w"][c, rank]),
                     dram_power_w=float(op["dram_w"][c, rank]),
                     cpu_throttled=bool(op["cpu_throttled"][c, rank]),
@@ -874,10 +707,6 @@ class BatchEvaluator:
                     cpu_cap_violated=bool(op["cpu_violated"][c, rank]),
                     mem_cap_violated=bool(op["mem_violated"][c, rank]),
                     duty_cycle=float(op["duty"][c, rank]),
-                    gpu_clock_hz=float(gpu_clock[c, rank]),
-                    gpu_power_w=float(gpu_w_op[c, rank]),
-                    gpu_throttled=bool(gpu_throt[c, rank]),
-                    gpu_cap_violated=bool(gpu_violated[c, rank]),
                 )
                 events = EventCounters(
                     event0=float(values[c, rank, 0]),
@@ -904,8 +733,6 @@ class BatchEvaluator:
                             (phase_names[j], float(fz_phase[c, rank, j]))
                             for j in range(P)
                         ),
-                        avg_gpu_w=float(avg_gpu[c, rank]),
-                        gpu_busy_fraction=float(dev_busy[c, rank]),
                     )
                 )
             results.append(

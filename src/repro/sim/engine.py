@@ -62,10 +62,9 @@ class ExecutionConfig:
     allocations (§III-B.2).  ``node_ids`` selects specific nodes
     (defaults to the first ``n_nodes``).  ``phase_threads`` optionally
     overrides the thread count of named workload phases — the paper's
-    BT-MZ phase-wise concurrency adjustment (§V-B.1).  ``scaling``
-    chooses strong (divide the global problem over the nodes, the
-    paper's setting) or weak (a reference-size domain per node)
-    execution.
+    BT-MZ phase-wise concurrency adjustment (§V-B.1).  Execution is
+    strong-scaled, the paper's setting: the global problem is divided
+    over the nodes.
     """
 
     n_nodes: int
@@ -79,7 +78,6 @@ class ExecutionConfig:
     frequency_hz: float | None = None
     iterations: int | None = None
     phase_threads: dict[str, int] = field(default_factory=dict)
-    scaling: str = "strong"
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -102,10 +100,6 @@ class ExecutionConfig:
                 raise SchedulingError(
                     f"node_ids must be distinct, got {self.node_ids}"
                 )
-        if self.scaling not in ("strong", "weak"):
-            raise SchedulingError(
-                f"scaling must be 'strong' or 'weak', got {self.scaling!r}"
-            )
 
     def caps_for(self, rank: int) -> tuple[float | None, float | None]:
         """(PKG, DRAM) caps for the rank-th participating node."""
@@ -198,8 +192,10 @@ class ExecutionEngine:
         come from each config, availability is ignored, and no node
         state changes.  A small batch (at most
         :data:`~repro.sim.batch.FLOAT_PATH_MAX_CELLS` node-cells) runs
-        on :meth:`run`'s own float code; a larger one runs as a single
-        ``(n_candidates, n_nodes)`` array program.
+        on :meth:`run`'s own float code, as does any batch on a fleet
+        with a GPU class or one that sets ``phase_threads``; a larger
+        one on a CPU fleet runs as a single ``(n_candidates, n_nodes)``
+        array program.
         """
         if self._batch is None:
             from repro.sim.batch import BatchEvaluator
@@ -336,11 +332,8 @@ class ExecutionEngine:
             }
 
         iterations = config.iterations or app.iterations
-        # strong scaling divides the global problem over the nodes;
-        # weak scaling gives every node a full reference-size domain
-        work_fraction = (
-            1.0 / config.n_nodes if config.scaling == "strong" else 1.0
-        )
+        # strong scaling divides the global problem over the nodes
+        work_fraction = 1.0 / config.n_nodes
 
         records: list[NodeRunRecord] = []
         rng = self._run_rng(app, config)
@@ -354,9 +347,7 @@ class ExecutionEngine:
                 )
             )
 
-        comm_s = self._comm.iteration_time(
-            app, config.n_nodes, scaling=config.scaling
-        )
+        comm_s = self._comm.iteration_time(app, config.n_nodes)
         t_step = max(r.t_iter_s for r in records) + comm_s
         total_time = iterations * t_step
 

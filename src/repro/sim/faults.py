@@ -56,9 +56,6 @@ FAULT_ACTIONS = (
     "crash",
 )
 
-#: Actions that target one node — or, with ``node_id=None``, every node.
-_NODE_SCOPED = ("cap_write_fail", "cap_drift", "sensor_noise", "sensor_stale")
-
 
 @dataclass(frozen=True)
 class FaultEvent:

@@ -47,31 +47,18 @@ class CommModel:
         """Per-byte transfer time (seconds/byte)."""
         return self._beta
 
-    def halo_bytes(
-        self,
-        chars: WorkloadCharacteristics,
-        n_nodes: int,
-        scaling: str = "strong",
-    ) -> float:
+    def halo_bytes(self, chars: WorkloadCharacteristics, n_nodes: int) -> float:
         """Per-node halo volume per iteration at *n_nodes*.
 
         ``comm_bytes_per_iter`` is the reference volume of the 1-node
-        decomposition.  Under strong scaling the per-node surface
-        shrinks as :math:`(1/N)^{2/3}` (3-D domain decompositions);
-        under weak scaling each node keeps its reference-size domain
-        and therefore its full surface.
+        decomposition.  Under strong scaling (the global problem divided
+        over the nodes) the per-node surface shrinks as
+        :math:`(1/N)^{2/3}` (3-D domain decompositions).
         """
-        if scaling == "strong":
-            return chars.comm_bytes_per_iter * n_nodes ** (-2.0 / 3.0)
-        if scaling == "weak":
-            return chars.comm_bytes_per_iter
-        raise WorkloadError(f"unknown scaling mode {scaling!r}")
+        return chars.comm_bytes_per_iter * n_nodes ** (-2.0 / 3.0)
 
     def iteration_time(
-        self,
-        chars: WorkloadCharacteristics,
-        n_nodes: int,
-        scaling: str = "strong",
+        self, chars: WorkloadCharacteristics, n_nodes: int
     ) -> float:
         """Communication seconds added to each bulk-synchronous step."""
         if not 1 <= n_nodes <= self._max_nodes:
@@ -82,7 +69,7 @@ class CommModel:
             return 0.0
         if chars.comm_pattern is CommPattern.HALO:
             msgs = chars.comm_msgs_per_iter
-            vol = self.halo_bytes(chars, n_nodes, scaling)
+            vol = self.halo_bytes(chars, n_nodes)
             # neighbour exchanges proceed concurrently; one message set
             # per direction pays latency, the volume pays bandwidth
             return msgs * self._alpha + vol * self._beta
@@ -91,12 +78,4 @@ class CommModel:
             return depth * (self._alpha + ALLREDUCE_BYTES * self._beta)
         raise WorkloadError(  # pragma: no cover - enum exhaustive
             f"unknown comm pattern {chars.comm_pattern!r}"
-        )
-
-    def scaling_profile(
-        self, chars: WorkloadCharacteristics, n_nodes_values
-    ) -> np.ndarray:
-        """Vector of per-iteration comm times over candidate node counts."""
-        return np.array(
-            [self.iteration_time(chars, int(n)) for n in n_nodes_values]
         )

@@ -35,11 +35,6 @@ class NodeRunRecord:
     #: Share of the iteration the device spent busy (0 without offload).
     gpu_busy_fraction: float = 0.0
 
-    @property
-    def avg_capped_w(self) -> float:
-        """Average RAPL-visible power (PKG + DRAM + GPU where present)."""
-        return self.avg_pkg_w + self.avg_dram_w + self.avg_gpu_w
-
 
 @dataclass(frozen=True)
 class RunResult:

@@ -21,18 +21,13 @@ import math
 
 __all__ = [
     "GHZ",
-    "MHZ",
     "GB",
     "MB",
-    "KB",
     "ghz",
-    "mhz",
     "gbps",
     "watts",
     "joules",
     "seconds",
-    "as_ghz",
-    "as_gbps",
     "check_positive",
     "check_non_negative",
     "check_fraction",
@@ -40,20 +35,13 @@ __all__ = [
 ]
 
 GHZ = 1.0e9
-MHZ = 1.0e6
 GB = 1.0e9
 MB = 1.0e6
-KB = 1.0e3
 
 
 def ghz(value: float) -> float:
     """Convert a frequency in GHz to Hz."""
     return float(value) * GHZ
-
-
-def mhz(value: float) -> float:
-    """Convert a frequency in MHz to Hz."""
-    return float(value) * MHZ
 
 
 def gbps(value: float) -> float:
@@ -74,16 +62,6 @@ def joules(value: float) -> float:
 def seconds(value: float) -> float:
     """Identity with validation: durations must be finite and non-negative."""
     return check_non_negative(float(value), "time")
-
-
-def as_ghz(hz: float) -> float:
-    """Convert Hz back to GHz for display."""
-    return hz / GHZ
-
-
-def as_gbps(bps: float) -> float:
-    """Convert bytes/s back to GB/s for display."""
-    return bps / GB
 
 
 def check_positive(

@@ -165,11 +165,6 @@ class WorkloadCharacteristics:
                 )
 
     @property
-    def bytes_per_iter(self) -> float:
-        """Total DRAM traffic per outer iteration."""
-        return self.instructions_per_iter * self.bytes_per_instruction
-
-    @property
     def is_memory_intensive(self) -> bool:
         """Rough one-bit workload-pattern label (Table II column)."""
         return self.bytes_per_instruction >= 0.08

@@ -10,7 +10,6 @@ from repro.analysis.experiments import (
 from repro.analysis.metrics import (
     geometric_mean,
     improvement_over,
-    relative_performance,
 )
 from repro.analysis.tables import render_table
 from repro.errors import ClipError
@@ -18,13 +17,6 @@ from repro.workloads.apps import get_app
 
 
 class TestMetrics:
-    def test_relative_performance(self):
-        assert relative_performance(2.0, 4.0) == pytest.approx(0.5)
-
-    def test_relative_rejects_zero_reference(self):
-        with pytest.raises(ClipError):
-            relative_performance(1.0, 0.0)
-
     def test_improvement_over(self):
         assert improvement_over(1.2, 1.0) == pytest.approx(0.2)
         assert improvement_over(0.8, 1.0) == pytest.approx(-0.2)

@@ -103,7 +103,7 @@ class TestSmartProfiler:
         p3 = profiler.confirm(app, p, 14)
         assert p3.n_samples == 3
         assert p3.confirm_run.n_threads == 14
-        runs = p3.sample_runs()
+        runs = (p3.half_run, p3.confirm_run, p3.all_run)
         assert [r.n_threads for r in runs] == [12, 14, 24]
 
     def test_confirm_rejects_wrong_app(self, profiler):

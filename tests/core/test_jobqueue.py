@@ -35,8 +35,6 @@ class TestSequential:
         for prev, cur in zip(ordered, ordered[1:]):
             assert cur.started_at_s == pytest.approx(prev.finished_at_s)
         assert report.makespan_s == pytest.approx(ordered[-1].finished_at_s)
-        for j in report.jobs:
-            assert j.turnaround_s == pytest.approx(j.wait_s + (j.finished_at_s - j.started_at_s))
 
     def test_fifo_order(self, queue):
         apps = [get_app(n) for n in APPS]
@@ -103,8 +101,3 @@ class TestValidation:
     def test_unknown_policy_rejected(self, queue):
         with pytest.raises(SchedulingError):
             queue.drain([get_app("comd")], 1600.0, policy="priority")
-
-    def test_report_summaries(self, queue):
-        report = queue.drain([get_app("comd")], 1600.0, iterations=5)
-        assert report.mean_turnaround_s > 0
-        assert report.throughput_jobs_per_hour > 0

@@ -1,10 +1,10 @@
-"""Tests for the knowledge DB, Algorithm-1 scheduler, and execution module."""
+"""Tests for the knowledge DB, Algorithm-1 scheduler, and launch script."""
 
 import numpy as np
 import pytest
 
 from repro.core.classify import ScalabilityClass
-from repro.core.execution import ApplicationExecutionModule, render_script
+from repro.core.execution import render_script
 from repro.core.knowledge import KnowledgeDB, KnowledgeEntry
 from repro.core.scheduler import ClipScheduler
 from repro.errors import KnowledgeBaseError, SchedulingError
@@ -180,24 +180,19 @@ class TestClipScheduler:
 
 class TestExecutionModule:
     def test_prepare_renders_script(self, clip):
-        module = ApplicationExecutionModule(clip)
-        plan = module.prepare(get_app("sp-mz.C"), 1400.0)
-        assert "mpirun" in plan.script
-        assert "clip-rapl" in plan.script
-        assert f"-np {plan.decision.n_nodes}" in plan.script
-        assert f"OMP_NUM_THREADS={plan.decision.n_threads}" in plan.script
-
-    def test_execute_runs(self, clip):
-        module = ApplicationExecutionModule(clip)
-        plan, result = module.execute(get_app("comd"), 1400.0, iterations=2)
-        assert result.n_nodes == plan.decision.n_nodes
+        decision = clip.schedule(get_app("sp-mz.C"), 1400.0)
+        script = render_script(get_app("sp-mz.C"), decision)
+        assert "mpirun" in script
+        assert "clip-rapl" in script
+        assert f"-np {decision.n_nodes}" in script
+        assert f"OMP_NUM_THREADS={decision.n_threads}" in script
 
     def test_script_bind_matches_affinity(self, clip):
-        module = ApplicationExecutionModule(clip)
-        plan = module.prepare(get_app("tealeaf"), 1400.0)
-        cfg = plan.decision.node_configs[0]
+        decision = clip.schedule(get_app("tealeaf"), 1400.0)
+        script = render_script(get_app("tealeaf"), decision)
+        cfg = decision.node_configs[0]
         expected = "spread" if cfg.affinity.value == "scatter" else "close"
-        assert f"OMP_PROC_BIND={expected}" in plan.script
+        assert f"OMP_PROC_BIND={expected}" in script
 
     def test_script_lists_every_node_cap(self, clip):
         d = clip.schedule(get_app("comd"), 1400.0)

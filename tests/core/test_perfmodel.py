@@ -118,11 +118,6 @@ class TestNonLinearModels:
         assert log_predictor[0].scalability_class is ScalabilityClass.LOGARITHMIC
         assert linear_predictor[0].scalability_class is ScalabilityClass.LINEAR
 
-    def test_flat_share_in_unit_interval(self, log_predictor, linear_predictor):
-        for pred, _ in (log_predictor, linear_predictor):
-            for n in (4, 12, 24):
-                assert 0.0 <= pred.flat_share(n) <= 1.0
-
 
 class TestPredictionAccuracy:
     """The model should track the engine's ground truth reasonably."""

@@ -143,13 +143,6 @@ class TestPowerRange:
             assert rng.mem_lo_w <= rng.mem_hi_w
             assert rng.node_lo_w < rng.node_hi_w
 
-    def test_contains(self, model_for):
-        rng = model_for("comd").power_range(24)
-        mid = (rng.node_lo_w + rng.node_hi_w) / 2
-        assert rng.contains(mid)
-        assert not rng.contains(rng.node_lo_w - 1)
-        assert not rng.contains(rng.node_hi_w + 1)
-
     def test_fewer_threads_lower_floor(self, model_for):
         m = model_for("bt-mz.C")
         assert m.power_range(8).node_lo_w < m.power_range(24).node_lo_w

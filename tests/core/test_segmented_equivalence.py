@@ -45,8 +45,6 @@ from repro.core.monitor import (
     AUDIT_TOLERANCE_W,
     BudgetInvariantMonitor,
     CapAudit,
-    _bound_field,
-    _per_rank_bounds,
 )
 from repro.errors import SchedulingError
 
@@ -204,6 +202,27 @@ def ref_split_cluster_budget(
             )
         )
     return budgets, tuple(records)
+
+
+def _per_rank_bounds(bound, n_ranks: int) -> list[float] | None:
+    """Normalize a scalar-or-sequence bound to one float per rank."""
+    if bound is None:
+        return None
+    if isinstance(bound, (int, float)):
+        return [float(bound)] * n_ranks
+    seq = [float(b) for b in bound]
+    if len(seq) != n_ranks:
+        raise ValueError(
+            f"per-rank bounds cover {len(seq)} ranks, cap set has {n_ranks}"
+        )
+    return seq
+
+
+def _bound_field(bound):
+    """The bound as stored on :class:`CapAudit` (scalar or tuple)."""
+    if bound is None or isinstance(bound, (int, float)):
+        return bound if bound is None else float(bound)
+    return tuple(float(b) for b in bound)
 
 
 def ref_audit(

@@ -8,7 +8,7 @@ compared against:
   points and PMU counters included) of ``ExecutionEngine.run`` on the
   haswell, mixed, gpu and mixed-gpu testbeds, over the code paths the
   batch-equivalence suite names (duty-cycle floor, DRAM throttling,
-  phase overrides, weak scaling, per-node caps, a pinned frequency)
+  phase overrides, per-node caps, a pinned frequency)
   plus the accelerator paths, together with the RAPL and meter side
   effects each run leaves on its nodes;
 * ``drains`` -- one 6-node job per chaos fault script (actuation and
@@ -82,8 +82,6 @@ CPU_CASES = (
         n_nodes=2, n_threads=6, affinity=AffinityKind.COMPACT,
         frequency_hz=1.2e9, iterations=2,
     )),
-    ("sp-mz.C", ExecutionConfig(n_nodes=8, n_threads=12, scaling="weak",
-                                iterations=2)),
     # heterogeneous per-node caps + explicit node choice (crosses the
     # class boundary on the mixed testbeds)
     ("amg", ExecutionConfig(
@@ -97,6 +95,12 @@ CPU_CASES = (
     # odd concurrency, uncapped, full iteration count
     ("minimd", ExecutionConfig(n_nodes=6, n_threads=23)),
 )
+
+#: Positions, in each testbed's stored ``runs``, of records whose case
+#: no longer exists: a weak-scaling run (``ExecutionConfig`` has no
+#: ``scaling`` knob any more).  The stored fixture keeps the records and
+#: the comparison skips them; empty this when the fixture is regenerated.
+RETIRED_RUNS = (6,)
 
 #: Extra cases on the accelerator testbeds: offload, GPU caps, and
 #: three-domain per-node caps.

@@ -1,12 +1,10 @@
-"""Unit and property tests for the DVFS ladder and controller."""
+"""Unit and property tests for the DVFS frequency ladder."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SpecError
-from repro.hw.dvfs import DvfsController, FrequencyLadder
-from repro.hw.specs import SocketSpec
+from repro.hw.dvfs import FrequencyLadder
 from repro.units import ghz
 
 LADDER = FrequencyLadder([ghz(f) for f in (1.2, 1.5, 1.8, 2.1, 2.3)])
@@ -35,18 +33,6 @@ class TestFrequencyLadder:
         # below the ladder clamps to f_min
         assert LADDER.quantize_down(ghz(0.5)) == pytest.approx(ghz(1.2))
 
-    def test_quantize_up(self):
-        assert LADDER.quantize_up(ghz(1.7)) == pytest.approx(ghz(1.8))
-        assert LADDER.quantize_up(ghz(9.9)) == pytest.approx(ghz(2.3))
-
-    def test_step_down_saturates(self):
-        assert LADDER.step_down(ghz(1.2)) == pytest.approx(ghz(1.2))
-        assert LADDER.step_down(ghz(1.8)) == pytest.approx(ghz(1.5))
-
-    def test_step_up_saturates(self):
-        assert LADDER.step_up(ghz(2.3)) == pytest.approx(ghz(2.3))
-        assert LADDER.step_up(ghz(1.5)) == pytest.approx(ghz(1.8))
-
     def test_highest_under_monotone_predicate(self):
         # power-fits-under-cap style predicate
         assert LADDER.highest_under(lambda f: f <= ghz(1.9)) == pytest.approx(
@@ -66,45 +52,3 @@ class TestFrequencyLadder:
     def test_quantize_roundtrip_idempotent(self, f):
         q = LADDER.quantize_down(f)
         assert LADDER.quantize_down(q) == q
-
-    @given(st.floats(min_value=1e9, max_value=4e9))
-    def test_up_at_least_down(self, f):
-        assert LADDER.quantize_up(f) >= LADDER.quantize_down(f)
-
-
-class TestDvfsController:
-    def test_starts_at_nominal(self):
-        socket = SocketSpec()
-        ctrl = DvfsController(socket)
-        assert np.all(ctrl.frequencies == socket.f_nominal)
-
-    def test_set_core_quantizes(self):
-        ctrl = DvfsController(SocketSpec())
-        applied = ctrl.set_core(3, ghz(2.45))
-        assert applied == pytest.approx(ghz(2.4))
-        assert ctrl.frequency_of(3) == pytest.approx(ghz(2.4))
-
-    def test_set_all(self):
-        ctrl = DvfsController(SocketSpec())
-        ctrl.set_all(ghz(1.5))
-        assert np.all(ctrl.frequencies == ghz(1.5))
-
-    def test_reset(self):
-        socket = SocketSpec()
-        ctrl = DvfsController(socket)
-        ctrl.set_all(ghz(1.2))
-        ctrl.reset()
-        assert np.all(ctrl.frequencies == socket.f_nominal)
-
-    def test_rejects_bad_core_index(self):
-        ctrl = DvfsController(SocketSpec())
-        with pytest.raises(SpecError):
-            ctrl.set_core(12, ghz(2.0))
-        with pytest.raises(SpecError):
-            ctrl.frequency_of(-1)
-
-    def test_frequencies_returns_copy(self):
-        ctrl = DvfsController(SocketSpec())
-        freqs = ctrl.frequencies
-        freqs[:] = 0.0
-        assert np.all(ctrl.frequencies > 0)

@@ -1,11 +1,10 @@
 """Unit and property tests for NUMA topology queries."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import AffinityError, SpecError
-from repro.hw.numa import LOCAL_DISTANCE, REMOTE_DISTANCE, NumaTopology
+from repro.hw.numa import NumaTopology
 from repro.hw.specs import haswell_node
 
 TOPO = NumaTopology(haswell_node())
@@ -16,13 +15,6 @@ class TestTopologyShape:
         assert TOPO.n_sockets == 2
         assert TOPO.cores_per_socket == 12
         assert TOPO.n_cores == 24
-
-    def test_distance_matrix(self):
-        d = TOPO.distances
-        assert d.shape == (2, 2)
-        assert d[0, 0] == LOCAL_DISTANCE
-        assert d[0, 1] == REMOTE_DISTANCE
-        assert np.all(d == d.T)
 
     def test_socket_of_boundaries(self):
         assert TOPO.socket_of(0) == 0
@@ -35,14 +27,6 @@ class TestTopologyShape:
             TOPO.socket_of(24)
         with pytest.raises(AffinityError):
             TOPO.socket_of(-1)
-
-    def test_cores_of(self):
-        assert list(TOPO.cores_of(0)) == list(range(12))
-        assert list(TOPO.cores_of(1)) == list(range(12, 24))
-
-    def test_cores_of_rejects_bad_socket(self):
-        with pytest.raises(AffinityError):
-            TOPO.cores_of(2)
 
 
 class TestPlacementQueries:

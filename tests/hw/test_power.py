@@ -81,19 +81,6 @@ class TestPkgPower:
             1.1 * cold.pkg_power(12, ghz(2.3))
         )
 
-    def test_percore_matches_uniform(self, model):
-        f = ghz(2.0)
-        freqs = np.full(12, f)
-        assert model.pkg_power_percore(freqs, np.ones(12)) == pytest.approx(
-            model.pkg_power(12, f, 1.0)
-        )
-
-    def test_percore_ignores_inactive(self, model):
-        freqs = np.zeros(12)
-        freqs[:4] = ghz(2.3)
-        expected = model.pkg_power(4, ghz(2.3))
-        assert model.pkg_power_percore(freqs, np.ones(12)) == pytest.approx(expected)
-
 
 class TestDramPower:
     def test_idle_is_base(self, model):
@@ -115,24 +102,6 @@ class TestDramPower:
         mem = NODE.socket.memory
         half = model.dram_power(mem.peak_bandwidth / 2)
         assert half == pytest.approx(mem.p_base_w + mem.p_load_max_w / 2)
-
-
-class TestNodePower:
-    def test_breakdown_totals(self, model):
-        bd = model.node_power([12, 12], ghz(2.3), [3e10, 3e10])
-        assert bd.total_w == pytest.approx(bd.pkg_w + bd.dram_w + bd.other_w)
-        assert bd.capped_w == pytest.approx(bd.pkg_w + bd.dram_w)
-        assert bd.other_w == pytest.approx(NODE.p_other_w)
-
-    def test_scaled_leaves_other_alone(self, model):
-        bd = model.node_power([12, 12], ghz(2.3), [3e10, 3e10])
-        scaled = bd.scaled(1.1)
-        assert scaled.pkg_w == pytest.approx(1.1 * bd.pkg_w)
-        assert scaled.other_w == pytest.approx(bd.other_w)
-
-    def test_rejects_mismatched_sockets(self, model):
-        with pytest.raises(SpecError):
-            model.node_power([12], ghz(2.3), [3e10, 3e10])
 
 
 class TestInverseModel:
@@ -195,19 +164,6 @@ class TestPowerBreakdownDomains:
             assert "gpu_w" not in present  # absent, not zero
         else:
             assert present["gpu_w"] == gpu
-
-    @given(pkg=_w, dram=_w, other=_w, gpu=st.one_of(st.none(), _w),
-           factor=st.floats(min_value=0.0, max_value=3.0))
-    def test_scaled_preserves_domain_absence(self, pkg, dram, other, gpu, factor):
-        from repro.hw.power import PowerBreakdown
-
-        bd = PowerBreakdown(pkg_w=pkg, dram_w=dram, other_w=other, gpu_w=gpu)
-        scaled = bd.scaled(factor)
-        assert (scaled.gpu_w is None) == (gpu is None)
-        assert scaled.other_w == other  # uncapped share never scales
-        assert scaled.pkg_w == pytest.approx(pkg * factor)
-        if gpu is not None:
-            assert scaled.gpu_w == pytest.approx(gpu * factor)
 
     def test_capped_domain_table_covers_every_capped_field(self):
         from dataclasses import fields

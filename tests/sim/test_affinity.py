@@ -7,7 +7,6 @@ from repro.errors import AffinityError
 from repro.hw.numa import AffinityKind, NumaTopology
 from repro.hw.specs import haswell_node
 from repro.sim.affinity import (
-    best_placement,
     make_placement,
     placement_cache_clear,
     placement_cache_info,
@@ -136,12 +135,4 @@ class TestPolicyRules:
 
     def test_large_job_scatters_regardless(self):
         p = placement_for(TOPO, 20, 0.3, memory_intensive=False)
-        assert p.kind is AffinityKind.SCATTER
-
-    def test_best_placement_picks_minimum(self):
-        # an evaluator preferring fewer sockets selects compact
-        p = best_placement(TOPO, 4, 0.3, evaluate=lambda pl: pl.sockets_used)
-        assert p.kind is AffinityKind.COMPACT
-        # an evaluator preferring more bandwidth selects scatter
-        p = best_placement(TOPO, 4, 0.3, evaluate=lambda pl: -pl.sockets_used)
         assert p.kind is AffinityKind.SCATTER

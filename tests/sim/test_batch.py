@@ -1,12 +1,13 @@
 """What-if evaluation: exact equivalence with ``run``.
 
-``evaluate_many`` answers on two paths: small batches run the engine's
-own float code as a what-if, large ones the vectorized array kernel.
-Both must agree *bit-exactly* with ``ExecutionEngine.run`` — every
-``RunResult`` field, including the synthesized PMU counters — so the
-equivalence cases check the public call and the kernel called
-directly, and a property checks the float what-if against the kernel,
-error for error.
+``evaluate_many`` answers on two paths: large batches on a CPU fleet
+run the vectorized array kernel, everything else the engine's own float
+code as a what-if.  Both must agree *bit-exactly* with
+``ExecutionEngine.run`` — every ``RunResult`` field, including the
+synthesized PMU counters — so the equivalence cases check the public
+call and the kernel called directly (which refuses inputs outside its
+domain), a property checks the float what-if against the kernel, error
+for error, and another checks it against ``run`` on the GPU fleets.
 """
 
 import dataclasses
@@ -51,12 +52,25 @@ def kernel(engine, app, config):
     return BatchEvaluator(engine)._evaluate(app, [config])[0]
 
 
+def in_kernel_domain(engine, config):
+    """Whether the array kernel covers *config* on *engine*'s fleet."""
+    return BatchEvaluator(engine).cpu_fleet and not config.phase_threads
+
+
 def assert_all_paths_match_run(engine, app, config):
-    """``run``, ``evaluate_many`` and the kernel give the same bits."""
+    """``run``, ``evaluate_many`` and the kernel give the same bits.
+
+    Outside the kernel's domain (a GPU fleet, a phase override) the
+    kernel refuses the config instead.
+    """
     scalar = engine.run(app, config)
     (batch,) = engine.evaluate_many(app, [config])
     assert_identical(batch, scalar)
-    assert_identical(kernel(engine, app, config), scalar)
+    if in_kernel_domain(engine, config):
+        assert_identical(kernel(engine, app, config), scalar)
+    else:
+        with pytest.raises(ValueError, match="array kernel"):
+            kernel(engine, app, config)
 
 
 EQUIVALENCE_CASES = [
@@ -105,10 +119,8 @@ EQUIVALENCE_CASES = [
         ),
     ),
     (
-        "sp-mz.C",  # weak scaling
-        ExecutionConfig(
-            n_nodes=8, n_threads=12, scaling="weak", iterations=2
-        ),
+        "sp-mz.C",  # every node of the testbed
+        ExecutionConfig(n_nodes=8, n_threads=12, iterations=2),
     ),
     (
         "amg",  # heterogeneous per-node caps + explicit node choice
@@ -426,7 +438,9 @@ class TestPathSelection:
 
 
 #: The four testbed kinds, each with one degraded node, for the
-#: float-vs-kernel property (built once: neither path mutates them).
+#: float-vs-kernel property on the CPU fleets and the float-vs-run one
+#: on the GPU fleets (built once: no what-if mutates them, and each
+#: ``run`` reprograms every cap it reads).
 _PROPERTY_TESTBEDS = {
     "haswell": haswell_testbed,
     "mixed": mixed_testbed,
@@ -449,21 +463,23 @@ _opt_cap = lambda lo, hi: st.none() | st.floats(lo, hi)  # noqa: E731
 
 
 @st.composite
-def what_if_cases(draw):
+def what_if_cases(
+    draw,
+    testbeds=("haswell", "mixed"),
+    phases=False,
+    flaws=("nodes", "threads", "node_id", "cap"),
+):
     """(engine, app, config) drawn over every knob the kernel handles.
 
-    About one draw in five carries one flaw on purpose: too many nodes
-    or threads, an out-of-range node id, a negative cap, or a phase
-    override wider than the node.
+    About one draw in five carries one of *flaws* on purpose: too many
+    nodes or threads, an out-of-range node id, a negative cap, or a
+    phase override wider than the node.  The defaults stay inside the
+    kernel's domain: CPU fleets, no phase overrides.
     """
-    engine = _property_engine(draw(st.sampled_from(sorted(_PROPERTY_TESTBEDS))))
+    engine = _property_engine(draw(st.sampled_from(testbeds)))
     cluster = engine.cluster
     max_cores = max(s.n_cores for s in cluster.spec.node_specs)
-    flaw = draw(
-        st.sampled_from(
-            (None,) * 16 + ("nodes", "threads", "node_id", "cap", "phase")
-        )
-    )
+    flaw = draw(st.sampled_from((None,) * 16 + tuple(flaws)))
     app = draw(st.sampled_from(_APPS))
     n_nodes = draw(st.integers(1, cluster.n_nodes))
     n_threads = draw(st.integers(1, max_cores))
@@ -484,7 +500,7 @@ def what_if_cases(draw):
         caps["dram_cap_w"] = draw(_opt_cap(2.0, 70.0))
         caps["gpu_cap_w"] = draw(_opt_cap(20.0, 700.0))
     phase_threads = {}
-    if len(app.effective_phases()) > 1 and draw(st.booleans()):
+    if phases and len(app.effective_phases()) > 1 and draw(st.booleans()):
         phase = draw(st.sampled_from(app.effective_phases())).name
         phase_threads = {phase: draw(st.integers(1, n_threads))}
     if flaw == "nodes":
@@ -505,7 +521,6 @@ def what_if_cases(draw):
         frequency_hz=draw(st.none() | st.floats(0.8e9, 3.6e9)),
         iterations=draw(st.none() | st.integers(1, 3)),
         phase_threads=phase_threads,
-        scaling=draw(st.sampled_from(["strong", "weak"])),
         **caps,
     )
     return engine, app, config
@@ -520,7 +535,7 @@ def _outcome(fn):
 
 class TestFloatWhatIfMatchesKernel:
     """The float what-if and the array kernel: bit for bit, error for
-    error, on every testbed kind with a degraded node."""
+    error, on both CPU testbed kinds with a degraded node."""
 
     @settings(
         max_examples=300,
@@ -536,3 +551,32 @@ class TestFloatWhatIfMatchesKernel:
             assert floats is array
         else:
             assert_identical(floats, array)
+
+
+class TestFloatWhatIfMatchesRunOnGpuFleets:
+    """Off the kernel, GPU what-ifs are still checked against execution:
+    the float what-if equals ``run`` bit for bit, error for error, on
+    both accelerator testbeds with a degraded node and phase overrides.
+    ``run`` checks a GPU cap only on a node that has the domain, so the
+    negative-cap flaw stays with the float-vs-kernel property."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        case=what_if_cases(
+            testbeds=("gpu", "mixed-gpu"),
+            phases=True,
+            flaws=("nodes", "threads", "node_id", "phase"),
+        )
+    )
+    def test_float_what_if_equals_run(self, case):
+        engine, app, config = case
+        floats = _outcome(lambda: engine._what_if(app, [config])[0])
+        executed = _outcome(lambda: engine.run(app, config))
+        if isinstance(floats, type) or isinstance(executed, type):
+            assert floats is executed
+        else:
+            assert_identical(floats, executed)

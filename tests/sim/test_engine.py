@@ -239,59 +239,3 @@ class TestFixedPointRobustness:
         assert r.total_time_s > 0
         assert r.avg_power_w > 0
         assert r.peak_power_w >= 0
-
-
-class TestWeakScaling:
-    def test_weak_keeps_full_domain_per_node(self, engine, comd):
-        one = engine.run(
-            comd, ExecutionConfig(n_nodes=1, n_threads=24, iterations=2)
-        )
-        weak8 = engine.run(
-            comd,
-            ExecutionConfig(n_nodes=8, n_threads=24, iterations=2, scaling="weak"),
-        )
-        # per-node work identical: instructions per node match 1-node run
-        assert weak8.nodes[0].events.event6 == pytest.approx(
-            one.nodes[0].events.event6, rel=0.05
-        )
-
-    def test_weak_efficiency_near_one_for_light_comm(self, engine, comd):
-        one = engine.run(
-            comd, ExecutionConfig(n_nodes=1, n_threads=24, iterations=2)
-        )
-        weak8 = engine.run(
-            comd,
-            ExecutionConfig(n_nodes=8, n_threads=24, iterations=2, scaling="weak"),
-        )
-        efficiency = one.t_step_s / weak8.t_step_s
-        assert 0.9 <= efficiency <= 1.0 + 1e-9
-
-    def test_weak_halo_volume_constant(self, engine):
-        from repro.workloads.apps import get_app
-
-        app = get_app("bt-mz.C")
-        comm = engine.comm_model
-        assert comm.halo_bytes(app, 8, "weak") == pytest.approx(
-            comm.halo_bytes(app, 1, "weak")
-        )
-        assert comm.halo_bytes(app, 8, "strong") < comm.halo_bytes(app, 1, "strong")
-
-    def test_strong_faster_than_weak_per_step(self, engine, comd):
-        strong = engine.run(
-            comd, ExecutionConfig(n_nodes=8, n_threads=24, iterations=2)
-        )
-        weak = engine.run(
-            comd,
-            ExecutionConfig(n_nodes=8, n_threads=24, iterations=2, scaling="weak"),
-        )
-        assert strong.t_step_s < weak.t_step_s
-
-    def test_unknown_scaling_rejected(self):
-        with pytest.raises(SchedulingError):
-            ExecutionConfig(n_nodes=1, n_threads=2, scaling="diagonal")
-
-    def test_unknown_scaling_rejected_by_comm(self, engine, comd):
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError):
-            engine.comm_model.halo_bytes(comd, 4, "diagonal")

@@ -22,7 +22,7 @@ class TestClusterFailureState:
         cluster.fail_node(3)
         assert not cluster.is_available(3)
         assert cluster.failed_node_ids == (3,)
-        assert cluster.n_available == cluster.n_nodes - 1
+        assert len(cluster.available_node_ids) == cluster.n_nodes - 1
         assert 3 not in cluster.available_node_ids
 
     def test_recover_restores_service(self, cluster):

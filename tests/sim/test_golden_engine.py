@@ -37,7 +37,10 @@ def stored():
 @pytest.mark.parametrize("testbed", ["haswell", "mixed", "gpu", "mixed-gpu"])
 def test_engine_runs_match_stored_golden(cg, stored, testbed):
     captured = json.loads(json.dumps(cg._runs(cg.TESTBEDS[testbed])))
-    expected = stored["runs"][testbed]
+    expected = [
+        run for i, run in enumerate(stored["runs"][testbed])
+        if i not in cg.RETIRED_RUNS
+    ]
     assert len(captured) == len(expected)
     for got, want in zip(captured, expected):
         assert got == want, f"{want['app']} on {testbed} moved"

@@ -1,6 +1,5 @@
 """Unit tests for the alpha-beta communication model."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -75,11 +74,3 @@ class TestValidation:
     def test_rejects_beyond_cluster(self, comm):
         with pytest.raises(WorkloadError):
             comm.iteration_time(app(CommPattern.HALO), 9)
-
-    def test_scaling_profile_shape(self, comm):
-        a = app(CommPattern.HALO)
-        prof = comm.scaling_profile(a, [1, 2, 4, 8])
-        assert prof.shape == (4,)
-        assert prof[0] == 0.0
-        # total comm time grows with node count for halo exchange
-        assert np.all(np.diff(prof[1:]) < 0) or np.all(prof[1:] > 0)

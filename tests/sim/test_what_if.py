@@ -2,8 +2,8 @@
 
 ``evaluate``/``evaluate_many`` answer "what would this config
 produce?" from the config's own caps.  Whichever path answers (the
-engine's float code for small batches, the array kernel for large
-ones), no node's programmed or enforced caps, throttle counters,
+engine's float code for small batches and on GPU fleets, the array
+kernel for large ones on CPU fleets), no node's programmed or enforced caps, throttle counters,
 energy registers, meter or actuation counters may change, and faults
 on the nodes (drifted or dropped cap writes, failed nodes) must not
 leak into the answer.
@@ -19,7 +19,7 @@ from repro.sim.engine import ExecutionConfig, ExecutionEngine
 from repro.sim.faults import FaultEvent, FaultInjector
 from repro.workloads.apps import get_app
 
-from tests.sim.test_batch import assert_identical, kernel
+from tests.sim.test_batch import assert_identical, in_kernel_domain, kernel
 
 
 class TestWhatIfIsolation:
@@ -86,7 +86,8 @@ class TestWhatIfIsolation:
         )
         (answer,) = engine.evaluate_many(app, [what_if])
         assert self._state(cluster) == before
-        assert_identical(answer, kernel(engine, app, what_if))
+        if in_kernel_domain(engine, what_if):
+            assert_identical(answer, kernel(engine, app, what_if))
         assert_identical(answer, engine._what_if(app, [what_if])[0])
         # the answer is the one a clean testbed executes under those caps
         clean = ExecutionEngine(SimulatedCluster(spec), seed=42)

@@ -202,8 +202,157 @@ def all_modules() -> set[str]:
     }
 
 
+def _definitions(tree: ast.Module):
+    """``(qualname, node)`` for every ``def``/``class`` in *tree*, nested
+    ones included; dunder methods are called by the language, not by
+    name, and are skipped."""
+    pending = [("", tree)]
+    while pending:
+        prefix, parent = pending.pop()
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                qualname = prefix + node.name
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield qualname, node
+                pending.append((qualname + ".", node))
+            else:
+                pending.append((prefix, node))
+
+
+def _references(tree: ast.Module):
+    """``(name, line)`` for every ``Name``, ``Attribute`` and string
+    constant in *tree*, outside ``__all__`` (an export is not a use).
+    Strings count because clipbench's tracer wraps methods by name."""
+    exported = {
+        id(node)
+        for stmt in ast.walk(tree)
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt)
+    }
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def unreached_names() -> set[str]:
+    """Every ``def``/``class`` under ``src/repro`` that no reachable
+    module refers to by name outside the definition's own body.
+
+    The reachable modules are :func:`reached_modules` plus every file
+    under ``benchmarks/``.  The match is by bare name, so a reference to
+    ``.run`` reaches every method called ``run``.
+    """
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    paths = [_source(m) for m in reached_modules()]
+    paths += sorted(BENCHMARKS.rglob("*.py"))
+    for path in paths:
+        for name, line in _references(_parse(path)):
+            uses.setdefault(name, []).append((path, line))
+    unreached = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        if path.name == "__init__.py":
+            module = module.rpartition(".")[0]
+        for qualname, node in _definitions(_parse(path)):
+            if not any(
+                not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, line in uses.get(node.name, ())
+            ):
+                unreached.add(f"{module}.{qualname}")
+    return unreached
+
+
+#: Names no program path refers to, kept because a test relies on them
+#: for behaviour that stays (name -> reason).
+UNREACHED_NAMES_BY_DESIGN = {
+    "repro.quickstart_scheduler": (
+        "the documented entry point of README and examples/quickstart.py; "
+        "test_top_level_surface pins it"
+    ),
+    "repro.analysis.traces.audit_cap_violations": (
+        "the cap-violation oracle of test_integration, test_matrix and "
+        "test_cross_platform"
+    ),
+    "repro.analysis.traces.CapViolation": (
+        "the record audit_cap_violations returns"
+    ),
+    "repro.core.monitor.BudgetInvariantMonitor.assert_clean": (
+        "the zero-violation checkpoint of the fault, runtime, watchdog "
+        "and serve suites"
+    ),
+    "repro.core.powermodel.ClipPowerModel.p_core_w": (
+        "TestFit checks the fitted per-core coefficient is physical"
+    ),
+    "repro.core.powermodel.ClipPowerModel.mem_base_w": (
+        "TestFit checks the fitted DRAM base coefficient is physical"
+    ),
+    "repro.core.powermodel.ClipPowerModel.mem_w_per_bw": (
+        "TestFit checks the fitted DRAM slope is physical"
+    ),
+    "repro.core.knowledge.KnowledgeDB.migrated_from": (
+        "test_v1_fixture_round_trips checks a v1 file is migrated on load"
+    ),
+    "repro.baselines.optimal.OracleScheduler.search_stats": (
+        "the oracle's pruning-soundness and batch-agreement tests read "
+        "its bookkeeping"
+    ),
+    "repro.baselines.optimal.OracleScheduler.thread_grid": (
+        "test_thread_grid_includes_serial_and_full_node checks the "
+        "oracle's search space"
+    ),
+    "repro.hw.cluster.SimulatedCluster.variability": (
+        "the ground truth test_factors_track_ground_truth compares the "
+        "calibration against; examples/variability_study.py reads it"
+    ),
+    "repro.hw.numa.NumaTopology.sockets_used": (
+        "the affinity tests read placements' socket spread through it"
+    ),
+    "repro.sim.affinity.Placement.sockets_used": (
+        "the affinity tests read placements' socket spread through it"
+    ),
+    "repro.sim.affinity.placement_cache_info": (
+        "TestPlacementCache observes the placement cache through it"
+    ),
+    "repro.sim.affinity.placement_cache_clear": (
+        "TestPlacementCache resets the placement cache through it"
+    ),
+    "repro.hw.rapl.RaplDomain.throttle_events": (
+        "golden_engine_runs.json pins every node's throttle events"
+    ),
+    "repro.hw.rapl.RaplDomain.read_energy_register": (
+        "the what-if isolation test checks the raw registers stay put"
+    ),
+    "repro.hw.rapl.RaplInterface.has_gpu_domain": (
+        "the golden engine capture and the cap-bank tests pick each "
+        "node's domains with it"
+    ),
+    "repro.hw.rapl.RaplInterface.force_caps": (
+        "the verbatim per-node reference loop of tests/hw/test_cap_bank.py"
+    ),
+    "repro.sim.mpi.CommModel.alpha_s": (
+        "test_halo_time_components recomputes the comm time from it"
+    ),
+    "repro.sim.mpi.CommModel.beta_s_per_byte": (
+        "test_halo_time_components recomputes the comm time from it"
+    ),
+    "repro.serve.client.ServeClient.health": (
+        "CI's serve smoke step calls it from inline Python"
+    ),
+}
+
+
 class TestReachability:
-    """No module survives that neither a program path nor a bench uses."""
+    """No module or name survives that neither a program path nor a
+    bench uses."""
 
     def test_every_module_is_reached(self):
         unreached = all_modules() - reached_modules()
@@ -224,3 +373,31 @@ class TestReachability:
         assert list(_targets("repro", ["quickstart_scheduler"])) == ["repro"]
         assert list(_targets("repro.sim", ["engine"])) == ["repro.sim.engine"]
         assert list(_targets("numpy", ["ndarray"])) == []
+
+    def test_every_name_is_reached(self):
+        unreached = unreached_names()
+        allowed = set(UNREACHED_NAMES_BY_DESIGN)
+        assert unreached == allowed, (
+            f"referred to by no entry point or benchmark: "
+            f"{sorted(unreached - allowed)}; reached now, drop from "
+            f"UNREACHED_NAMES_BY_DESIGN: {sorted(allowed - unreached)}"
+        )
+
+    def test_every_kept_name_has_a_reason(self):
+        assert all(
+            isinstance(reason, str) and reason.strip()
+            for reason in UNREACHED_NAMES_BY_DESIGN.values()
+        )
+
+    def test_name_scan_sees_uses_not_exports(self):
+        tree = ast.parse(
+            "__all__ = ['f', 'g']\n"
+            "def f():\n    return f()\n"
+            "def g():\n    pass\n"
+            "class C:\n    def m(self):\n        pass\n"
+            "    def __init__(self):\n        pass\n"
+            "g()\n"
+        )
+        assert [q for q, _ in sorted(_definitions(tree))] == ["C", "C.m", "f", "g"]
+        uses = [name for name, _ in _references(tree)]
+        assert "g" in uses and uses.count("f") == 1  # f only in its own body

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.traces import audit_cap_violations, summarize_run
+from repro.analysis.traces import audit_cap_violations
 from repro.core.knowledge import KnowledgeDB
 from repro.core.scheduler import ClipScheduler
 from repro.hw.cluster import SimulatedCluster
@@ -119,9 +119,8 @@ class TestSystemInvariants:
             get_app("amg"),
             ExecutionConfig(n_nodes=4, n_threads=24, iterations=3),
         )
-        s = summarize_run(result)
-        assert s["energy_j"] == pytest.approx(
-            s["avg_power_w"] * s["total_time_s"], rel=1e-9
+        assert result.energy_j == pytest.approx(
+            result.avg_power_w * result.total_time_s, rel=1e-9
         )
 
     def test_scheduler_beats_random_configs(self, clip, engine):

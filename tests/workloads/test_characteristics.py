@@ -23,7 +23,7 @@ def make(**kw):
 class TestValidation:
     def test_minimal_valid(self):
         app = make()
-        assert app.bytes_per_iter == pytest.approx(5e9)
+        assert app.instructions_per_iter * app.bytes_per_instruction == pytest.approx(5e9)
 
     def test_rejects_empty_name(self):
         with pytest.raises(WorkloadError):
