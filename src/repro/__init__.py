@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-def quickstart_scheduler(seed: int = 42) -> ClipScheduler:
+def quickstart_scheduler() -> ClipScheduler:
     """A ready-to-use CLIP scheduler on the default simulated testbed.
 
     Builds the 8-node Haswell testbed, trains the MLR inflection
@@ -77,5 +77,5 @@ def quickstart_scheduler(seed: int = 42) -> ClipScheduler:
     """
     from repro.analysis.experiments import build_trained_inflection
 
-    engine = ExecutionEngine(SimulatedCluster.testbed(), seed=seed)
+    engine = ExecutionEngine(SimulatedCluster.testbed(), seed=42)
     return ClipScheduler(engine, inflection=build_trained_inflection(engine))

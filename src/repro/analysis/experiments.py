@@ -62,53 +62,43 @@ class ClipSchedulerAdapter(PowerBoundedScheduler):
         return decision.to_execution_config()
 
 
-_INFLECTION_CACHE: dict[tuple[str, int, int], InflectionPredictor] = {}
+_INFLECTION_CACHE: dict[str, InflectionPredictor] = {}
 
 
-def build_trained_inflection(
-    engine: ExecutionEngine,
-    n_synthetic: int = 45,
-    seed: int = 7,
-) -> InflectionPredictor:
+def build_trained_inflection(engine: ExecutionEngine) -> InflectionPredictor:
     """Train the MLR inflection predictor on the training corpus.
 
     Training profiles ~60 corpus applications, so the result is cached
-    per (primary node class, corpus size, seed) within the process — a
-    mixed testbed trains on its slot-0 class, the one profiling samples
-    run on.
+    per primary node class within the process — a mixed testbed trains
+    on its slot-0 class, the one profiling samples run on.
     """
     primary = engine.cluster.spec.node_specs[0]
-    key = (primary.name, n_synthetic, seed)
+    key = primary.name
     if key not in _INFLECTION_CACHE:
         predictor = InflectionPredictor()
-        corpus = training_corpus(
-            primary, n_synthetic=n_synthetic, seed=seed
-        )
+        corpus = training_corpus(primary)
         predictor.fit_from_corpus(corpus, SmartProfiler(engine))
         _INFLECTION_CACHE[key] = predictor
     return _INFLECTION_CACHE[key]
 
 
-def make_schedulers(
-    engine: ExecutionEngine,
-    include_clip: bool = True,
-) -> dict[str, PowerBoundedScheduler]:
+def make_schedulers(engine: ExecutionEngine) -> dict[str, PowerBoundedScheduler]:
     """The evaluation's four methods, in the paper's order."""
-    kb = KnowledgeDB()
     profiler = SmartProfiler(engine)
     methods: dict[str, PowerBoundedScheduler] = {
         "All-In": AllInScheduler(engine),
         "Lower-Limit": LowerLimitScheduler(engine),
-        "Coordinated": CoordinatedScheduler(engine, profiler=profiler, knowledge=kb),
+        "Coordinated": CoordinatedScheduler(
+            engine, profiler=profiler, knowledge=KnowledgeDB()
+        ),
     }
-    if include_clip:
-        clip = ClipScheduler(
-            engine,
-            inflection=build_trained_inflection(engine),
-            knowledge=KnowledgeDB(),
-            profiler=profiler,
-        )
-        methods["CLIP"] = ClipSchedulerAdapter(engine, clip)
+    clip = ClipScheduler(
+        engine,
+        inflection=build_trained_inflection(engine),
+        knowledge=KnowledgeDB(),
+        profiler=profiler,
+    )
+    methods["CLIP"] = ClipSchedulerAdapter(engine, clip)
     return methods
 
 

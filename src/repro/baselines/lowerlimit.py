@@ -31,29 +31,16 @@ class LowerLimitScheduler(PowerBoundedScheduler):
 
     name = "Lower-Limit"
 
-    def __init__(self, engine, node_floor_w: float = NODE_FLOOR_W):
-        super().__init__(engine)
-        if node_floor_w <= ALLIN_MEM_W:
-            raise InfeasibleBudgetError(
-                "node floor must exceed the fixed memory grant"
-            )
-        self._floor = node_floor_w
-
-    @property
-    def node_floor_w(self) -> float:
-        """The preset per-node minimum."""
-        return self._floor
-
     def plan(
         self, app: WorkloadCharacteristics, cluster_budget_w: float
     ) -> ExecutionConfig:
         """Shed nodes until each share clears the preset floor."""
         cluster = self.engine.cluster
-        n_nodes = min(int(cluster_budget_w // self._floor), cluster.n_nodes)
+        n_nodes = min(int(cluster_budget_w // NODE_FLOOR_W), cluster.n_nodes)
         if n_nodes < 1:
             raise InfeasibleBudgetError(
                 f"Lower-Limit: budget {cluster_budget_w:.1f} W below the "
-                f"{self._floor:.0f} W single-node floor"
+                f"{NODE_FLOOR_W:.0f} W single-node floor"
             )
         node_share = cluster_budget_w / n_nodes
         return ExecutionConfig(

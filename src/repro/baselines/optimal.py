@@ -57,12 +57,12 @@ _PRUNE_MARGIN = 1.0 + 1e-9
 class OracleScheduler(PowerBoundedScheduler):
     """Exhaustive search over the configuration space.
 
+    The DRAM-cap grid is the exact hardware floor (``n_sockets *
+    P_base_dram``, the lowest cap the memory can honor) plus five points
+    up to the DRAM domain maximum.
+
     Parameters
     ----------
-    dram_grid_w:
-        DRAM-cap grid.  Defaults to the exact hardware floor
-        (``n_sockets * P_base_dram``, the lowest cap the memory can
-        honor) plus five points up to the DRAM domain maximum.
     thread_step:
         Stride of the thread sweep.  One thread is always tried in
         addition to the stepped range, so ``thread_step=2`` covers
@@ -74,20 +74,17 @@ class OracleScheduler(PowerBoundedScheduler):
     def __init__(
         self,
         engine: ExecutionEngine,
-        dram_grid_w: tuple[float, ...] | None = None,
         thread_step: int = 2,
     ):
         super().__init__(engine)
         classes = engine.cluster.spec.node_classes
-        if dram_grid_w is None:
-            # every grid point must be honorable on every class: floor
-            # at the highest class floor, ceiling at the lowest class max
-            lo = max(s.n_sockets * s.socket.memory.p_base_w for s in classes)
-            hi = min(s.p_mem_max_w for s in classes)
-            dram_grid_w = (lo,) + tuple(
-                float(w) for w in np.linspace(lo + 2.0, hi, 5)
-            )
-        self._dram_grid = dram_grid_w
+        # every grid point must be honorable on every class: floor at
+        # the highest class floor, ceiling at the lowest class max
+        lo = max(s.n_sockets * s.socket.memory.p_base_w for s in classes)
+        hi = min(s.p_mem_max_w for s in classes)
+        self._dram_grid = (lo,) + tuple(
+            float(w) for w in np.linspace(lo + 2.0, hi, 5)
+        )
         self._thread_step = max(1, thread_step)
         min_cores = min(s.n_cores for s in classes)
         self._thread_grid = tuple(
@@ -103,7 +100,7 @@ class OracleScheduler(PowerBoundedScheduler):
     @property
     def dram_grid_w(self) -> tuple[float, ...]:
         """DRAM caps the search sweeps."""
-        return tuple(self._dram_grid)
+        return self._dram_grid
 
     @property
     def search_stats(self) -> dict[str, int]:

@@ -22,6 +22,7 @@ entirely in CLIP's fitted models:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from repro.core.recommend import Recommender
 from repro.errors import InfeasibleBudgetError, SchedulingError
 from repro.units import check_positive
 
-__all__ = ["ClusterAllocation", "ClusterAllocator", "acceptable_range"]
+__all__ = ["ClusterAllocation", "ClusterAllocator", "RackLayout", "acceptable_range"]
 
 
 def acceptable_range(recommender: Recommender) -> tuple[float, float]:
@@ -77,12 +78,32 @@ class ClusterAllocation:
         return len(self.rack_budgets_w) if self.rack_budgets_w else 1
 
 
+class RackLayout(NamedTuple):
+    """A multi-rack fleet's slot-to-rack map, converted once per fleet.
+
+    ``rack_of_slot`` is each slot's rack index (int64; slots run rack
+    by rack), ``bounds`` the slot count up to and including each rack,
+    and ``names`` the rack names in rack order.
+    """
+
+    rack_of_slot: np.ndarray
+    bounds: tuple[int, ...]
+    names: tuple[str, ...]
+
+    @classmethod
+    def of(cls, rack_of_slot, names: tuple[str, ...]) -> "RackLayout":
+        """The layout of a fleet given each slot's rack index."""
+        rack_of = np.asarray(rack_of_slot, dtype=np.int64)
+        return cls(rack_of, tuple(np.cumsum(np.bincount(rack_of)).tolist()), names)
+
+
 class ClusterAllocator:
     """Chooses node count and per-node budgets for one application.
 
     ``class_ranges`` holds one :func:`acceptable_range` per hardware
     class and ``slot_class`` each slot's index into it (default: one
-    class, the recommender's).  Slots fill in order.
+    class, the recommender's).  Slots fill in order.  ``racks`` is the
+    fleet's :class:`RackLayout`, ``None`` on a single-rack cluster.
     """
 
     def __init__(
@@ -93,8 +114,7 @@ class ClusterAllocator:
         variability_threshold: float = VARIABILITY_THRESHOLD,
         class_ranges: tuple[tuple[float, float], ...] | None = None,
         slot_class: np.ndarray | tuple[int, ...] | None = None,
-        rack_of_slot: tuple[int, ...] | None = None,
-        rack_names: tuple[str, ...] | None = None,
+        racks: RackLayout | None = None,
     ):
         if n_total_nodes < 1:
             raise SchedulingError("cluster must have at least one node")
@@ -130,14 +150,9 @@ class ClusterAllocator:
         # rack structure: None on a flat (single-rack) cluster;
         # multi-rack fleets split hierarchically and search
         # rack-decomposed candidates
-        self._rack_of = (
-            tuple(map(int, rack_of_slot))
-            if rack_of_slot is not None
-            else None
-        )
-        if self._rack_of is not None and len(self._rack_of) != n_total_nodes:
+        if racks is not None and len(racks.rack_of_slot) != n_total_nodes:
             raise SchedulingError("rack_of_slot must cover every node")
-        self._rack_names = rack_names
+        self._racks = racks
 
     # ------------------------------------------------------------------
 
@@ -166,7 +181,7 @@ class ClusterAllocator:
                     f"no predefined node count fits budget {cluster_budget_w:.1f} W"
                 )
             return cands
-        if self._rack_of is None:
+        if self._racks is None:
             return tuple(range(1, max_nodes + 1))
         return self._rack_candidates(max_nodes)
 
@@ -180,10 +195,9 @@ class ClusterAllocator:
         (b) each whole-rack prefix boundary, plus (c) the feasibility
         maximum.  Search cost scales with rack size, not fleet size.
         """
-        sizes = np.bincount(np.asarray(self._rack_of, dtype=np.int64))
-        boundaries = np.cumsum(sizes)
-        cands = set(range(1, min(int(boundaries[0]), max_nodes) + 1))
-        cands.update(int(b) for b in boundaries if b <= max_nodes)
+        bounds = self._racks.bounds
+        cands = set(range(1, min(bounds[0], max_nodes) + 1))
+        cands.update(b for b in bounds if b <= max_nodes)
         cands.add(max_nodes)
         return tuple(sorted(cands))
 
@@ -221,7 +235,7 @@ class ClusterAllocator:
             total = min(cluster_budget_w, float(hi_b.sum()))
             ranges = tuple(zip(lo_b.tolist(), hi_b.tolist()))
         rack_budgets = None
-        if self._rack_of is None:
+        if self._racks is None:
             budgets = coordinate_power(
                 total, self._factors[:n_nodes], lo_b, hi_b, self._threshold
             )
@@ -232,8 +246,8 @@ class ClusterAllocator:
                 self._factors[:n_nodes],
                 lo_b,
                 hi_b,
-                self._rack_of,
-                rack_names=self._rack_names,
+                self._racks.rack_of_slot,
+                rack_names=self._racks.names,
                 threshold=self._threshold,
             )
             rack_budgets = tuple(r.budget_w for r in rack_records)

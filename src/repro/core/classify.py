@@ -56,24 +56,23 @@ def classify_ratio(
     perf_half: float,
     perf_all: float,
     linear_threshold: float = LINEAR_THRESHOLD,
-    parabolic_threshold: float = PARABOLIC_THRESHOLD,
 ) -> ScalabilityClass:
     """Classify from the two profiling performances.
 
-    Parameters are the raw throughputs (higher is better); thresholds
-    are exposed for the ablation study.
+    Parameters are the raw throughputs (higher is better); the linear
+    threshold is exposed for the ablation study.
     """
     if perf_half <= 0 or perf_all <= 0:
         raise ProfilingError(
             f"performances must be positive, got half={perf_half}, all={perf_all}"
         )
-    if not 0 < linear_threshold < parabolic_threshold:
+    if not 0 < linear_threshold < PARABOLIC_THRESHOLD:
         raise ProfilingError(
             "thresholds must satisfy 0 < linear < parabolic"
         )
     ratio = perf_half / perf_all
     if ratio < linear_threshold:
         return ScalabilityClass.LINEAR
-    if ratio < parabolic_threshold:
+    if ratio < PARABOLIC_THRESHOLD:
         return ScalabilityClass.LOGARITHMIC
     return ScalabilityClass.PARABOLIC

@@ -51,7 +51,7 @@ _CALIBRATION_APP = WorkloadCharacteristics(
 )
 
 
-def measure_node_factors(engine: ExecutionEngine, n_threads: int | None = None) -> np.ndarray:
+def measure_node_factors(engine: ExecutionEngine) -> np.ndarray:
     """Measure each node's power-efficiency factor (mean-normalized).
 
     Runs the calibration kernel on every node at a fixed frequency and
@@ -59,7 +59,7 @@ def measure_node_factors(engine: ExecutionEngine, n_threads: int | None = None) 
     a factor above 1.  This is a one-time cluster calibration, not a
     per-application cost.
 
-    The default uses half the cores: an all-core compute kernel sits at
+    The kernel uses half the cores: an all-core compute kernel sits at
     the factory power limit, where inefficient parts silently throttle
     and the power signal collapses to the cap value.
 
@@ -86,7 +86,7 @@ def measure_node_factors(engine: ExecutionEngine, n_threads: int | None = None) 
     """
     cluster = engine.cluster
     cache = engine.calibration_cache
-    key = engine.calibration_fingerprint(n_threads)
+    key = engine.calibration_fingerprint()
     cached = cache.get(key)
     if cached is not None:
         return cached.copy()
@@ -97,7 +97,7 @@ def measure_node_factors(engine: ExecutionEngine, n_threads: int | None = None) 
     configs = [
         ExecutionConfig(
             n_nodes=1,
-            n_threads=n_threads or node_spec.n_cores // 2,
+            n_threads=node_spec.n_cores // 2,
             node_ids=(i,),
             frequency_hz=node_spec.socket.f_nominal,
         )

@@ -192,8 +192,8 @@ class KnowledgeEntry:
     code that predates the learning layer behave exactly as before.
     ``observed_total`` counts every observation ever recorded (the
     history itself is capped at :data:`MAX_OBSERVATIONS`);
-    ``refit_at`` remembers the count at the last refit so a
-    :class:`~repro.core.learning.RefitPolicy` can reason about
+    ``refit_at`` remembers the count at the last refit so
+    :func:`~repro.core.learning.should_refit` can reason about
     staleness.
     """
 

@@ -10,9 +10,9 @@ history without touching the fit-once math:
   family contains the identity, so the fitted calibration can never be
   worse than no calibration on the observations it was fitted to (a
   property test pins this).
-* :class:`RefitPolicy` — when the observation count, staleness, and
+* :func:`should_refit` — when the observation count, staleness, and
   misprediction error justify refitting an entry's models.
-* :class:`LearningConfig` — the master switch plus the refit policy.
+* :class:`LearningConfig` — the master switch.
   **Disabled by default**: a learning-off deployment records history
   but never changes a decision, which the golden suites enforce
   bit-for-bit.
@@ -24,15 +24,14 @@ version and every entry point (``schedule``, ``schedule_traced``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.knowledge import KnowledgeEntry, ObservationRecord
 from repro.core.perfmodel import TimeCalibration
-from repro.errors import SchedulingError
 
 __all__ = [
-    "RefitPolicy",
+    "should_refit",
     "LearningConfig",
     "fit_calibration",
 ]
@@ -43,63 +42,40 @@ MIN_SCALE = 0.1
 MAX_SCALE = 10.0
 
 
-@dataclass(frozen=True)
-class RefitPolicy:
-    """When accumulated outcomes justify refitting an entry's models.
+#: Observations recorded *against the current model version* before its
+#: error estimate is trusted.
+MIN_OBSERVATIONS = 4
+#: Staleness floor: total observations that must accumulate between
+#: refits (keeps a noisy cell from thrashing the bundle cache).
+REFIT_INTERVAL = 4
+#: Mean absolute relative time-prediction error above which the model
+#: is considered wrong enough to refit.
+ERROR_THRESHOLD = 0.05
 
-    ``min_observations`` — observations recorded *against the current
-    model version* before its error estimate is trusted;
-    ``refit_interval`` — staleness floor: total observations that must
-    accumulate between refits (keeps a noisy cell from thrashing the
-    bundle cache); ``error_threshold`` — mean absolute relative
-    time-prediction error above which the model is considered wrong
-    enough to refit.
-    """
 
-    min_observations: int = 4
-    refit_interval: int = 4
-    error_threshold: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.min_observations < 1:
-            raise SchedulingError(
-                f"min_observations must be >= 1, got {self.min_observations}"
-            )
-        if self.refit_interval < 0:
-            raise SchedulingError(
-                f"refit_interval must be >= 0, got {self.refit_interval}"
-            )
-        if self.error_threshold < 0:
-            raise SchedulingError(
-                f"error_threshold must be >= 0, got {self.error_threshold}"
-            )
-
-    def should_refit(self, entry: KnowledgeEntry) -> bool:
-        """Whether *entry*'s current models have earned a refit."""
-        if entry.observed_total - entry.refit_at < self.refit_interval:
-            return False
-        current = [
-            o
-            for o in entry.observations
-            if o.model_version == entry.model_version
-        ]
-        if len(current) < self.min_observations:
-            return False
-        window = current[-self.min_observations :]
-        err = sum(abs(o.rel_time_error) for o in window) / len(window)
-        return err > self.error_threshold
+def should_refit(entry: KnowledgeEntry) -> bool:
+    """Whether *entry*'s current models have earned a refit."""
+    if entry.observed_total - entry.refit_at < REFIT_INTERVAL:
+        return False
+    current = [
+        o
+        for o in entry.observations
+        if o.model_version == entry.model_version
+    ]
+    if len(current) < MIN_OBSERVATIONS:
+        return False
+    window = current[-MIN_OBSERVATIONS:]
+    err = sum(abs(o.rel_time_error) for o in window) / len(window)
+    return err > ERROR_THRESHOLD
 
 
 @dataclass(frozen=True)
 class LearningConfig:
-    """The learning layer's switchboard (off by default).
-
-    ``enabled`` lets recorded outcomes trigger refits; ``refit`` says
-    when they do.
+    """The learning layer's switch (off by default): ``enabled`` lets
+    recorded outcomes trigger refits when :func:`should_refit` says so.
     """
 
     enabled: bool = False
-    refit: RefitPolicy = field(default_factory=RefitPolicy)
 
 
 def fit_calibration(

@@ -92,11 +92,10 @@ def _node_violations(
     lo: float | None,
     hi: float | None,
     slack: float,
-    tolerance_w: float,
 ) -> list[str]:
     """The per-node invariants one node's caps break, in check order."""
     violations = []
-    if cap and min(cap) < -tolerance_w:
+    if cap and min(cap) < -AUDIT_TOLERANCE_W:
         listed = ", ".join(f"{c:.3f}" for c in cap)
         violations.append(f"node {rank}: negative cap ({listed}) W")
     if lo is not None and node_total < lo - slack:
@@ -206,7 +205,7 @@ class BudgetInvariantMonitor:
     drain loops that must prove zero violations.
     """
 
-    audits: list[CapAudit] = field(default_factory=list)
+    audits: list[CapAudit] = field(default_factory=list, init=False)
 
     def audit(
         self,
@@ -216,7 +215,6 @@ class BudgetInvariantMonitor:
         caps: tuple[tuple[float, ...], ...],
         node_lo_w: "float | Sequence[float] | None" = None,
         node_hi_w: "float | Sequence[float] | None" = None,
-        tolerance_w: float = AUDIT_TOLERANCE_W,
     ) -> CapAudit:
         """Record one issued cap set and check the invariants.
 
@@ -228,8 +226,9 @@ class BudgetInvariantMonitor:
         accelerator nodes — and a set may mix lengths on a mixed
         fleet.  Bounds may be scalars (one range for all ranks) or
         per-rank sequences aligned with *caps* — the mixed-class
-        form, where each slot's class has its own range.  Range checks use a relative tolerance on top of
-        *tolerance_w* so legitimate float round-off never flags.
+        form, where each slot's class has its own range.  Range checks
+        use a relative tolerance on top of :data:`AUDIT_TOLERANCE_W` so
+        legitimate float round-off never flags.
         """
         lo = _normalized_bound(node_lo_w, len(caps))
         hi = _normalized_bound(node_hi_w, len(caps))
@@ -237,7 +236,7 @@ class BudgetInvariantMonitor:
         # the range checks; the ledger keeps the caps packed
         arity = bytes(map(len, caps))
         packed = struct.pack(f"{sum(arity)}d", *itertools.chain.from_iterable(caps))
-        slack = tolerance_w + 1e-9 * max(abs(cluster_budget_w), 1.0)
+        slack = AUDIT_TOLERANCE_W + 1e-9 * max(abs(cluster_budget_w), 1.0)
         if len(caps) < ARRAY_AUDIT_MIN:
             node_totals = [sum(cap) for cap in caps]
             flagged = range(len(caps))
@@ -245,7 +244,7 @@ class BudgetInvariantMonitor:
             # one array pass picks the nodes the scalar checks must see
             totals, smallest = _node_totals(packed, arity)
             node_totals = totals.tolist()
-            bad = smallest < -tolerance_w
+            bad = smallest < -AUDIT_TOLERANCE_W
             lo_cmp, hi_cmp = (
                 np.fromiter(b, np.float64, len(b)) if isinstance(b, tuple) else b
                 for b in (lo, hi)
@@ -266,7 +265,6 @@ class BudgetInvariantMonitor:
                 lo[rank] if isinstance(lo, tuple) else lo,
                 hi[rank] if isinstance(hi, tuple) else hi,
                 slack,
-                tolerance_w,
             )
         audit = CapAudit(
             source=source,
@@ -288,7 +286,6 @@ class BudgetInvariantMonitor:
         budgets_w,
         audited: CapAudit,
         widths,
-        tolerance_w: float = AUDIT_TOLERANCE_W,
     ) -> tuple[CapAudit, ...]:
         """Audit consecutive runs of an audited cap set, one record each.
 
@@ -311,7 +308,7 @@ class BudgetInvariantMonitor:
             )
         totals, smallest = _node_totals(packed, arity)
         node_totals = totals.tolist()
-        negative = np.flatnonzero(smallest < -tolerance_w).tolist()
+        negative = np.flatnonzero(smallest < -AUDIT_TOLERANCE_W).tolist()
         # byte offset of each node's first cap, and of the end
         offsets = [0]
         offsets += (8 * np.cumsum(np.frombuffer(arity, dtype=np.uint8))).tolist()
@@ -319,7 +316,7 @@ class BudgetInvariantMonitor:
         start = 0
         for source, budget_w, width in zip(sources, budgets_w, widths):
             end = start + width
-            slack = tolerance_w + 1e-9 * max(abs(budget_w), 1.0)
+            slack = AUDIT_TOLERANCE_W + 1e-9 * max(abs(budget_w), 1.0)
             violations = _budget_violations(
                 float(sum(node_totals[start:end])), budget_w, slack
             )
@@ -329,8 +326,7 @@ class BudgetInvariantMonitor:
                     packed[offsets[node]:offsets[node + 1]], arity[node:node + 1]
                 )
                 violations += _node_violations(
-                    node - start, cap, node_totals[node], None, None,
-                    slack, tolerance_w,
+                    node - start, cap, node_totals[node], None, None, slack
                 )
             records.append(
                 CapAudit(
@@ -354,7 +350,6 @@ class BudgetInvariantMonitor:
         app_name: str,
         parent_budget_w: float,
         child_budgets_w,
-        tolerance_w: float = AUDIT_TOLERANCE_W,
     ) -> CapAudit:
         """Audit one level of a hierarchical budget split.
 
@@ -368,7 +363,6 @@ class BudgetInvariantMonitor:
             app_name,
             parent_budget_w,
             tuple((float(b), 0.0) for b in child_budgets_w),
-            tolerance_w=tolerance_w,
         )
 
     # ------------------------------------------------------------------

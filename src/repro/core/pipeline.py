@@ -45,6 +45,7 @@ import numpy as np
 from repro.core.allocation import (
     ClusterAllocation,
     ClusterAllocator,
+    RackLayout,
     acceptable_range,
 )
 from repro.core.classify import ScalabilityClass
@@ -59,7 +60,7 @@ from repro.core.knowledge import (
     KnowledgeEntry,
     ObservationRecord,
 )
-from repro.core.learning import LearningConfig, fit_calibration
+from repro.core.learning import LearningConfig, fit_calibration, should_refit
 from repro.core.monitor import BudgetInvariantMonitor
 from repro.core.perfmodel import PerformancePredictor
 from repro.core.powermodel import ClipPowerModel
@@ -479,7 +480,7 @@ class StageRecord:
 class DecisionTrace:
     """Structured record of one pipeline pass, stage by stage."""
 
-    stages: list[StageRecord] = field(default_factory=list)
+    stages: list[StageRecord] = field(default_factory=list, init=False)
 
     @property
     def total_time_s(self) -> float:
@@ -709,8 +710,7 @@ class AllocateStage:
         node_classes: tuple[NodeSpec, ...],
         slot_class: np.ndarray,
         bundle_cache: ModelBundleCache,
-        rack_of_slot: tuple[int, ...] | None = None,
-        rack_names: tuple[str, ...] | None = None,
+        racks: RackLayout | None,
     ):
         self._n_total = n_total_nodes
         self._factors = node_factors
@@ -718,8 +718,7 @@ class AllocateStage:
         self._node_classes = node_classes
         self._slot_class = slot_class
         self._cache = bundle_cache
-        self._rack_of = rack_of_slot
-        self._rack_names = rack_names
+        self._racks = racks
 
     def run(self, ctx: DecisionContext) -> DecisionContext:
         """Fill ``ctx.allocation``."""
@@ -731,8 +730,7 @@ class AllocateStage:
             variability_threshold=self._threshold,
             class_ranges=tuple(acceptable_range(b.recommender) for b in bundles),
             slot_class=self._slot_class,
-            rack_of_slot=self._rack_of,
-            rack_names=self._rack_names,
+            racks=self._racks,
         )
         allocation = allocator.allocate(
             ctx.cluster_budget_w,
@@ -863,25 +861,19 @@ class DecisionPipeline:
         inflection: InflectionPredictor,
         knowledge: KnowledgeDB | None = None,
         profiler: SmartProfiler | None = None,
-        node_factors: np.ndarray | None = None,
         variability_threshold: float = VARIABILITY_THRESHOLD,
-        monitor: BudgetInvariantMonitor | None = None,
         learning: LearningConfig | None = None,
     ):
         self._engine = engine
         self._kb = knowledge if knowledge is not None else KnowledgeDB()
         self._profiler = profiler or SmartProfiler(engine)
-        self._monitor = monitor if monitor is not None else BudgetInvariantMonitor()
+        self._monitor = BudgetInvariantMonitor()
         self._learning = learning if learning is not None else LearningConfig()
         self._inflection = inflection
         self._learn_lock = threading.Lock()
         self._outcomes = 0
         self._refits = 0
-        self._factors = (
-            np.asarray(node_factors, dtype=np.float64)
-            if node_factors is not None
-            else measure_node_factors(engine)
-        )
+        self._factors = measure_node_factors(engine)
         self._threshold = variability_threshold
         self._bundles = ModelBundleCache()
         cluster_spec = engine.cluster.spec
@@ -917,8 +909,7 @@ class DecisionPipeline:
                 self._node_classes,
                 np.asarray(self._slot_class, dtype=np.int64),
                 self._bundles,
-                rack_of_slot=self._rack_of,
-                rack_names=self._rack_names,
+                RackLayout.of(self._rack_of, self._rack_names) if multirack else None,
             ),
             RecommendStage(self._node_classes, self._slot_class, self._bundles),
         )
@@ -1043,7 +1034,6 @@ class DecisionPipeline:
         *,
         predicted_perf: float | None = None,
         measured_perf: float | None = None,
-        predicted_power_w: float | None = None,
         measured_power_w: float | None = None,
         budget_w: float | None = None,
         n_nodes: int | None = None,
@@ -1061,7 +1051,7 @@ class DecisionPipeline:
         :class:`~repro.sim.trace.RunResult`); explicit keyword values
         override either.  The observation is appended to the app's
         knowledge entry (capped history), and — **only when learning is
-        enabled** — the :class:`~repro.core.learning.RefitPolicy` may
+        enabled** — :func:`~repro.core.learning.should_refit` may
         trigger a refit: the per-segment time calibration is re-fitted
         from the observation window, the entry's ``model_version`` is
         bumped, and exactly that knowledge key is invalidated in the
@@ -1074,17 +1064,14 @@ class DecisionPipeline:
         decision changes — the golden suites enforce that bit-for-bit.
         """
         flags = tuple(flags)
+        predicted_power_w = 0.0
         if decision is not None:
             predicted_perf = (
                 decision.predicted_perf
                 if predicted_perf is None
                 else predicted_perf
             )
-            predicted_power_w = (
-                decision.total_capped_w
-                if predicted_power_w is None
-                else predicted_power_w
-            )
+            predicted_power_w = decision.total_capped_w
             budget_w = (
                 decision.cluster_budget_w if budget_w is None else budget_w
             )
@@ -1117,7 +1104,7 @@ class DecisionPipeline:
         obs = ObservationRecord(
             predicted_time_s=1.0 / predicted_perf,
             measured_time_s=1.0 / measured_perf,
-            predicted_power_w=float(predicted_power_w or 0.0),
+            predicted_power_w=float(predicted_power_w),
             measured_power_w=float(measured_power_w or 0.0),
             budget_w=float(budget_w),
             n_nodes=int(n_nodes),
@@ -1132,9 +1119,7 @@ class DecisionPipeline:
                 return None
             entry = self._kb.get(app.name, app.problem_size)
             new_entry = entry.with_observation(obs)
-            if self._learning.enabled and self._learning.refit.should_refit(
-                new_entry
-            ):
+            if self._learning.enabled and should_refit(new_entry):
                 new_entry = new_entry.with_refit(
                     fit_calibration(
                         new_entry.observations, new_entry.inflection_point
@@ -1189,14 +1174,13 @@ class DecisionPipeline:
         self,
         app: WorkloadCharacteristics,
         cluster_budget_w: float,
-        predefined_node_counts: tuple[int, ...] | None = None,
         allocation_mode: str = "predictive",
     ) -> tuple[SchedulingDecision, DecisionTrace]:
         """Run the full pipeline, recording a :class:`DecisionTrace`."""
         return self._decide(
             app,
             cluster_budget_w,
-            predefined_node_counts,
+            None,
             allocation_mode,
             trace=DecisionTrace(),
         )
@@ -1299,8 +1283,6 @@ class DecisionPipeline:
         self,
         apps: list[WorkloadCharacteristics],
         cluster_budget_w: float,
-        predefined_node_counts: tuple[int, ...] | None = None,
-        allocation_mode: str = "predictive",
     ) -> list[SchedulingDecision]:
         """Decide a batch of jobs under one budget, sharing all caches.
 
@@ -1319,12 +1301,7 @@ class DecisionPipeline:
             key = (app.name, app.problem_size)
             decision = memo.get(key)
             if decision is None:
-                decision = self.decide(
-                    app,
-                    cluster_budget_w,
-                    predefined_node_counts=predefined_node_counts,
-                    allocation_mode=allocation_mode,
-                )
+                decision = self.decide(app, cluster_budget_w)
                 memo[key] = decision
             else:
                 decision = replace(

@@ -218,9 +218,9 @@ class ClipPowerModel:
         per_thread = b1 / n1 if n1 > 0 else 0.0
         return float(min(n_threads * per_thread, max(b1, b2)))
 
-    def mem_power(self, n_threads: int, level_fraction: float = 1.0) -> float:
-        """Predicted DRAM power (Eq. 8–9) at a memory power level."""
-        bw = self.bandwidth_demand(n_threads) * level_fraction
+    def mem_power(self, n_threads: int) -> float:
+        """Predicted DRAM power (Eq. 8–9) at full memory power level."""
+        bw = self.bandwidth_demand(n_threads)
         return self._mem_base + self._mem_per_bw * bw
 
     @staticmethod

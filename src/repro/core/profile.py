@@ -209,26 +209,14 @@ class AppProfile:
 class SmartProfiler:
     """Runs the 2–3 sample executions and assembles an AppProfile."""
 
-    def __init__(
-        self,
-        engine: ExecutionEngine,
-        iterations: int = DEFAULT_PROFILE_ITERATIONS,
-    ):
-        if iterations < 1:
-            raise ProfilingError("profiling needs at least one iteration")
+    def __init__(self, engine: ExecutionEngine):
         self._engine = engine
-        self._iterations = iterations
         # samples run single-node on slot 0, so the profile describes
         # the cluster's primary hardware class
         node = engine.cluster.spec.node_specs[0]
         self._node_spec = node
         self._n_cores = node.n_cores
         self._peak_bw = node.peak_bandwidth
-
-    @property
-    def iterations(self) -> int:
-        """Iterations each sample execution runs."""
-        return self._iterations
 
     @property
     def node_spec(self):
@@ -262,14 +250,14 @@ class SmartProfiler:
                     n_nodes=1,
                     n_threads=n_threads,
                     affinity=affinity,
-                    iterations=self._iterations,
+                    iterations=DEFAULT_PROFILE_ITERATIONS,
                     frequency_hz=socket.f_nominal,
                 ),
                 ExecutionConfig(
                     n_nodes=1,
                     n_threads=n_threads,
                     affinity=affinity,
-                    iterations=max(2, self._iterations // 2),
+                    iterations=max(2, DEFAULT_PROFILE_ITERATIONS // 2),
                     frequency_hz=socket.f_min,
                 ),
             ],

@@ -153,9 +153,9 @@ class RunningJob:
     remaining_iterations: int
     allow_concurrency_change: bool = False
     allow_shrink: bool = False
-    parked: bool = False
-    park_reason: str | None = None
-    segments: list[SegmentRecord] = field(default_factory=list)
+    parked: bool = field(default=False, init=False)
+    park_reason: str | None = field(default=None, init=False)
+    segments: list[SegmentRecord] = field(default_factory=list, init=False)
 
     @property
     def done(self) -> bool:
@@ -594,9 +594,7 @@ class PowerBoundedRuntime:
 
     # -- enforcement levers (the watchdog's escalation ladder) ----------
 
-    def reissue_caps(
-        self, job: RunningJob, source: str = "watchdog.reissue"
-    ) -> None:
+    def reissue_caps(self, job: RunningJob) -> None:
         """Re-write the job's committed caps through the verified path.
 
         First rung of breach correction: a dropped or partially-applied
@@ -611,13 +609,13 @@ class PowerBoundedRuntime:
             raise NodeFailureError(f"job is parked: {job.park_reason}")
         self._commit_caps(job.node_ids, job.per_node_caps)
         self.monitor.audit(
-            source, job.app.name, job.budget_w, job.per_node_caps
+            "watchdog.reissue", job.app.name, job.budget_w, job.per_node_caps
         )
         self._journal_write(
             "cap_commit",
             {
                 "job": self._job_index(job),
-                "source": source,
+                "source": "watchdog.reissue",
                 "budget_w": job.budget_w,
                 "node_ids": list(job.node_ids),
                 "n_threads": job.n_threads,

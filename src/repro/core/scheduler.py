@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.coordination import VARIABILITY_THRESHOLD, measure_node_factors
+from repro.core.coordination import VARIABILITY_THRESHOLD
 from repro.core.inflection import InflectionPredictor
 from repro.core.knowledge import KnowledgeDB, KnowledgeEntry
 from repro.core.learning import LearningConfig
@@ -57,22 +57,15 @@ class ClipScheduler:
         inflection: InflectionPredictor,
         knowledge: KnowledgeDB | None = None,
         profiler: SmartProfiler | None = None,
-        calibrate_variability: bool = True,
         variability_threshold: float = VARIABILITY_THRESHOLD,
         learning: LearningConfig | None = None,
     ):
         self._engine = engine
-        factors = (
-            measure_node_factors(engine)
-            if calibrate_variability
-            else np.ones(engine.cluster.n_nodes)
-        )
         self._pipeline = DecisionPipeline(
             engine,
             inflection,
             knowledge=knowledge,
             profiler=profiler,
-            node_factors=factors,
             variability_threshold=variability_threshold,
             learning=learning,
         )
@@ -136,31 +129,20 @@ class ClipScheduler:
         self,
         app: WorkloadCharacteristics,
         cluster_budget_w: float,
-        predefined_node_counts: tuple[int, ...] | None = None,
         allocation_mode: str = "predictive",
     ) -> tuple[SchedulingDecision, DecisionTrace]:
         """Like :meth:`schedule`, plus the per-stage decision trace."""
         return self._pipeline.decide_traced(
-            app,
-            cluster_budget_w,
-            predefined_node_counts=predefined_node_counts,
-            allocation_mode=allocation_mode,
+            app, cluster_budget_w, allocation_mode=allocation_mode
         )
 
     def schedule_many(
         self,
         apps: list[WorkloadCharacteristics],
         cluster_budget_w: float,
-        predefined_node_counts: tuple[int, ...] | None = None,
-        allocation_mode: str = "predictive",
     ) -> list[SchedulingDecision]:
         """Decide a batch of jobs under one budget on the shared caches."""
-        return self._pipeline.decide_many(
-            apps,
-            cluster_budget_w,
-            predefined_node_counts=predefined_node_counts,
-            allocation_mode=allocation_mode,
-        )
+        return self._pipeline.decide_many(apps, cluster_budget_w)
 
     def run(
         self,

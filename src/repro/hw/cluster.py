@@ -44,9 +44,9 @@ class SimulatedCluster:
         return cls(haswell_testbed(**kwargs))
 
     @classmethod
-    def mixed_testbed(cls, **kwargs) -> "SimulatedCluster":
+    def mixed_testbed(cls) -> "SimulatedCluster":
         """The mixed fleet: 4× Haswell + 4× Broadwell behind one fabric."""
-        return cls(mixed_testbed(**kwargs))
+        return cls(mixed_testbed())
 
     @property
     def spec(self) -> ClusterSpec:

@@ -120,6 +120,10 @@ CACHE_LINE_BYTES = 64.0
 #: HPC codes read roughly twice what they write.
 READ_FRACTION = 0.67
 
+#: Relative (log-normal) jitter of a noisy counter read; PMU counters on
+#: real parts jitter by around a percent.
+COUNTER_NOISE = 0.01
+
 
 def synthesize_counters(
     *,
@@ -131,7 +135,6 @@ def synthesize_counters(
     remote_fraction: float,
     icache_mpki: float,
     rng: np.random.Generator | None = None,
-    noise: float = 0.01,
 ) -> EventCounters:
     """Build an :class:`EventCounters` for one execution interval.
 
@@ -153,9 +156,9 @@ def synthesize_counters(
     icache_mpki:
         Instruction-cache misses per kilo-instruction (a front-end
         footprint proxy; large multi-zone solvers score higher).
-    rng / noise:
-        Optional multiplicative log-normal measurement noise; PMU
-        counters on real parts jitter by around a percent.
+    rng:
+        Optional source of multiplicative log-normal measurement noise
+        (:data:`COUNTER_NOISE`).
     """
     check_non_negative(instructions, "instructions")
     check_non_negative(duration_s, "duration_s")
@@ -177,8 +180,8 @@ def synthesize_counters(
             instructions,
         ]
     )
-    if rng is not None and noise > 0:
-        values = values * np.exp(rng.normal(0.0, noise, size=values.shape))
+    if rng is not None:
+        values = values * np.exp(rng.normal(0.0, COUNTER_NOISE, size=values.shape))
     return EventCounters(
         event0=float(values[0]),
         event1=float(values[1]),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hw.power import PowerBreakdown
-from repro.units import check_fraction, check_non_negative, check_positive
+from repro.units import check_fraction, check_non_negative
 
 __all__ = ["PowerSample", "PowerMeter", "TelemetryFault"]
 
@@ -39,12 +39,10 @@ class TelemetryFault:
         (``value * (1 + N(0, noise_frac))``, floored at zero).
     drop_prob:
         Probability a reading is lost entirely (returns ``None``).
-    stale_reads:
-        Serve the *first* corrupted reading for this many subsequent
-        reads before resuming live values — a cached-BMC-value hang.
 
     The attributes are mutable so scripted fault events can tighten or
-    relax the corruption mid-run without disturbing the RNG stream.
+    relax the corruption mid-run without disturbing the RNG stream;
+    :meth:`make_stale` injects a cached-BMC-value hang.
     """
 
     def __init__(
@@ -52,16 +50,13 @@ class TelemetryFault:
         seed: int = 0,
         noise_frac: float = 0.0,
         drop_prob: float = 0.0,
-        stale_reads: int = 0,
     ) -> None:
         check_non_negative(noise_frac, "noise_frac")
         check_fraction(drop_prob, "drop_prob")
-        if stale_reads < 0:
-            raise ValueError("stale_reads must be >= 0")
         self.noise_frac = noise_frac
         self.drop_prob = drop_prob
         self._rng = random.Random(seed)
-        self._stale_left = int(stale_reads)
+        self._stale_left = 0
         self._stale_value: float | None = None
 
     def make_stale(self, reads: int) -> None:
@@ -101,11 +96,14 @@ class PowerSample:
         return self.pkg_w + self.dram_w + self.other_w
 
 
+#: Polling period of :meth:`PowerMeter.samples`, seconds.
+SAMPLE_PERIOD_S = 0.1
+
+
 class PowerMeter:
     """Accumulates piecewise-constant power intervals into a trace."""
 
-    def __init__(self, sample_period_s: float = 0.1):
-        self._period = check_positive(sample_period_s, "sample_period_s")
+    def __init__(self):
         self._t = 0.0
         self._energy_j = 0.0
         self._intervals: list[tuple[float, float, PowerBreakdown]] = []
@@ -178,7 +176,7 @@ class PowerMeter:
         out: list[PowerSample] = []
         if not self._intervals:
             return out
-        times = np.arange(0.0, self._t, self._period)
+        times = np.arange(0.0, self._t, SAMPLE_PERIOD_S)
         starts = np.array([s for s, _, _ in self._intervals])
         idx = np.searchsorted(starts, times, side="right") - 1
         for t, i in zip(times, idx):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SpecError
-from repro.hw.specs import MemorySpec, NodeSpec, SocketSpec
+from repro.hw.specs import NodeSpec, SocketSpec
 from repro.units import check_non_negative
 
 __all__ = [
@@ -205,9 +205,9 @@ class PowerModel:
         out = np.asarray((base + n_active * np.asarray(core_w)) * self._efficiency)
         return float(out) if out.ndim == 0 else out
 
-    def dram_power(self, bandwidth, memory: MemorySpec | None = None):
+    def dram_power(self, bandwidth):
         """DRAM power of one socket's memory (Eq. 9) at *bandwidth* B/s."""
-        mem = memory or self._node.socket.memory
+        mem = self._node.socket.memory
         if isinstance(bandwidth, _SCALAR):
             if bandwidth < 0:
                 raise SpecError("bandwidth must be >= 0")

@@ -386,11 +386,7 @@ class RaplInterface:
         effect §III-B.2 coordinates away).
     """
 
-    def __init__(
-        self,
-        power_model: PowerModel,
-        actuation: ActuationPolicy | None = None,
-    ):
+    def __init__(self, power_model: PowerModel):
         self._model = power_model
         node = power_model.node
         self._ladder = FrequencyLadder.from_socket(node.socket)
@@ -415,7 +411,7 @@ class RaplInterface:
         for d, max_w in maxima.items():
             self._bank.max_w[0, _COLUMN[d]] = check_positive(max_w, "max_power_w")
         self._bank.n_domains[0] = len(maxima)
-        self.actuation = actuation if actuation is not None else PERFECT_ACTUATION
+        self.actuation = PERFECT_ACTUATION
 
     def _move(self, bank: CapBank, row: int) -> None:
         """Carry this node's row into *row* of *bank* and view it there."""
@@ -515,25 +511,21 @@ class RaplInterface:
         reg.program(requested, requested)
         return True
 
-    def set_cap_verified(
-        self,
-        domain: Domain,
-        watts: float | None,
-        max_retries: int = MAX_CAP_RETRIES,
-    ) -> int:
+    def set_cap_verified(self, domain: Domain, watts: float | None) -> int:
         """Write a cap, read it back, and retry until it sticks.
 
         Mirrors production practice: each failed readback re-issues the
         write after an exponentially growing backoff (simulated — the
         delay is accounted in ``actuation_stats['backoff_s']``, never
         slept).  Returns the number of retries that were needed; raises
-        :class:`~repro.errors.ActuationError` when ``1 + max_retries``
-        attempts all failed verification.  Silent drift passes readback
-        and is *not* retried — catching it is the watchdog's job.
+        :class:`~repro.errors.ActuationError` when ``1 +``
+        :data:`MAX_CAP_RETRIES` attempts all failed verification.
+        Silent drift passes readback and is *not* retried — catching it
+        is the watchdog's job.
         """
         backoff_s = CAP_BACKOFF_INITIAL_S
         reg = self.domain(domain)
-        for attempt in range(1 + max_retries):
+        for attempt in range(1 + MAX_CAP_RETRIES):
             self._set(reg, watts)
             read = reg.cap_w
             if watts is None:
@@ -550,20 +542,16 @@ class RaplInterface:
                 return attempt
             self._bank._backoff[self._row] += backoff_s
             backoff_s *= 2.0
-        self._count(_RETRIES, max_retries)
+        self._count(_RETRIES, MAX_CAP_RETRIES)
         raise ActuationError(
             f"{domain.value} cap write of "
             f"{'None' if watts is None else f'{float(watts):.3f} W'} failed "
-            f"readback verification after {1 + max_retries} attempts",
+            f"readback verification after {1 + MAX_CAP_RETRIES} attempts",
             domain=domain.value,
             requested_w=None if watts is None else float(watts),
         )
 
-    def write_caps_verified(
-        self,
-        caps_w,
-        max_retries: int = MAX_CAP_RETRIES,
-    ) -> int:
+    def write_caps_verified(self, caps_w) -> int:
         """Verified write of a positional ``(pkg, dram[, gpu])`` cap tuple.
 
         The hardware-class arity convention of the decision stack maps
@@ -577,7 +565,7 @@ class RaplInterface:
         self._check_arity(caps_w)
         retries = 0
         for dom, watts in zip(CAP_TUPLE_DOMAINS, caps_w):
-            retries += self.set_cap_verified(dom, watts, max_retries=max_retries)
+            retries += self.set_cap_verified(dom, watts)
         return retries
 
     def force_caps(self, caps_w) -> None:

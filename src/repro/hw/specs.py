@@ -284,10 +284,10 @@ class GpuSpec:
         """Highest selectable device clock."""
         return self.clock_ladder_hz[-1]
 
-    def power_at(self, clock_hz: float, utilization: float = 1.0) -> float:
-        """Board power at *clock_hz* and busy-fraction *utilization*."""
+    def power_at(self, clock_hz: float) -> float:
+        """Board power at *clock_hz*, fully utilized."""
         scale = (clock_hz / self.clk_nominal_hz) ** self.dyn_exponent
-        return self.p_idle_w + self.p_dyn_w * scale * utilization
+        return self.p_idle_w + self.p_dyn_w * scale
 
     @property
     def p_min_w(self) -> float:
@@ -692,9 +692,9 @@ class ClusterSpec:
         )
 
 
-def haswell_node(name: str = "haswell") -> NodeSpec:
+def haswell_node() -> NodeSpec:
     """The paper's node: 2× 12-core E5-2670 v3 @ 2.30 GHz, 128 GB DDR4."""
-    return NodeSpec(name=name)
+    return NodeSpec(name="haswell")
 
 
 def _rack_fleet(racks: int, rack_groups: tuple[NodeGroup, ...]) -> tuple[RackSpec, ...]:
@@ -704,30 +704,48 @@ def _rack_fleet(racks: int, rack_groups: tuple[NodeGroup, ...]) -> tuple[RackSpe
     return tuple(RackSpec(f"rack{r}", rack_groups) for r in range(racks))
 
 
+def _testbed(
+    name: str,
+    groups: tuple[NodeGroup, ...],
+    racks: int | None,
+    variability_sigma: float,
+    seed: int,
+    **fabric: float,
+) -> ClusterSpec:
+    """A cluster of *groups*, or of ``racks`` (>= 2) identical racks of
+    them; ``racks=None`` or ``racks=1`` keeps the single-rack
+    construction bit-identical."""
+    if racks is not None and racks > 1:
+        layout = {"racks": _rack_fleet(racks, groups)}
+    else:
+        layout = {"groups": groups}
+    return ClusterSpec(
+        name=name,
+        **layout,
+        **fabric,
+        variability_sigma=variability_sigma,
+        variability_seed=seed,
+    )
+
+
+#: Per-node efficiency spread of every testbed (§II, manufacturing
+#: variability).
+VARIABILITY_SIGMA = 0.03
+
+
 def haswell_testbed(
     n_nodes: int = 8,
-    variability_sigma: float = 0.03,
-    seed: int = 2017,
+    variability_sigma: float = VARIABILITY_SIGMA,
     racks: int | None = None,
 ) -> ClusterSpec:
     """The paper's testbed: an 8-node dual-socket Haswell cluster (§V-A).
 
     ``racks=N`` (N >= 2) composes a fleet of N identical racks of
-    ``n_nodes`` Haswell nodes each; ``racks=None`` or ``racks=1`` keeps
-    the original single-rack construction bit-identical.
+    ``n_nodes`` Haswell nodes each.
     """
-    if racks is not None and racks > 1:
-        return ClusterSpec(
-            name="haswell-testbed",
-            racks=_rack_fleet(racks, (NodeGroup(haswell_node(), n_nodes),)),
-            variability_sigma=variability_sigma,
-            variability_seed=seed,
-        )
-    return ClusterSpec(
-        name="haswell-testbed",
-        groups=(NodeGroup(haswell_node(), n_nodes),),
-        variability_sigma=variability_sigma,
-        variability_seed=seed,
+    return _testbed(
+        "haswell-testbed", (NodeGroup(haswell_node(), n_nodes),), racks,
+        variability_sigma, 2017,
     )
 
 
@@ -738,7 +756,7 @@ BROADWELL_FREQ_LADDER_GHZ: tuple[float, ...] = (
 )
 
 
-def broadwell_node(name: str = "broadwell") -> NodeSpec:
+def broadwell_node() -> NodeSpec:
     """A next-generation node: 2x 20-core Broadwell-class sockets.
 
     More cores per socket at a lower nominal clock, a higher TDP, and
@@ -763,46 +781,23 @@ def broadwell_node(name: str = "broadwell") -> NodeSpec:
             p_load_max_w=16.0,
         ),
     )
-    return NodeSpec(name=name, n_sockets=2, socket=socket, p_other_w=40.0)
+    return NodeSpec(name="broadwell", n_sockets=2, socket=socket, p_other_w=40.0)
 
 
-def broadwell_testbed(
-    n_nodes: int = 8,
-    variability_sigma: float = 0.03,
-    seed: int = 2016,
-    racks: int | None = None,
-) -> ClusterSpec:
+def broadwell_testbed(racks: int | None = None) -> ClusterSpec:
     """An 8-node Broadwell-class cluster for generality studies.
 
     ``racks=N`` (N >= 2) composes N identical Broadwell racks.
     """
-    if racks is not None and racks > 1:
-        return ClusterSpec(
-            name="broadwell-testbed",
-            racks=_rack_fleet(racks, (NodeGroup(broadwell_node(), n_nodes),)),
-            link_latency_s=1.2e-6,
-            link_bandwidth=gbps(12.0),
-            variability_sigma=variability_sigma,
-            variability_seed=seed,
-        )
-    return ClusterSpec(
-        name="broadwell-testbed",
-        groups=(NodeGroup(broadwell_node(), n_nodes),),
-        link_latency_s=1.2e-6,
-        link_bandwidth=gbps(12.0),
-        variability_sigma=variability_sigma,
-        variability_seed=seed,
+    return _testbed(
+        "broadwell-testbed", (NodeGroup(broadwell_node(), 8),), racks,
+        VARIABILITY_SIGMA, 2016,
+        link_latency_s=1.2e-6, link_bandwidth=gbps(12.0),
     )
 
 
-def mixed_testbed(
-    n_haswell: int = 4,
-    n_broadwell: int = 4,
-    variability_sigma: float = 0.03,
-    seed: int = 2017,
-    racks: int | None = None,
-) -> ClusterSpec:
-    """A mixed fleet: Haswell slots first, then Broadwell slots.
+def mixed_testbed(racks: int | None = None) -> ClusterSpec:
+    """A mixed fleet: 4 Haswell slots first, then 4 Broadwell slots.
 
     The incremental-procurement cluster: the original Haswell racks
     plus a newer Broadwell purchase behind the same interconnect.  The
@@ -810,36 +805,17 @@ def mixed_testbed(
     samples land) is the *smaller* node class, so a uniform per-rank
     thread count chosen from it is valid on every slot.
 
-    ``racks=N`` (N >= 2) composes N identical mixed racks, each with
-    ``n_haswell`` Haswell slots followed by ``n_broadwell`` Broadwell
-    slots; ``racks=None`` or ``racks=1`` keeps the original
-    single-rack construction bit-identical.
+    ``racks=N`` (N >= 2) composes N identical mixed racks of that
+    layout.
     """
-    if racks is not None and racks > 1:
-        return ClusterSpec(
-            name="mixed-testbed",
-            racks=_rack_fleet(
-                racks,
-                (
-                    NodeGroup(haswell_node(), n_haswell),
-                    NodeGroup(broadwell_node(), n_broadwell),
-                ),
-            ),
-            variability_sigma=variability_sigma,
-            variability_seed=seed,
-        )
-    return ClusterSpec(
-        name="mixed-testbed",
-        groups=(
-            NodeGroup(haswell_node(), n_haswell),
-            NodeGroup(broadwell_node(), n_broadwell),
-        ),
-        variability_sigma=variability_sigma,
-        variability_seed=seed,
+    return _testbed(
+        "mixed-testbed",
+        (NodeGroup(haswell_node(), 4), NodeGroup(broadwell_node(), 4)),
+        racks, VARIABILITY_SIGMA, 2017,
     )
 
 
-def gpu_node(name: str = "haswell-gpu") -> NodeSpec:
+def gpu_node() -> NodeSpec:
     """A Haswell host carrying one accelerator board.
 
     Same dual-socket host as :func:`haswell_node`, plus a GPU whose
@@ -847,7 +823,7 @@ def gpu_node(name: str = "haswell-gpu") -> NodeSpec:
     higher than the CPU-only node for the board's fans and VRMs.
     """
     return NodeSpec(
-        name=name,
+        name="haswell-gpu",
         n_sockets=2,
         socket=SocketSpec(),
         p_other_w=45.0,
@@ -856,39 +832,19 @@ def gpu_node(name: str = "haswell-gpu") -> NodeSpec:
     )
 
 
-def gpu_testbed(
-    n_nodes: int = 8,
-    variability_sigma: float = 0.03,
-    seed: int = 2018,
-    racks: int | None = None,
-) -> ClusterSpec:
+def gpu_testbed(racks: int | None = None) -> ClusterSpec:
     """An 8-node GPU cluster: every node is a Haswell host + one GPU.
 
     ``racks=N`` (N >= 2) composes N identical GPU racks.
     """
-    if racks is not None and racks > 1:
-        return ClusterSpec(
-            name="gpu-testbed",
-            racks=_rack_fleet(racks, (NodeGroup(gpu_node(), n_nodes),)),
-            variability_sigma=variability_sigma,
-            variability_seed=seed,
-        )
-    return ClusterSpec(
-        name="gpu-testbed",
-        groups=(NodeGroup(gpu_node(), n_nodes),),
-        variability_sigma=variability_sigma,
-        variability_seed=seed,
+    return _testbed(
+        "gpu-testbed", (NodeGroup(gpu_node(), 8),), racks,
+        VARIABILITY_SIGMA, 2018,
     )
 
 
-def mixed_gpu_testbed(
-    n_gpu: int = 4,
-    n_haswell: int = 4,
-    variability_sigma: float = 0.03,
-    seed: int = 2018,
-    racks: int | None = None,
-) -> ClusterSpec:
-    """A mixed fleet: GPU slots first, then CPU-only Haswell slots.
+def mixed_gpu_testbed(racks: int | None = None) -> ClusterSpec:
+    """A mixed fleet: 4 GPU slots first, then 4 CPU-only Haswell slots.
 
     The partial-accelerator procurement: half the fleet gained boards,
     half stayed CPU-only, all behind one fabric.  The GPU group comes
@@ -897,28 +853,11 @@ def mixed_gpu_testbed(
     both classes share the Haswell host, so a uniform per-rank thread
     count is valid on every slot.
 
-    ``racks=N`` (N >= 2) composes N identical mixed racks, each with
-    ``n_gpu`` GPU slots followed by ``n_haswell`` CPU-only slots.
+    ``racks=N`` (N >= 2) composes N identical mixed racks of that
+    layout.
     """
-    if racks is not None and racks > 1:
-        return ClusterSpec(
-            name="mixed-gpu-testbed",
-            racks=_rack_fleet(
-                racks,
-                (
-                    NodeGroup(gpu_node(), n_gpu),
-                    NodeGroup(haswell_node(), n_haswell),
-                ),
-            ),
-            variability_sigma=variability_sigma,
-            variability_seed=seed,
-        )
-    return ClusterSpec(
-        name="mixed-gpu-testbed",
-        groups=(
-            NodeGroup(gpu_node(), n_gpu),
-            NodeGroup(haswell_node(), n_haswell),
-        ),
-        variability_sigma=variability_sigma,
-        variability_seed=seed,
+    return _testbed(
+        "mixed-gpu-testbed",
+        (NodeGroup(gpu_node(), 4), NodeGroup(haswell_node(), 4)),
+        racks, VARIABILITY_SIGMA, 2018,
     )

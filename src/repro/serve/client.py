@@ -17,6 +17,9 @@ from repro.errors import ServeError
 
 __all__ = ["ServeClient"]
 
+#: Seconds between the snapshots :meth:`ServeClient.telemetry` asks for.
+TELEMETRY_INTERVAL_S = 0.1
+
 
 class ServeClient:
     """One persistent connection to a running daemon."""
@@ -155,8 +158,9 @@ class ServeClient:
             payload["flags"] = list(flags)
         return self._checked("POST", f"/v1/jobs/{job_id}/outcome", payload)
 
-    def telemetry(self, events: int, interval: float = 0.1) -> list[dict]:
-        """Read *events* snapshots from ``/v1/telemetry/stream``.
+    def telemetry(self, events: int) -> list[dict]:
+        """Read *events* snapshots from ``/v1/telemetry/stream``, one
+        every :data:`TELEMETRY_INTERVAL_S`.
 
         Uses its own short-lived connection: the stream ends with
         ``Connection: close``, which would poison the keep-alive one.
@@ -167,7 +171,8 @@ class ServeClient:
         try:
             conn.request(
                 "GET",
-                f"/v1/telemetry/stream?events={events}&interval={interval}",
+                f"/v1/telemetry/stream?events={events}"
+                f"&interval={TELEMETRY_INTERVAL_S}",
             )
             response = conn.getresponse()
             if response.status != 200:

@@ -44,6 +44,10 @@ _MAX_HEADERS = 100
 _MAX_BODY = 16 * 1024 * 1024
 #: How long a ``wait=true`` submission may block on its decision.
 _DECISION_TIMEOUT_S = 60.0
+#: How long :meth:`ServeDaemon.start_in_thread` waits for the socket to
+#: bind, and :meth:`ServeDaemon.shutdown` for the thread to end.
+_START_TIMEOUT_S = 60.0
+_SHUTDOWN_TIMEOUT_S = 30.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -176,7 +180,7 @@ class ServeDaemon:
         except KeyboardInterrupt:
             pass
 
-    def start_in_thread(self, timeout: float = 60.0) -> "ServeDaemon":
+    def start_in_thread(self) -> "ServeDaemon":
         """Start the daemon on a background thread; return once the
         socket is bound (``self.port`` holds the ephemeral port)."""
         ready = threading.Event()
@@ -186,19 +190,19 @@ class ServeDaemon:
             daemon=True,
         )
         self._thread.start()
-        if not ready.wait(timeout):
+        if not ready.wait(_START_TIMEOUT_S):
             raise ServeError("daemon did not start in time")
         if self._startup_error is not None:
             raise ServeError(f"daemon failed to start: {self._startup_error}")
         return self
 
-    def shutdown(self, timeout: float = 30.0) -> None:
+    def shutdown(self) -> None:
         """Stop a thread-hosted daemon and join its thread."""
         loop, stop = self._loop, self._stop_event
         if loop is not None and stop is not None and loop.is_running():
             loop.call_soon_threadsafe(stop.set)
         if self._thread is not None:
-            self._thread.join(timeout)
+            self._thread.join(_SHUTDOWN_TIMEOUT_S)
             if self._thread.is_alive():
                 raise ServeError("daemon did not shut down in time")
             self._thread = None

@@ -37,6 +37,9 @@ __all__ = ["TenantQuota", "JobRecord", "Submission", "SchedulerService"]
 #: Tenant used when a submission names none.
 DEFAULT_TENANT = "default"
 
+#: Finished job records kept queryable; the oldest are evicted first.
+HISTORY_LIMIT = 200_000
+
 
 @dataclass(frozen=True)
 class TenantQuota:
@@ -79,7 +82,10 @@ class TenantQuota:
         return tenant, quota
 
 
-@dataclass
+# slots: the lifecycle fields are first set after construction, in an
+# order that varies by outcome; without slots that order splits the
+# instances' shared-key dicts, which grows every retained record
+@dataclass(slots=True)
 class JobRecord:
     """One submitted job's lifecycle, queryable until evicted."""
 
@@ -88,12 +94,12 @@ class JobRecord:
     app_name: str
     problem_size: str
     budget_w: float
-    status: str = "pending"  # pending | done | failed
+    status: str = field(default="pending", init=False)  # | done | failed
     submitted_at: float = 0.0
-    decided_at: float | None = None
+    decided_at: float | None = field(default=None, init=False)
     decision: SchedulingDecision | None = None
-    error: str | None = None
-    outcome: dict | None = None
+    error: str | None = field(default=None, init=False)
+    outcome: dict | None = field(default=None, init=False)
 
     @property
     def latency_s(self) -> float | None:
@@ -139,7 +145,7 @@ class Submission:
 
     record: JobRecord
     app: WorkloadCharacteristics
-    future: Future = field(default_factory=Future)
+    future: Future = field(default_factory=Future, init=False)
 
 
 def _checked_budget(value, name: str) -> float:
@@ -164,7 +170,6 @@ class SchedulerService:
         *,
         max_pending: int = 4096,
         quotas: dict[str, TenantQuota] | None = None,
-        history_limit: int = 200_000,
     ):
         self._clip = scheduler
         self._lock = threading.Lock()
@@ -173,7 +178,6 @@ class SchedulerService:
         if self._max_pending < 1:
             raise ServeError(f"max_pending must be >= 1, got {max_pending}")
         self._quotas = dict(quotas or {})
-        self._history_limit = int(history_limit)
         self._jobs: dict[str, JobRecord] = {}
         self._done_order: deque[str] = deque()
         self._ids = itertools.count(1)
@@ -354,7 +358,7 @@ class SchedulerService:
         else:
             self._pending_by_tenant.pop(tenant, None)
         self._done_order.append(rec.job_id)
-        while len(self._done_order) > self._history_limit:
+        while len(self._done_order) > HISTORY_LIMIT:
             self._jobs.pop(self._done_order.popleft(), None)
 
     # -- closed-loop outcomes ------------------------------------------
@@ -433,9 +437,21 @@ class SchedulerService:
             return self._jobs.get(job_id)
 
     def stats(self) -> dict:
-        """One consistent JSON-safe snapshot of the service state."""
+        """JSON-safe snapshot of the service state.
+
+        The service's own counters are one consistent snapshot, taken
+        under the service lock.  The scheduler's parts (bundle cache,
+        knowledge DB, audit ledger, learning counters) are read before
+        the lock is taken: counting violations scans the whole ledger,
+        and submits and burst completions must not wait behind it.
+        """
         pipeline = self._clip.pipeline
         monitor = self._clip.monitor
+        bundle_cache = pipeline.bundle_cache.stats()
+        knowledge_entries = len(pipeline.knowledge)
+        audits = monitor.n_audits
+        audit_violations = monitor.n_violations
+        learning = pipeline.learning_stats()
         with self._lock:
             elapsed = time.time() - self._started_at
             decided = self._decided
@@ -459,10 +475,10 @@ class SchedulerService:
                     t: {"budget_w": q.budget_w, "max_pending": q.max_pending}
                     for t, q in sorted(self._quotas.items())
                 },
-                "bundle_cache": pipeline.bundle_cache.stats(),
-                "knowledge_entries": len(pipeline.knowledge),
-                "audits": monitor.n_audits,
-                "audit_violations": monitor.n_violations,
+                "bundle_cache": bundle_cache,
+                "knowledge_entries": knowledge_entries,
+                "audits": audits,
+                "audit_violations": audit_violations,
                 "outcomes": self._outcomes,
-                "learning": pipeline.learning_stats(),
+                "learning": learning,
             }

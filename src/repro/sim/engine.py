@@ -115,19 +115,6 @@ class ExecutionConfig:
             return entry[2] if len(entry) > 2 else None
         return self.gpu_cap_w
 
-    @property
-    def node_budget_w(self) -> float | None:
-        """Capped domain budget per node, when PKG and DRAM are set.
-
-        Includes the GPU cap when one is programmed; CPU-only configs
-        keep the legacy PKG+DRAM sum.
-        """
-        if self.pkg_cap_w is None or self.dram_cap_w is None:
-            return None
-        if self.gpu_cap_w is not None:
-            return self.pkg_cap_w + self.dram_cap_w + self.gpu_cap_w
-        return self.pkg_cap_w + self.dram_cap_w
-
 
 class ExecutionEngine:
     """Runs workloads on a :class:`SimulatedCluster`."""
@@ -166,7 +153,7 @@ class ExecutionEngine:
         """Cached node-factor calibrations keyed by cluster fingerprint."""
         return self._calibration
 
-    def calibration_fingerprint(self, n_threads: int | None = None):
+    def calibration_fingerprint(self):
         """Key identifying the fleet state a calibration is valid for.
 
         Includes per-node efficiencies and the failed set, so
@@ -174,7 +161,6 @@ class ExecutionEngine:
         the fingerprint and invalidate cached factors by construction.
         """
         return (
-            n_threads,
             self._cluster.spec,
             tuple(n.efficiency for n in self._cluster.nodes),
             self._cluster.failed_node_ids,

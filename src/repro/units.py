@@ -91,6 +91,6 @@ def check_fraction(value: float, name: str) -> float:
     return value
 
 
-def close(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
+def close(a: float, b: float) -> bool:
     """Tolerant float comparison used by invariant checks."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_tol)
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)

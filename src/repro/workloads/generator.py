@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.hw.specs import NodeSpec, haswell_node
+from repro.hw.specs import NodeSpec
 from repro.workloads.characteristics import CommPattern, WorkloadCharacteristics
 from repro.workloads.model import true_scalability_class
 
@@ -28,8 +28,8 @@ class SyntheticAppGenerator:
     #: Upper bound on rejection-sampling attempts per requested app.
     MAX_ATTEMPTS = 400
 
-    def __init__(self, node: NodeSpec | None = None, seed: int = 7):
-        self._node = node or haswell_node()
+    def __init__(self, node: NodeSpec, seed: int):
+        self._node = node
         self._rng = np.random.default_rng(seed)
         self._counter = 0
 

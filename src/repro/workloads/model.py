@@ -431,7 +431,6 @@ def scalability_curve(
     node: NodeSpec,
     n_threads: np.ndarray | None = None,
     frequency_hz: float | None = None,
-    shared_remote: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth performance (iterations/s) vs. thread count.
 
@@ -450,12 +449,9 @@ def scalability_curve(
     topo = NumaTopology(node)
     for i, n in enumerate(np.asarray(n_threads, dtype=np.int64)):
         tps = _balanced_split(int(n), node.n_sockets, node.socket.n_cores)
-        if shared_remote:
-            shares = tps / tps.sum()
-            p_remote = 1.0 - float(np.sum(shares**2))
-            remote = chars.shared_fraction * p_remote
-        else:
-            remote = 0.0
+        shares = tps / tps.sum()
+        p_remote = 1.0 - float(np.sum(shares**2))
+        remote = chars.shared_fraction * p_remote
         t = model.iteration_time(chars, tps, f, full_bw, remote_fraction=remote)
         perfs[i] = 1.0 / t.t_iter_s
     return np.asarray(n_threads, dtype=np.int64), perfs

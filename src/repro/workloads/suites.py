@@ -61,22 +61,22 @@ NAMED_TRAINING_APPS: tuple[WorkloadCharacteristics, ...] = (
 )
 
 
-def training_corpus(
-    node: NodeSpec | None = None,
-    n_synthetic: int = 45,
-    seed: int = 7,
-) -> list[WorkloadCharacteristics]:
+#: Size and seed of the corpus's synthetic tail.
+N_SYNTHETIC = 45
+TRAINING_SEED = 7
+
+
+def training_corpus(node: NodeSpec | None = None) -> list[WorkloadCharacteristics]:
     """Named suite members plus a seeded synthetic tail.
 
     The synthetic tail is class-balanced (see
     :meth:`SyntheticAppGenerator.corpus`) so the regression sees enough
     non-linear examples.
     """
-    node = node or haswell_node()
-    gen = SyntheticAppGenerator(node, seed=seed)
-    n_lin = n_synthetic // 4
-    n_par = (n_synthetic - n_lin) // 2
-    n_log = n_synthetic - n_lin - n_par
+    gen = SyntheticAppGenerator(node or haswell_node(), TRAINING_SEED)
+    n_lin = N_SYNTHETIC // 4
+    n_par = (N_SYNTHETIC - n_lin) // 2
+    n_log = N_SYNTHETIC - n_lin - n_par
     corpus = list(NAMED_TRAINING_APPS)
     corpus.extend(gen.corpus(n_lin, n_log, n_par))
     return corpus

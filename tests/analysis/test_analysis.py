@@ -63,10 +63,6 @@ class TestHarness:
         assert list(scheds) == ["All-In", "Lower-Limit", "Coordinated", "CLIP"]
         assert isinstance(scheds["CLIP"], ClipSchedulerAdapter)
 
-    def test_make_schedulers_without_clip(self, engine):
-        scheds = make_schedulers(engine, include_clip=False)
-        assert "CLIP" not in scheds
-
     def test_compare_methods_structure(self, engine):
         apps = [get_app("comd"), get_app("sp-mz.C")]
         comp = compare_methods(engine, apps, [1400.0], iterations=2)

@@ -8,6 +8,7 @@ from repro.baselines import (
     LowerLimitScheduler,
     OracleScheduler,
 )
+from repro.baselines import lowerlimit
 from repro.baselines.allin import ALLIN_MEM_W
 from repro.errors import InfeasibleBudgetError
 from repro.hw.cluster import SimulatedCluster
@@ -66,15 +67,14 @@ class TestLowerLimit:
         with pytest.raises(InfeasibleBudgetError):
             LowerLimitScheduler(engine).plan(get_app("comd"), 150.0)
 
-    def test_custom_floor(self, engine):
-        cfg = LowerLimitScheduler(engine, node_floor_w=220.0).plan(
-            get_app("comd"), 900.0
-        )
+    def test_custom_floor(self, engine, monkeypatch):
+        monkeypatch.setattr(lowerlimit, "NODE_FLOOR_W", 220.0)
+        cfg = LowerLimitScheduler(engine).plan(get_app("comd"), 900.0)
         assert cfg.n_nodes == 4
 
-    def test_floor_must_exceed_mem_grant(self, engine):
-        with pytest.raises(InfeasibleBudgetError):
-            LowerLimitScheduler(engine, node_floor_w=20.0)
+    def test_floor_must_exceed_mem_grant(self):
+        # the rest of the floor is the PKG cap, which must stay positive
+        assert lowerlimit.NODE_FLOOR_W > ALLIN_MEM_W
 
     def test_still_all_cores(self, engine):
         cfg = LowerLimitScheduler(engine).plan(get_app("sp-mz.C"), 1100.0)

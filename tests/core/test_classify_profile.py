@@ -43,7 +43,7 @@ class TestClassifyRatio:
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ProfilingError):
-            classify_ratio(0.5, 1.0, linear_threshold=1.2, parabolic_threshold=1.0)
+            classify_ratio(0.5, 1.0, linear_threshold=1.2)
 
     def test_nonlinearity_flag(self):
         assert not ScalabilityClass.LINEAR.is_nonlinear
@@ -122,13 +122,15 @@ class TestSmartProfiler:
         feats = p.feature_vector()
         assert feats.shape == (12,)
 
-    def test_feature_vector_scale_free(self, profiler):
+    def test_feature_vector_scale_free(self, profiler, monkeypatch):
         # features must not depend on profiling length
-        import dataclasses
+        from repro.core import profile as profile_module
 
         app = get_app("comd")
-        short = SmartProfiler(profiler._engine, iterations=3).profile(app)
-        long = SmartProfiler(profiler._engine, iterations=9).profile(app)
+        monkeypatch.setattr(profile_module, "DEFAULT_PROFILE_ITERATIONS", 3)
+        short = SmartProfiler(profiler._engine).profile(app)
+        monkeypatch.setattr(profile_module, "DEFAULT_PROFILE_ITERATIONS", 9)
+        long = SmartProfiler(profiler._engine).profile(app)
         import numpy as np
 
         np.testing.assert_allclose(
@@ -138,7 +140,3 @@ class TestSmartProfiler:
     def test_ratio_property(self, profiler):
         p = profiler.profile(get_app("comd"))
         assert p.ratio == pytest.approx(p.half_run.perf / p.all_run.perf)
-
-    def test_rejects_zero_iterations(self, engine):
-        with pytest.raises(ProfilingError):
-            SmartProfiler(engine, iterations=0)

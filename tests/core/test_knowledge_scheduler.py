@@ -165,12 +165,6 @@ class TestClipScheduler:
         assert factors.shape == (8,)
         assert factors.mean() == pytest.approx(1.0)
 
-    def test_calibration_can_be_disabled(self, engine, trained_inflection):
-        clip = ClipScheduler(
-            engine, inflection=trained_inflection, calibrate_variability=False
-        )
-        np.testing.assert_array_equal(clip.node_factors, np.ones(8))
-
     def test_predefined_node_counts(self, clip):
         d = clip.schedule(
             get_app("comd"), 2400.0, predefined_node_counts=(1, 2, 4, 8)

@@ -27,14 +27,14 @@ from repro.core.knowledge import (
     budget_band,
 )
 from repro.core.learning import (
+    MIN_OBSERVATIONS,
     LearningConfig,
-    RefitPolicy,
     fit_calibration,
+    should_refit,
 )
 from repro.core.pipeline import SchedulingDecision
 from repro.core.profile import SmartProfiler
 from repro.core.scheduler import ClipScheduler
-from repro.errors import SchedulingError
 from repro.hw.cluster import SimulatedCluster
 from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import get_app
@@ -170,25 +170,19 @@ class TestObservationHistoryProperty:
 
 class TestRefitPolicy:
     def test_waits_for_staleness_and_evidence(self):
-        policy = RefitPolicy(
-            min_observations=3, refit_interval=3, error_threshold=0.05
-        )
         entry = _shared_entry()
-        assert not policy.should_refit(entry)
-        for _ in range(2):
+        assert not should_refit(entry)
+        for _ in range(MIN_OBSERVATIONS - 1):
             entry = entry.with_observation(_obs(1.0, 2.0))
-        assert not policy.should_refit(entry)  # too few
+        assert not should_refit(entry)  # too few
         entry = entry.with_observation(_obs(1.0, 2.0))
-        assert policy.should_refit(entry)  # 3 obs, 100% error
+        assert should_refit(entry)  # a full window, 100% error
 
     def test_accurate_models_never_refit(self):
-        policy = RefitPolicy(
-            min_observations=3, refit_interval=3, error_threshold=0.05
-        )
         entry = _shared_entry()
         for _ in range(10):
             entry = entry.with_observation(_obs(1.0, 1.01))
-        assert not policy.should_refit(entry)
+        assert not should_refit(entry)
 
     def test_refit_bumps_version_and_resets_staleness(self):
         entry = _shared_entry()
@@ -201,33 +195,18 @@ class TestRefitPolicy:
         assert refitted.refit_at == refitted.observed_total
         assert not entry.same_models(refitted)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"min_observations": 0},
-            {"min_observations": -1},
-            {"refit_interval": -1},
-            {"error_threshold": -0.01},
-        ],
-    )
-    def test_rejects_invalid_thresholds(self, kwargs):
-        with pytest.raises(SchedulingError):
-            RefitPolicy(**kwargs)
-
     def test_late_outcomes_for_an_old_model_never_refit(self):
         """Outcomes of pre-refit decisions can arrive after the refit
         (e.g. a late ``POST /v1/jobs/<id>/outcome``); they carry the
         old model version, so they are no evidence against the new
-        models — with the smallest valid window the policy waits."""
-        policy = RefitPolicy(
-            min_observations=1, refit_interval=0, error_threshold=0.0
-        )
+        models — the policy waits for a full window of new-model ones."""
         entry = replace(_shared_entry(), model_version=2)
-        for _ in range(3):
+        for _ in range(2 * MIN_OBSERVATIONS):
             entry = entry.with_observation(_obs(1.0, 2.0, model_version=1))
-        assert not policy.should_refit(entry)
-        entry = entry.with_observation(_obs(1.0, 2.0, model_version=2))
-        assert policy.should_refit(entry)
+        assert not should_refit(entry)
+        for _ in range(MIN_OBSERVATIONS):
+            entry = entry.with_observation(_obs(1.0, 2.0, model_version=2))
+        assert should_refit(entry)
 
 
 # ----------------------------------------------------------------------

@@ -27,14 +27,19 @@ from repro.hw.actuation import PERFECT_ACTUATION, FaultyActuation
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.node import SimulatedNode
 from repro.hw.rapl import Domain
-from repro.hw.specs import haswell_node, mixed_gpu_testbed
+from repro.hw.specs import ClusterSpec, NodeGroup, gpu_node, haswell_node
 
 #: GPU slots first, then CPU-only slots: both cap arities in one bank.
 N_GPU, N_CPU = 5, 7
 
 
 def fleet() -> SimulatedCluster:
-    return SimulatedCluster(mixed_gpu_testbed(n_gpu=N_GPU, n_haswell=N_CPU))
+    return SimulatedCluster(
+        ClusterSpec(
+            "mixed-gpu",
+            groups=(NodeGroup(gpu_node(), N_GPU), NodeGroup(haswell_node(), N_CPU)),
+        )
+    )
 
 
 def arity(cluster: SimulatedCluster, node_id: int) -> int:

@@ -66,13 +66,13 @@ class TestSynthesis:
         assert ev.memory_bandwidth == pytest.approx(5e10 / 2.0)
 
     def test_noise_is_reproducible(self):
-        a = _counters(rng=np.random.default_rng(1), noise=0.05)
-        b = _counters(rng=np.random.default_rng(1), noise=0.05)
+        a = _counters(rng=np.random.default_rng(1), )
+        b = _counters(rng=np.random.default_rng(1), )
         assert a.event1 == b.event1
 
     def test_noise_perturbs(self):
         clean = _counters()
-        noisy = _counters(rng=np.random.default_rng(2), noise=0.05)
+        noisy = _counters(rng=np.random.default_rng(2), )
         assert clean.event1 != noisy.event1
 
     def test_rejects_bad_remote_fraction(self):

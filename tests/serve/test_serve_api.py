@@ -11,6 +11,7 @@ smoke path the CI workflow exercises.
 
 from __future__ import annotations
 
+import http.client
 import threading
 import time
 
@@ -106,6 +107,24 @@ class TestSubmitAndQuery:
         jobs = client.submit([{"app": "comd", "budget_w": 1000.0}, "comd"])
         budgets = [j["decision"]["cluster_budget_w"] for j in jobs]
         assert budgets == [1000.0, BUDGET_W]
+
+
+class TestStatsSnapshot:
+    def test_ledger_scan_runs_outside_the_service_lock(self, clip, monkeypatch):
+        """Counting violations scans the whole audit ledger; submits and
+        burst completions must not queue behind it on the service lock."""
+        service = SchedulerService(clip, BUDGET_W)
+        monitor_cls = type(clip.monitor)
+        scan = monitor_cls.n_violations.fget
+        lock_held = []
+
+        def n_violations(monitor):
+            lock_held.append(service._lock.locked())
+            return scan(monitor)
+
+        monkeypatch.setattr(monitor_cls, "n_violations", property(n_violations))
+        assert service.stats()["audit_violations"] == 0
+        assert lock_held == [False]
 
 
 class TestBudgetAndQuotas:
@@ -377,7 +396,7 @@ class TestOutcomeReporting:
 class TestTelemetry:
     def test_stream_reports_decisions(self, client):
         client.submit(["comd", "minimd"])
-        events = client.telemetry(2, interval=0.05)
+        events = client.telemetry(2)
         assert len(events) == 2
         for event in events:
             assert event["decided"] >= 2
@@ -391,10 +410,14 @@ class TestTelemetry:
         ids=["interval=inf", "interval=nan", "events=-3"],
     )
     def test_bad_stream_parameters_are_400(self, daemon, events, interval):
-        with ServeClient("127.0.0.1", daemon.port, timeout=5) as client:
-            with pytest.raises(ServeError) as exc:
-                client.telemetry(events, interval=interval)
-        assert exc.value.status == 400
+        conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=5)
+        try:
+            conn.request(
+                "GET", f"/v1/telemetry/stream?events={events}&interval={interval}"
+            )
+            assert conn.getresponse().status == 400
+        finally:
+            conn.close()
 
 
 class TestDaemonLifecycle:

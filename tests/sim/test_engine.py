@@ -52,7 +52,6 @@ class TestConfigValidation:
         cfg = ExecutionConfig(n_nodes=2, n_threads=4, pkg_cap_w=100.0, dram_cap_w=20.0)
         assert cfg.caps_for(0) == (100.0, 20.0)
         assert cfg.caps_for(1) == (100.0, 20.0)
-        assert cfg.node_budget_w == pytest.approx(120.0)
 
     def test_caps_for_per_node(self):
         cfg = ExecutionConfig(

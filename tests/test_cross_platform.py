@@ -29,7 +29,7 @@ def broadwell():
     engine = ExecutionEngine(cluster, seed=42)
     predictor = InflectionPredictor()
     predictor.fit_from_corpus(
-        training_corpus(cluster.spec.node, n_synthetic=30, seed=9),
+        training_corpus(cluster.spec.node),
         SmartProfiler(engine),
     )
     clip = ClipScheduler(engine, inflection=predictor, knowledge=KnowledgeDB())
@@ -44,8 +44,8 @@ class TestPlatformSpec:
         assert node.peak_bandwidth > 1.3e11
 
     def test_testbed_builds(self):
-        cluster = SimulatedCluster(broadwell_testbed(n_nodes=4))
-        assert cluster.n_nodes == 4
+        cluster = SimulatedCluster(broadwell_testbed())
+        assert cluster.n_nodes == 8
 
 
 class TestPipelineOnBroadwell:

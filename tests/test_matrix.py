@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.traces import audit_cap_violations
 from repro.baselines import CoordinatedScheduler, LowerLimitScheduler
+from repro.baselines.lowerlimit import NODE_FLOOR_W
 from repro.core.knowledge import KnowledgeDB
 from repro.core.profile import SmartProfiler
 from repro.core.scheduler import ClipScheduler
@@ -81,4 +82,4 @@ class TestBaselineMatrix:
             pytest.skip("budget below the 180 W floor")
         # never runs a node below the preset floor
         share = budget / result.n_nodes
-        assert share >= lower.node_floor_w - 1e-9
+        assert share >= NODE_FLOOR_W - 1e-9

@@ -12,13 +12,6 @@ from repro.workloads.model import scalability_curve
 
 
 class TestExecutionConfigEdges:
-    def test_node_budget_none_when_partial(self):
-        assert ExecutionConfig(n_nodes=1, n_threads=2).node_budget_w is None
-        assert (
-            ExecutionConfig(n_nodes=1, n_threads=2, pkg_cap_w=100.0).node_budget_w
-            is None
-        )
-
     def test_iterations_validation(self):
         with pytest.raises(SchedulingError):
             ExecutionConfig(n_nodes=1, n_threads=2, iterations=0)
@@ -35,12 +28,14 @@ class TestRunResultDerived:
 
 class TestScalabilityCurveOptions:
     def test_shared_remote_toggle(self):
+        from dataclasses import replace
+
         from repro.hw.specs import haswell_node
 
         app = get_app("stream")
         node = haswell_node()
-        _, with_remote = scalability_curve(app, node, shared_remote=True)
-        _, without = scalability_curve(app, node, shared_remote=False)
+        _, with_remote = scalability_curve(app, node)
+        _, without = scalability_curve(replace(app, shared_fraction=0.0), node)
         # ignoring NUMA remote traffic can only look faster
         assert np.all(without >= with_remote * (1 - 1e-12))
 
@@ -63,12 +58,11 @@ class TestCommModelEdges:
 
 
 class TestProfilerEdges:
-    def test_custom_iteration_budget(self, engine):
-        from repro.core.profile import SmartProfiler
+    def test_custom_iteration_budget(self, engine, monkeypatch):
+        from repro.core import profile as profile_module
 
-        profiler = SmartProfiler(engine, iterations=2)
-        assert profiler.iterations == 2
-        profile = profiler.profile(get_app("ep.C"))
+        monkeypatch.setattr(profile_module, "DEFAULT_PROFILE_ITERATIONS", 2)
+        profile = profile_module.SmartProfiler(engine).profile(get_app("ep.C"))
         assert profile.scalability_class.value == "linear"
 
     def test_roofline_knee_estimate_compute_bound_clamps(self, profiler):

@@ -12,7 +12,7 @@ from repro.hw.specs import haswell_node
 from repro.workloads.apps import TABLE2_APPS, all_apps, get_app
 from repro.workloads.generator import SyntheticAppGenerator
 from repro.workloads.model import true_inflection_point, true_scalability_class
-from repro.workloads.suites import NAMED_TRAINING_APPS, training_corpus
+from repro.workloads.suites import N_SYNTHETIC, NAMED_TRAINING_APPS, training_corpus
 
 NODE = haswell_node()
 
@@ -94,7 +94,7 @@ class TestGenerator:
 
     def test_draw_class_rejects_unknown(self):
         with pytest.raises(WorkloadError):
-            SyntheticAppGenerator(NODE).draw_class("quadratic")
+            SyntheticAppGenerator(NODE, seed=3).draw_class("quadratic")
 
     def test_corpus_counts(self):
         gen = SyntheticAppGenerator(NODE, seed=3)
@@ -114,12 +114,12 @@ class TestSuites:
         assert classes == {"linear", "logarithmic", "parabolic"}
 
     def test_training_corpus_size(self):
-        corpus = training_corpus(NODE, n_synthetic=8, seed=3)
-        assert len(corpus) == len(NAMED_TRAINING_APPS) + 8
+        corpus = training_corpus(NODE)
+        assert len(corpus) == len(NAMED_TRAINING_APPS) + N_SYNTHETIC
 
     def test_training_corpus_deterministic(self):
-        a = training_corpus(NODE, n_synthetic=4, seed=3)
-        b = training_corpus(NODE, n_synthetic=4, seed=3)
+        a = training_corpus(NODE)
+        b = training_corpus(NODE)
         assert [x.name for x in a] == [y.name for y in b]
 
     def test_ep_and_stream_archetypes_present(self):
