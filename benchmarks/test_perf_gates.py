@@ -43,6 +43,7 @@ from repro.analysis.experiments import build_trained_inflection
 from repro.baselines import OracleScheduler
 from repro.cli import FAULT_DEMO_APPS, demo_fault_events
 from repro.core import allocation, coordination, hierarchy
+from repro.core import monitor as monitor_module
 from repro.core import runtime as runtime_module
 from repro.core.hierarchy import split_cluster_budget
 from repro.core.jobqueue import PowerBoundedJobQueue
@@ -50,6 +51,7 @@ from repro.core.journal import RuntimeJournal
 from repro.core.knowledge import KnowledgeDB, KnowledgeEntry
 from repro.core.learning import LearningConfig
 from repro.core.monitor import BudgetInvariantMonitor
+from repro.core.recommend import NodeConfig
 from repro.core.runtime import PowerBoundedRuntime
 from repro.core.scheduler import ClipScheduler
 from repro.core.watchdog import PowerEnforcementWatchdog
@@ -634,6 +636,59 @@ def test_fleet_decision_is_segmented(gates, monkeypatch):
         "fleet_decision.split_audit_speedup", statistics.median(speedups),
         MIN_SPLIT_AUDIT_SPEEDUP, "min", "x", samples=speedups,
     )
+
+
+def _counted(monkeypatch, owner, attr: str) -> list:
+    """Patch ``owner.attr`` to count its calls; returns the tally."""
+    calls = []
+    real = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+def test_decision_builds_no_node_configs(gates, monkeypatch):
+    """A decision is a base plus packed per-slot values: a warm
+    1024-node decision on decide-fleet's inputs builds no
+    ``NodeConfig`` and packs no caps with ``struct.pack`` (the audit
+    keeps the decision's buffer), and neither does the 8-node serve
+    path from submit to ``GET /v1/jobs/<id>``."""
+    spec = haswell_testbed(racks=RACK_SCALES[-1])
+    clip = _scheduler(_engine(spec))
+    budget_w = BUDGET_PER_NODE_W * spec.n_nodes
+    apps = [get_app(name) for name in FLEET_APPS]
+    for app in apps:
+        clip.schedule(app, budget_w)
+    configs = _counted(monkeypatch, NodeConfig, "__init__")
+    packs = _counted(monkeypatch, monitor_module.struct, "pack")
+    decisions = [
+        clip.schedule(app, frac * budget_w)
+        for app in apps
+        for frac in FLEET_FRACTIONS
+    ]
+    assert all(d.n_nodes > 8 * RACK_SCALES[-2] for d in decisions)
+    assert clip.monitor.n_violations == 0
+    gates.check("fleet_decision.node_configs_built", len(configs), 0, "max",
+                "objects")
+    gates.check("fleet_decision.struct_packs", len(packs), 0, "max", "calls")
+
+    serve_clip = _scheduler()
+    for name in CPU_APPS:
+        serve_clip.schedule(get_app(name), SERVE_BUDGET_W)
+    service = SchedulerService(serve_clip, SERVE_BUDGET_W)
+    daemon = ServeDaemon(service, port=0).start_in_thread()
+    try:
+        with ServeClient("127.0.0.1", daemon.port) as c:
+            records = [c.job(j["job_id"]) for j in c.submit(_burst(0))]
+    finally:
+        daemon.shutdown()
+    assert all(r["status"] == "done" for r in records)
+    assert all(len(r["decision"]["node_configs"]) == 8 for r in records)
+    gates.check("serve.node_configs_built", len(configs), 0, "max", "objects")
 
 
 # -- self-healing enforcement -------------------------------------------

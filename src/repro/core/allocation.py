@@ -341,7 +341,7 @@ class ClusterAllocator:
         """Predicted single-node throughput at a candidate budget."""
         _, hi = self.acceptable_range()
         try:
-            cfg = self._rec.recommend(min(node_budget, hi))
+            cfg = self._rec.choose(min(node_budget, hi))
         except InfeasibleBudgetError:
             return -np.inf
         return cfg.predicted_perf

@@ -36,21 +36,19 @@ def render_script(
         f"# cluster budget {decision.cluster_budget_w:.0f} W, "
         f"allocated {decision.total_capped_w:.0f} W",
     ]
-    for i, cfg in enumerate(decision.node_configs):
+    for i, cap in enumerate(decision.per_node_caps):
         # the --gpu flag appears only for ranks with a device grant, so
         # CPU-only scripts stay byte-identical to the pre-GPU emitter
         lines.append(
-            f"clip-rapl --node {i} --pkg {cfg.pkg_cap_w:.1f} "
-            f"--dram {cfg.dram_cap_w:.1f}"
-            + (f" --gpu {cfg.gpu_cap_w:.1f}" if cfg.has_gpu_grant else "")
+            f"clip-rapl --node {i} --pkg {cap[0]:.1f} --dram {cap[1]:.1f}"
+            + (f" --gpu {cap[2]:.1f}" if len(cap) == 3 else "")
         )
-    cfg = decision.node_configs[0]
     lines.append(
         "mpirun -np {n} --map-by node -x OMP_NUM_THREADS={t} "
         "-x OMP_PROC_BIND={bind} {prog}".format(
             n=decision.n_nodes,
             t=decision.n_threads,
-            bind="spread" if cfg.affinity.value == "scatter" else "close",
+            bind="spread" if decision.affinity.value == "scatter" else "close",
             prog=app.name,
         )
     )

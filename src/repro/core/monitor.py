@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from repro.errors import BudgetInvariantError
 
-__all__ = ["CapAudit", "BudgetInvariantMonitor"]
+__all__ = ["CapAudit", "BudgetInvariantMonitor", "unpack_caps"]
 
 #: Absolute slack (watts) granted to floating-point cap arithmetic.
 AUDIT_TOLERANCE_W = 1e-6
@@ -58,9 +59,12 @@ def _normalized_bound(bound, n_ranks: int):
     return per_rank
 
 
-def _unpack(packed: bytes, arity: bytes) -> tuple[tuple[float, ...], ...]:
-    """Per-node cap tuples back from the packed float64 buffer."""
+def unpack_caps(packed: bytes, arity: bytes) -> tuple[tuple[float, ...], ...]:
+    """Per-node cap tuples back from a packed float64 buffer: node *i*
+    holds the next ``arity[i]`` values."""
     values = iter(memoryview(packed).cast("d").tolist())
+    if arity.count(2) == len(arity):
+        return tuple(zip(values, values))
     return tuple(tuple(itertools.islice(values, k)) for k in arity)
 
 
@@ -79,7 +83,7 @@ def _node_totals(packed: bytes, arity: bytes) -> tuple[np.ndarray, np.ndarray]:
         pairs = np.frombuffer(packed, dtype=np.float64).reshape(n, 2)
         pkg, dram = pairs[:, 0], pairs[:, 1]
         return (0.0 + pkg) + dram, np.where(dram < pkg, dram, pkg)
-    caps = _unpack(packed, arity)
+    caps = unpack_caps(packed, arity)
     totals = np.array([sum(cap) for cap in caps], dtype=np.float64)
     smallest = np.array([min(cap) if cap else np.inf for cap in caps])
     return totals, smallest
@@ -160,7 +164,7 @@ class CapAudit(NamedTuple):
     def caps(self) -> tuple[tuple[float, ...], ...]:
         """Per-node cap tuples: ``(pkg, dram)`` on CPU nodes, ``(pkg,
         dram, gpu)`` on accelerator nodes — a set may mix both."""
-        return _unpack(self.packed_caps, self.cap_arity)
+        return unpack_caps(self.packed_caps, self.cap_arity)
 
     @property
     def ok(self) -> bool:
@@ -212,9 +216,10 @@ class BudgetInvariantMonitor:
         source: str,
         app_name: str,
         cluster_budget_w: float,
-        caps: tuple[tuple[float, ...], ...],
+        caps: "Sequence[tuple[float, ...]] | bytes",
         node_lo_w: "float | Sequence[float] | None" = None,
         node_hi_w: "float | Sequence[float] | None" = None,
+        cap_arity: bytes | None = None,
     ) -> CapAudit:
         """Record one issued cap set and check the invariants.
 
@@ -229,17 +234,36 @@ class BudgetInvariantMonitor:
         form, where each slot's class has its own range.  Range checks
         use a relative tolerance on top of :data:`AUDIT_TOLERANCE_W` so
         legitimate float round-off never flags.
+
+        *caps* is a sequence of per-node tuples or, with *cap_arity*
+        given, already packed as :class:`CapAudit` keeps it (a
+        :class:`~repro.core.pipeline.SchedulingDecision`'s
+        ``packed_caps``); the ledger record then holds that buffer as
+        it is.  Both forms run the same checks.
         """
-        lo = _normalized_bound(node_lo_w, len(caps))
-        hi = _normalized_bound(node_hi_w, len(caps))
+        if cap_arity is None:
+            arity = bytes(map(len, caps))
+            packed = struct.pack(
+                f"{sum(arity)}d", *itertools.chain.from_iterable(caps)
+            )
+        else:
+            packed, arity, caps = caps, cap_arity, None
+            if len(packed) != 8 * sum(arity):
+                raise ValueError(
+                    f"the packed caps hold {len(packed) / 8:g} values, "
+                    f"cap_arity counts {sum(arity)}"
+                )
+        n_ranks = len(arity)
+        lo = _normalized_bound(node_lo_w, n_ranks)
+        hi = _normalized_bound(node_hi_w, n_ranks)
         # each node's total, taken once for both the cluster sum and
-        # the range checks; the ledger keeps the caps packed
-        arity = bytes(map(len, caps))
-        packed = struct.pack(f"{sum(arity)}d", *itertools.chain.from_iterable(caps))
+        # the range checks
         slack = AUDIT_TOLERANCE_W + 1e-9 * max(abs(cluster_budget_w), 1.0)
-        if len(caps) < ARRAY_AUDIT_MIN:
+        if n_ranks < ARRAY_AUDIT_MIN:
+            if caps is None:
+                caps = unpack_caps(packed, arity)
             node_totals = [sum(cap) for cap in caps]
-            flagged = range(len(caps))
+            flagged = range(n_ranks)
         else:
             # one array pass picks the nodes the scalar checks must see
             totals, smallest = _node_totals(packed, arity)
@@ -254,6 +278,8 @@ class BudgetInvariantMonitor:
             if hi is not None:
                 bad |= totals > hi_cmp + slack
             flagged = np.flatnonzero(bad).tolist()
+            if flagged and caps is None:
+                caps = unpack_caps(packed, arity)
         violations = _budget_violations(
             float(sum(node_totals)), cluster_budget_w, slack
         )
@@ -322,7 +348,7 @@ class BudgetInvariantMonitor:
             )
             while negative and negative[0] < end:
                 node = negative.pop(0)
-                (cap,) = _unpack(
+                (cap,) = unpack_caps(
                     packed[offsets[node]:offsets[node + 1]], arity[node:node + 1]
                 )
                 violations += _node_violations(
@@ -358,11 +384,13 @@ class BudgetInvariantMonitor:
         budget is recorded as a ``(budget, 0)`` cap pair so the split
         rides the same append-only ledger as node-level cap sets.
         """
+        pairs = [x for b in child_budgets_w for x in (float(b), 0.0)]
         return self.audit(
             source,
             app_name,
             parent_budget_w,
-            tuple((float(b), 0.0) for b in child_budgets_w),
+            array("d", pairs).tobytes(),
+            cap_arity=b"\x02" * (len(pairs) // 2),
         )
 
     # ------------------------------------------------------------------

@@ -60,7 +60,7 @@ class _JobState:
         self.floor = floor
         hi_threads = recommender.unbounded_concurrency()
         self.hi_per_node = recommender.power_model.power_range(hi_threads).node_hi_w
-        self.unbounded_perf = recommender.recommend(
+        self.unbounded_perf = recommender.choose(
             self.hi_per_node
         ).predicted_perf
 
@@ -74,7 +74,7 @@ class _JobState:
         if per_node < self.floor:
             return 0.0
         try:
-            cfg = self.rec.recommend(per_node)
+            cfg = self.rec.choose(per_node)
         except InfeasibleBudgetError:
             return 0.0
         return cfg.predicted_perf * n / (self.unbounded_perf * 1.0)

@@ -36,9 +36,13 @@ a test greps the consumer modules to keep it that way.
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 import time
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +65,11 @@ from repro.core.knowledge import (
     ObservationRecord,
 )
 from repro.core.learning import LearningConfig, fit_calibration, should_refit
-from repro.core.monitor import BudgetInvariantMonitor
+from repro.core.monitor import BudgetInvariantMonitor, unpack_caps
 from repro.core.perfmodel import PerformancePredictor
 from repro.core.powermodel import ClipPowerModel
 from repro.core.profile import AppProfile, SmartProfiler
-from repro.core.recommend import NodeConfig, Recommender
+from repro.core.recommend import NodeChoice, NodeConfig, Recommender
 from repro.errors import InfeasibleBudgetError, SchedulingError
 from repro.hw.numa import AffinityKind
 from repro.hw.specs import NodeSpec
@@ -234,16 +238,41 @@ class ModelBundleCache:
 # ----------------------------------------------------------------------
 
 
+def _floats(packed: bytes) -> list[float]:
+    """The floats of a packed float64 buffer."""
+    return memoryview(packed).cast("d").tolist()
+
+
 @dataclass(frozen=True)
 class SchedulingDecision:
-    """Everything Algorithm 1 outputs for one job."""
+    """Everything Algorithm 1 outputs for one job.
+
+    Algorithm 1's shape: one concurrency and affinity for the job (the
+    shared base every slot runs), plus per-slot values in slot order,
+    held as read-only packed float64 buffers.  ``packed_caps`` holds
+    each slot's caps, ``(pkg, dram)`` or — when the slot has a device
+    grant — ``(pkg, dram, gpu)``, and ``cap_arity`` the cap count per
+    slot: the form :class:`~repro.core.monitor.CapAudit` keeps in the
+    ledger, which the pipeline's audit stores as it is.  The predicted
+    frequency, performance and GPU clock come one float per slot.
+    :attr:`node_configs` builds :class:`NodeConfig`\\ s from these on
+    first access.  Decisions compare field by field; the buffers
+    compare byte for byte.
+    """
 
     app_name: str
     cluster_budget_w: float
     scalability_class: ScalabilityClass
     inflection_point: int | None
     allocation: ClusterAllocation
-    node_configs: tuple[NodeConfig, ...]
+    #: Suggested active cores per node (uniform across nodes).
+    n_threads: int
+    affinity: AffinityKind
+    packed_caps: bytes = field(repr=False)
+    cap_arity: bytes = field(repr=False)
+    predicted_frequencies_hz: bytes = field(repr=False)
+    predicted_perfs: bytes = field(repr=False)
+    predicted_gpu_clocks_hz: bytes = field(repr=False)
     phase_threads: dict[str, int] = field(default_factory=dict)
     #: Model generation the decision was made with (bumped by refits).
     model_version: int = 1
@@ -254,14 +283,9 @@ class SchedulingDecision:
         return self.allocation.n_nodes
 
     @property
-    def n_threads(self) -> int:
-        """Suggested active cores per node (uniform across nodes)."""
-        return self.node_configs[0].n_threads
-
-    @property
     def total_capped_w(self) -> float:
         """Sum of all programmed caps — must be <= the budget."""
-        return float(sum(c.node_budget_w for c in self.node_configs))
+        return float(sum(map(sum, self.per_node_caps)))
 
     @property
     def predicted_perf(self) -> float:
@@ -276,11 +300,32 @@ class SchedulingDecision:
         on accelerator nodes; a mixed fleet mixes lengths.  CPU-only
         decisions therefore serialize and compare exactly as before.
         """
+        return unpack_caps(self.packed_caps, self.cap_arity)
+
+    @cached_property
+    def node_configs(self) -> tuple[NodeConfig, ...]:
+        """One :class:`NodeConfig` per slot, built on first access."""
         return tuple(
-            (c.pkg_cap_w, c.dram_cap_w, c.gpu_cap_w)
-            if c.has_gpu_grant
-            else (c.pkg_cap_w, c.dram_cap_w)
-            for c in self.node_configs
+            NodeConfig(
+                n_threads=self.n_threads,
+                affinity=self.affinity,
+                pkg_cap_w=cap[0],
+                dram_cap_w=cap[1],
+                predicted_frequency_hz=f,
+                predicted_perf=perf,
+                gpu_cap_w=cap[2] if len(cap) == 3 else 0.0,
+                predicted_gpu_clock_hz=clk,
+            )
+            for cap, f, perf, clk in self._slots()
+        )
+
+    def _slots(self):
+        """``(caps, frequency, perf, gpu clock)`` per slot, in slot order."""
+        return zip(
+            self.per_node_caps,
+            _floats(self.predicted_frequencies_hz),
+            _floats(self.predicted_perfs),
+            _floats(self.predicted_gpu_clocks_hz),
         )
 
     def to_execution_config(self, iterations: int | None = None) -> ExecutionConfig:
@@ -288,7 +333,7 @@ class SchedulingDecision:
         return ExecutionConfig(
             n_nodes=self.n_nodes,
             n_threads=self.n_threads,
-            affinity=self.node_configs[0].affinity,
+            affinity=self.affinity,
             per_node_caps=self.per_node_caps,
             iterations=iterations,
             phase_threads=dict(self.phase_threads),
@@ -322,7 +367,7 @@ class SchedulingDecision:
             "scalability_class": self.scalability_class.value,
             "inflection_point": self.inflection_point,
             "allocation": alloc_dict,
-            "node_configs": [self._config_dict(c) for c in self.node_configs],
+            "node_configs": self._slot_dicts(),
             "phase_threads": dict(self.phase_threads),
         }
         # the learning key appears only once a refit has acted, so
@@ -331,22 +376,25 @@ class SchedulingDecision:
             d["model_version"] = self.model_version
         return d
 
-    @staticmethod
-    def _config_dict(c: NodeConfig) -> dict:
-        """One node config's JSON form; GPU keys appear only when a
-        device grant exists, so CPU documents stay byte-identical."""
-        d = {
-            "n_threads": c.n_threads,
-            "affinity": c.affinity.value,
-            "pkg_cap_w": c.pkg_cap_w,
-            "dram_cap_w": c.dram_cap_w,
-            "predicted_frequency_hz": c.predicted_frequency_hz,
-            "predicted_perf": c.predicted_perf,
-        }
-        if c.has_gpu_grant:
-            d["gpu_cap_w"] = c.gpu_cap_w
-            d["predicted_gpu_clock_hz"] = c.predicted_gpu_clock_hz
-        return d
+    def _slot_dicts(self) -> list[dict]:
+        """Each slot's JSON form; GPU keys appear only when a device
+        grant exists, so CPU documents stay byte-identical."""
+        n_threads, affinity = self.n_threads, self.affinity.value
+        out = []
+        for cap, f, perf, clk in self._slots():
+            d = {
+                "n_threads": n_threads,
+                "affinity": affinity,
+                "pkg_cap_w": cap[0],
+                "dram_cap_w": cap[1],
+                "predicted_frequency_hz": f,
+                "predicted_perf": perf,
+            }
+            if len(cap) == 3:
+                d["gpu_cap_w"] = cap[2]
+                d["predicted_gpu_clock_hz"] = clk
+            out.append(d)
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SchedulingDecision":
@@ -356,6 +404,12 @@ class SchedulingDecision:
         stamped an ``"explored"`` flag still load.
         """
         alloc = raw["allocation"]
+        slots = raw["node_configs"]
+        caps = []
+        for c in slots:
+            gpu = float(c.get("gpu_cap_w", 0.0))
+            cap = (float(c["pkg_cap_w"]), float(c["dram_cap_w"]))
+            caps.append(cap + (gpu,) if gpu > 0.0 else cap)
         return cls(
             app_name=raw["app_name"],
             cluster_budget_w=float(raw["cluster_budget_w"]),
@@ -381,26 +435,27 @@ class SchedulingDecision:
                     else None
                 ),
             ),
-            node_configs=tuple(
-                NodeConfig(
-                    n_threads=int(c["n_threads"]),
-                    affinity=AffinityKind(c["affinity"]),
-                    pkg_cap_w=float(c["pkg_cap_w"]),
-                    dram_cap_w=float(c["dram_cap_w"]),
-                    predicted_frequency_hz=float(c["predicted_frequency_hz"]),
-                    predicted_perf=float(c["predicted_perf"]),
-                    gpu_cap_w=float(c.get("gpu_cap_w", 0.0)),
-                    predicted_gpu_clock_hz=float(
-                        c.get("predicted_gpu_clock_hz", 0.0)
-                    ),
-                )
-                for c in raw["node_configs"]
+            n_threads=int(slots[0]["n_threads"]),
+            affinity=AffinityKind(slots[0]["affinity"]),
+            packed_caps=_packed(itertools.chain.from_iterable(caps)),
+            cap_arity=bytes(map(len, caps)),
+            predicted_frequencies_hz=_packed(
+                float(c["predicted_frequency_hz"]) for c in slots
+            ),
+            predicted_perfs=_packed(float(c["predicted_perf"]) for c in slots),
+            predicted_gpu_clocks_hz=_packed(
+                float(c.get("predicted_gpu_clock_hz", 0.0)) for c in slots
             ),
             phase_threads={
                 str(k): int(v) for k, v in raw["phase_threads"].items()
             },
             model_version=int(raw.get("model_version", 1)),
         )
+
+
+def _packed(values) -> bytes:
+    """Floats packed as float64, in order."""
+    return array("d", values).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -634,7 +689,9 @@ def _class_bundles(
 
 
 #: Slot counts from which :func:`split_per_class` groups slots by class
-#: and budget with array operations; below it a dict does it faster.
+#: and budget with array operations, and the recommend stage builds a
+#: decision's per-slot values as arrays (:func:`_slot_rows`); below it a
+#: dict does it faster.
 ARRAY_GROUP_MIN = 64
 
 
@@ -644,11 +701,10 @@ def split_per_class(slot_classes, budgets_w, split) -> list:
 
     ``split(k, budgets)`` gets the distinct budgets of the class-*k*
     slots (a sequence of floats) and returns one value per budget — the
-    class's cap tuples, or its node configurations; the values are
-    scattered back to slot order, so slots of one class with equal
-    budgets share one value.  An :class:`InfeasibleBudgetError` is
-    re-raised for the first rejected slot in slot order, as a
-    slot-by-slot loop would raise it.
+    class's cap tuples, say; the values are scattered back to slot
+    order, so slots of one class with equal budgets share one value.
+    An :class:`InfeasibleBudgetError` is re-raised for the first
+    rejected slot in slot order, as a slot-by-slot loop would raise it.
     """
     try:
         if len(budgets_w) >= ARRAY_GROUP_MIN:
@@ -673,21 +729,55 @@ def split_per_class(slot_classes, budgets_w, split) -> list:
 
 def _split_grouped(slot_classes, budgets_w, split) -> list:
     """:func:`split_per_class`'s grouping as array operations."""
+    out: list = [None] * len(budgets_w)
+    for k, slots, distinct, index in _class_groups(slot_classes, budgets_w):
+        values = split(k, distinct)
+        if isinstance(slots, np.ndarray):
+            slots = slots.tolist()
+        for slot, i in zip(slots, index.tolist()):
+            out[slot] = values[i]
+    return out
+
+
+def _class_groups(slot_classes, budgets_w):
+    """Per hardware class *k*: ``(k, slots, distinct, index)`` — the
+    class's slot indices (a range when every slot is of one class), its
+    distinct budgets (sorted, float64) and each of its slots' index
+    among them."""
     ranks = np.asarray(slot_classes)
     budgets = np.asarray(budgets_w, dtype=np.float64)
     classes = np.unique(ranks).tolist()
-    out: list = [None] * len(budgets)
     for k in classes:
         if len(classes) == 1:
             slots, own = range(len(budgets)), budgets
         else:
             slots = np.flatnonzero(ranks == k)
             own = budgets[slots]
-            slots = slots.tolist()
         distinct, index = np.unique(own, return_inverse=True)
-        values = split(k, distinct)
-        for slot, i in zip(slots, index.tolist()):
-            out[slot] = values[i]
+        yield k, slots, distinct, index
+
+
+def _slot_rows(slot_classes, budgets_w, split) -> np.ndarray:
+    """:func:`split_per_class` for values that are rows of floats.
+
+    ``split(k, budgets)`` gets the class-*k* distinct budgets as a
+    float64 array and returns a 2-D array, one row per budget; the rows
+    come back in slot order, scattered by one array index per class.
+    Infeasible budgets raise as in :func:`split_per_class`.
+    """
+    out = None
+    try:
+        for k, slots, distinct, index in _class_groups(slot_classes, budgets_w):
+            rows = split(k, distinct)[index]
+            if isinstance(slots, range):
+                return rows
+            if out is None:
+                out = np.empty((len(budgets_w), rows.shape[1]))
+            out[slots] = rows
+    except InfeasibleBudgetError:
+        for k, b in zip(slot_classes, np.asarray(budgets_w).tolist()):
+            split(k, np.array([b]))
+        raise
     return out
 
 
@@ -719,19 +809,27 @@ class AllocateStage:
         self._slot_class = slot_class
         self._cache = bundle_cache
         self._racks = racks
+        # knowledge key -> (the class bundles, their allocator): the
+        # class-range table is static until a bundle is rebuilt
+        self._allocators: dict[tuple[str, str], tuple] = {}
 
     def run(self, ctx: DecisionContext) -> DecisionContext:
         """Fill ``ctx.allocation``."""
         bundles = _class_bundles(self._cache, ctx, self._node_classes)
-        allocator = ClusterAllocator(
-            ctx.bundle.recommender,
-            self._n_total,
-            node_factors=self._factors,
-            variability_threshold=self._threshold,
-            class_ranges=tuple(acceptable_range(b.recommender) for b in bundles),
-            slot_class=self._slot_class,
-            racks=self._racks,
-        )
+        cached = self._allocators.get(ctx.entry.key)
+        if cached is not None and all(map(operator.is_, cached[0], bundles)):
+            allocator = cached[1]
+        else:
+            allocator = ClusterAllocator(
+                ctx.bundle.recommender,
+                self._n_total,
+                node_factors=self._factors,
+                variability_threshold=self._threshold,
+                class_ranges=tuple(acceptable_range(b.recommender) for b in bundles),
+                slot_class=self._slot_class,
+                racks=self._racks,
+            )
+            self._allocators[ctx.entry.key] = (bundles, allocator)
         allocation = allocator.allocate(
             ctx.cluster_budget_w,
             predefined=ctx.predefined_node_counts,
@@ -748,12 +846,77 @@ class AllocateStage:
         }
 
 
+def _class_tuples(bundle: ModelBundle, distinct, base: NodeChoice) -> list[tuple]:
+    """One class's slot row per distinct budget — ``(pkg, dram, gpu,
+    frequency, perf, gpu clock)`` — at the decision's concurrency."""
+    power_model = bundle.power_model
+    if power_model.gpu_power_range()[1] > 0.0:
+        # GPU node: three-domain split, re-running the host↔device
+        # shift against each distinct budget
+        return [bundle.recommender.config_at(float(b), base)[1:] for b in distinct]
+    n_threads = base.n_threads
+    caps = power_model.split_node_budgets(distinct, n_threads)
+    freqs = power_model.max_freqs_under([pkg for pkg, _ in caps], n_threads)
+    f_base, perf = base.predicted_frequency_hz, base.predicted_perf
+    # no device on this rank, whatever class slot 0 is
+    return [
+        (pkg, dram, 0.0, f_base if f is None else f, perf, 0.0)
+        for (pkg, dram), f in zip(caps, freqs)
+    ]
+
+
+def _class_rows(bundle: ModelBundle, distinct: np.ndarray, base: NodeChoice) -> np.ndarray:
+    """:func:`_class_tuples` as one float64 row per distinct budget."""
+    power_model = bundle.power_model
+    if power_model.gpu_power_range()[1] > 0.0:
+        rows = _class_tuples(bundle, distinct.tolist(), base)
+        return np.array(rows, dtype=np.float64).reshape(len(rows), 6)
+    n_threads = base.n_threads
+    pkg, dram = power_model.cap_columns(distinct, n_threads)
+    freqs, below = power_model.freq_columns(pkg, n_threads)
+    # the GPU columns stay zero: no device on this rank
+    rows = np.zeros((len(distinct), 6))
+    rows[:, 0] = pkg
+    rows[:, 1] = dram
+    rows[:, 3] = np.where(below, base.predicted_frequency_hz, freqs)
+    rows[:, 4] = base.predicted_perf
+    return rows
+
+
+def _packed_tuples(rows: list[tuple]) -> dict:
+    """A decision's per-slot fields from :func:`_class_tuples` rows in
+    slot order; the GPU cap is packed only on slots granted one."""
+    caps = [r[:3] if r[2] > 0.0 else r[:2] for r in rows]
+    return {
+        "packed_caps": _packed(itertools.chain.from_iterable(caps)),
+        "cap_arity": bytes(map(len, caps)),
+        "predicted_frequencies_hz": _packed(r[3] for r in rows),
+        "predicted_perfs": _packed(r[4] for r in rows),
+        "predicted_gpu_clocks_hz": _packed(r[5] for r in rows),
+    }
+
+
+def _packed_rows(rows: np.ndarray) -> dict:
+    """:func:`_packed_tuples` for a 2-D array of rows."""
+    granted = rows[:, 2] > 0.0
+    keep = np.ones((len(rows), 3), dtype=bool)
+    keep[:, 2] = granted
+    return {
+        "packed_caps": rows[:, :3][keep].tobytes(),
+        "cap_arity": (granted + 2).astype(np.uint8).tobytes(),
+        "predicted_frequencies_hz": rows[:, 3].tobytes(),
+        "predicted_perfs": rows[:, 4].tobytes(),
+        "predicted_gpu_clocks_hz": rows[:, 5].tobytes(),
+    }
+
+
 class RecommendStage:
     """Recommend per-node configs for each node's budget; emit the decision.
 
     Each slot's budget is split into its domain caps by its own
     class's power model, so the cap pair matches the silicon it will
-    be programmed on.
+    be programmed on.  The per-slot values go straight into the
+    decision's packed buffers; no :class:`NodeConfig` is built.
     """
 
     name = "recommend"
@@ -773,40 +936,21 @@ class RecommendStage:
         recommender = ctx.bundle.recommender
         allocation = ctx.allocation
         budgets = allocation.node_budgets_w
-        base = recommender.recommend(min(budgets))
         # Keep concurrency uniform across ranks (one decomposition);
         # each node spends its own budget on frequency headroom.
-        n_threads = base.n_threads
+        base = recommender.choose(min(budgets))
         bundles = _class_bundles(self._cache, ctx, self._node_classes)
-
-        def class_configs(k: int, distinct) -> list[NodeConfig]:
-            bundle = bundles[k]
-            power_model = bundle.power_model
-            if power_model.gpu_power_range()[1] > 0.0:
-                # GPU node: three-domain split, re-running the
-                # host↔device shift against each distinct budget
-                return [bundle.recommender.config_at(float(b), base) for b in distinct]
-            caps = power_model.split_node_budgets(distinct, n_threads)
-            freqs = power_model.max_freqs_under([pkg for pkg, _ in caps], n_threads)
-            # the GPU fields keep their zero defaults: this rank has no
-            # device, whatever class slot 0 is
-            return [
-                NodeConfig(
-                    n_threads=n_threads,
-                    affinity=base.affinity,
-                    pkg_cap_w=pkg,
-                    dram_cap_w=dram,
-                    predicted_frequency_hz=(
-                        f if f is not None else base.predicted_frequency_hz
-                    ),
-                    predicted_perf=base.predicted_perf,
+        ranks = self._slot_class[: allocation.n_nodes]
+        if len(budgets) >= ARRAY_GROUP_MIN:
+            slots = _packed_rows(
+                _slot_rows(ranks, budgets, lambda k, d: _class_rows(bundles[k], d, base))
+            )
+        else:
+            slots = _packed_tuples(
+                split_per_class(
+                    ranks, budgets, lambda k, d: _class_tuples(bundles[k], d, base)
                 )
-                for (pkg, dram), f in zip(caps, freqs)
-            ]
-
-        configs = split_per_class(
-            self._slot_class[: allocation.n_nodes], budgets, class_configs
-        )
+            )
         # phase-by-phase concurrency adjustment (§V-B.1): a phase whose
         # time did not improve from half- to all-core keeps the smaller
         # count (only kept when below the global choice)
@@ -821,9 +965,11 @@ class RecommendStage:
             scalability_class=ctx.profile.scalability_class,
             inflection_point=ctx.entry.inflection_point,
             allocation=allocation,
-            node_configs=tuple(configs),
+            n_threads=base.n_threads,
+            affinity=recommender.profile.affinity,
             phase_threads=overrides,
             model_version=ctx.bundle.version,
+            **slots,
         )
         return replace(ctx, decision=decision)
 
@@ -892,9 +1038,17 @@ class DecisionPipeline:
         )
         # rack structure engages only on multi-rack fleets, so legacy
         # single-rack specs keep their decisions bit-identical
-        multirack = cluster_spec.n_racks > 1
-        self._rack_of = cluster_spec.rack_of_slot if multirack else None
-        self._rack_names = cluster_spec.rack_names if multirack else None
+        racks = (
+            RackLayout.of(cluster_spec.rack_of_slot, cluster_spec.rack_names)
+            if cluster_spec.n_racks > 1
+            else None
+        )
+        if racks is not None:
+            # the per-rack audit runs, fixed per fleet: a decision's
+            # first n slots fill whole racks, then part of one more
+            self._rack_bounds = racks.bounds
+            self._rack_widths = tuple(np.diff(racks.bounds, prepend=0).tolist())
+            self._rack_sources = tuple(f"pipeline.rack/{name}" for name in racks.names)
         self._knowledge_stages = (
             ProfileStage(self._kb, self._profiler),
             ClassifyStage(),
@@ -909,7 +1063,7 @@ class DecisionPipeline:
                 self._node_classes,
                 np.asarray(self._slot_class, dtype=np.int64),
                 self._bundles,
-                RackLayout.of(self._rack_of, self._rack_names) if multirack else None,
+                racks,
             ),
             RecommendStage(self._node_classes, self._slot_class, self._bundles),
         )
@@ -1235,9 +1389,10 @@ class DecisionPipeline:
             "pipeline",
             decision.app_name,
             decision.cluster_budget_w,
-            decision.per_node_caps,
+            decision.packed_caps,
             node_lo_w=lo_bound,
             node_hi_w=hi_bound,
+            cap_arity=decision.cap_arity,
         )
         rack_budgets = decision.allocation.rack_budgets_w
         if rack_budgets is not None:
@@ -1251,16 +1406,16 @@ class DecisionPipeline:
             )
             # slots fill in rack order, so each rack's caps are one
             # contiguous run of the decision's cap set
-            runs = [
-                (r, len(list(g)))
-                for r, g in itertools.groupby(self._rack_of[: decision.n_nodes])
-            ]
+            n_nodes = decision.n_nodes
+            k = bisect_left(self._rack_bounds, n_nodes) + 1
+            widths = list(self._rack_widths[:k])
+            widths[-1] -= self._rack_bounds[k - 1] - n_nodes
             self._monitor.audit_segments(
-                [f"pipeline.rack/{self._rack_names[r]}" for r, _ in runs],
+                self._rack_sources[:k],
                 decision.app_name,
                 rack_budgets,
                 audit,
-                [w for _, w in runs],
+                widths,
             )
         if trace is not None:
             trace.record(

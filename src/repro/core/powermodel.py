@@ -284,6 +284,19 @@ class ClipPowerModel:
         """
         if len(pkg_budgets_w) < ARRAY_FREQ_MIN:
             return [self.max_freq_under(b, n_threads) for b in pkg_budgets_w]
+        freqs, below = self.freq_columns(pkg_budgets_w, n_threads)
+        out = freqs.tolist()
+        for i in np.flatnonzero(below).tolist():
+            out[i] = None
+        return out
+
+    def freq_columns(
+        self, pkg_budgets_w, n_threads: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`max_freqs_under` as arrays, whatever the count: the
+        frequencies, and a mask of the budgets below the PKG floor
+        (where the scalar answers ``None``; the frequency entry there
+        is meaningless)."""
         if n_threads < 1:
             raise ProfilingError("n_threads must be >= 1")
         rng, p_hi, _ = self._at(n_threads)
@@ -298,10 +311,7 @@ class ClipPowerModel:
         f = self._f_nom * np.array([r ** exponent for r in rel_dyn.tolist()])
         freqs = np.full(len(pkg), self._f_max)
         freqs[inside] = np.minimum(np.maximum(f, self._f_min), self._f_max)
-        out = freqs.tolist()
-        for i in np.flatnonzero(below).tolist():
-            out[i] = None
-        return out
+        return freqs, below
 
     # ------------------------------------------------------------------
 
@@ -480,11 +490,18 @@ class ClipPowerModel:
         splits' :class:`InfeasibleBudgetError` for the first budget they
         would reject.
         """
-        lo_w, hi_w = self._gpu_range
-        if hi_w <= 0.0 and len(budgets_w) < ARRAY_SPLIT_MIN:
+        if self._gpu_range[1] <= 0.0 and len(budgets_w) < ARRAY_SPLIT_MIN:
             if isinstance(budgets_w, np.ndarray):
                 budgets_w = budgets_w.tolist()
             return [self.split_node_budget(b, n_threads) for b in budgets_w]
+        columns = self.cap_columns(budgets_w, n_threads)
+        return list(zip(*(c.tolist() for c in columns)))
+
+    def cap_columns(self, budgets_w, n_threads: int) -> tuple[np.ndarray, ...]:
+        """:meth:`split_node_budgets` as arrays, whatever the count:
+        ``(pkg, dram)`` on a CPU class, ``(pkg, dram, gpu)`` on an
+        accelerator class, one entry per budget."""
+        lo_w, hi_w = self._gpu_range
         budgets = np.asarray(budgets_w, dtype=float)
         rng, _, dram_grant = self._at(n_threads)
         if hi_w <= 0.0:
@@ -510,8 +527,7 @@ class ClipPowerModel:
             )
         dram = np.minimum(dram_grant, host - rng.cpu_lo_w)
         pkg = np.minimum(host - dram, rng.cpu_hi_w)
-        columns = (pkg, dram) if grant is None else (pkg, dram, grant)
-        return list(zip(*(c.tolist() for c in columns)))
+        return (pkg, dram) if grant is None else (pkg, dram, grant)
 
     def cap_ceiling_w(self, n_threads: int) -> float:
         """Highest defensible (PKG + DRAM) cap total at a concurrency.

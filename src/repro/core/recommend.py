@@ -17,7 +17,8 @@ Conductor-style search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.classify import ScalabilityClass
 from repro.core.perfmodel import PerformancePredictor
@@ -26,7 +27,7 @@ from repro.core.profile import AppProfile
 from repro.errors import InfeasibleBudgetError
 from repro.hw.numa import AffinityKind
 
-__all__ = ["NodeConfig", "Recommender"]
+__all__ = ["NodeChoice", "NodeConfig", "Recommender"]
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,24 @@ class NodeConfig:
         """Total capped power this configuration is granted."""
         return self.pkg_cap_w + self.dram_cap_w + self.gpu_cap_w
 
-    @property
-    def has_gpu_grant(self) -> bool:
-        """Whether any device power was granted (idle or active)."""
-        return self.gpu_cap_w > 0.0
+
+class NodeChoice(NamedTuple):
+    """A recommended node configuration as plain values.
+
+    :class:`NodeConfig`'s fields without the affinity (the profile's,
+    whatever the budget), in the order a decision's per-slot row holds
+    them after ``n_threads``.  The allocator's node-count scan and the
+    recommend stage read these; :meth:`Recommender.recommend` wraps
+    one in a :class:`NodeConfig`.
+    """
+
+    n_threads: int
+    pkg_cap_w: float
+    dram_cap_w: float
+    gpu_cap_w: float
+    predicted_frequency_hz: float
+    predicted_perf: float
+    predicted_gpu_clock_hz: float
 
 
 class Recommender:
@@ -122,13 +137,28 @@ class Recommender:
         each concurrency (the host↔accelerator power shift).  Raises
         :class:`InfeasibleBudgetError` when no candidate fits.
         """
+        c = self.choose(node_budget_w)
+        return NodeConfig(
+            n_threads=c.n_threads,
+            affinity=self._profile.affinity,
+            pkg_cap_w=c.pkg_cap_w,
+            dram_cap_w=c.dram_cap_w,
+            predicted_frequency_hz=c.predicted_frequency_hz,
+            predicted_perf=c.predicted_perf,
+            gpu_cap_w=c.gpu_cap_w,
+            predicted_gpu_clock_hz=c.predicted_gpu_clock_hz,
+        )
+
+    def choose(self, node_budget_w: float) -> NodeChoice:
+        """:meth:`recommend`'s choice as plain values (no
+        :class:`NodeConfig`)."""
         if self._predictor.scalability_class is ScalabilityClass.GPU_OFFLOAD:
-            return self._recommend_gpu(node_budget_w)
+            return self._choose_gpu(node_budget_w)
         linear = self._predictor.scalability_class is ScalabilityClass.LINEAR
         # Host-only app on a GPU node: the board idles, but the idle
         # draw is real and the cap must admit it.  0.0 on CPU nodes.
         gpu_grant = self._power.gpu_power_range()[0]
-        best: NodeConfig | None = None
+        best: NodeChoice | None = None
         for n in self._candidates():
             try:
                 pkg, dram = self._power.split_node_budget(node_budget_w, n)
@@ -139,15 +169,7 @@ class Recommender:
                 continue
             perf = self._predictor.predict_perf(n, f)
             if best is None or perf > best.predicted_perf * (1.0 + 1e-9):
-                best = NodeConfig(
-                    n_threads=n,
-                    affinity=self._profile.affinity,
-                    pkg_cap_w=pkg,
-                    dram_cap_w=dram,
-                    predicted_frequency_hz=f,
-                    predicted_perf=perf,
-                    gpu_cap_w=gpu_grant,
-                )
+                best = NodeChoice(n, pkg, dram, gpu_grant, f, perf, 0.0)
             if linear and best is not None:
                 # "we do not consider decreasing the concurrency unless
                 # the power budget is lower than the lower bound" (§II):
@@ -160,7 +182,7 @@ class Recommender:
             )
         return best
 
-    def _recommend_gpu(self, node_budget_w: float) -> NodeConfig:
+    def _choose_gpu(self, node_budget_w: float) -> NodeChoice:
         """Best configuration with the host↔device shift (EcoShift).
 
         At each candidate concurrency (largest first, like the linear
@@ -173,16 +195,7 @@ class Recommender:
             shift = self._best_shift(node_budget_w, n)
             if shift is not None:
                 perf, pkg, dram, gpu, f, clk = shift
-                return NodeConfig(
-                    n_threads=n,
-                    affinity=self._profile.affinity,
-                    pkg_cap_w=pkg,
-                    dram_cap_w=dram,
-                    predicted_frequency_hz=f,
-                    predicted_perf=perf,
-                    gpu_cap_w=gpu,
-                    predicted_gpu_clock_hz=clk,
-                )
+                return NodeChoice(n, pkg, dram, gpu, f, perf, clk)
         raise InfeasibleBudgetError(
             f"no feasible GPU-offload configuration for node budget "
             f"{node_budget_w:.1f} W ({self._profile.app_name})"
@@ -218,14 +231,15 @@ class Recommender:
                 best = (perf, pkg, dram, gpu, f, clk)
         return best
 
-    def config_at(self, node_budget_w: float, base: NodeConfig) -> NodeConfig:
+    def config_at(self, node_budget_w: float, base: NodeChoice) -> NodeChoice:
         """Cap split for one node budget at an already-chosen concurrency.
 
         Per-rank budgets differ under variability coordination while
         the concurrency stays uniform, so each rank re-derives only its
         cap split (and, on GPU nodes, re-runs the host↔device shift for
-        its own budget).  Used by the recommend stage; CPU-only ranks
-        do not call this (their split stays on the legacy path).
+        its own budget).  Used by the recommend stage on GPU classes;
+        CPU-only ranks do not call this (the stage splits their budgets
+        in one pass).
         """
         n = base.n_threads
         if not self._power.gpu_offloaded:
@@ -233,8 +247,7 @@ class Recommender:
                 node_budget_w, n, self._power.gpu_power_range()[0]
             )
             f = self._power.max_freq_under(pkg, n)
-            return replace(
-                base,
+            return base._replace(
                 pkg_cap_w=pkg,
                 dram_cap_w=dram,
                 gpu_cap_w=gpu,
@@ -250,15 +263,7 @@ class Recommender:
                 f"({self._profile.app_name})"
             )
         perf, pkg, dram, gpu, f, clk = shift
-        return replace(
-            base,
-            pkg_cap_w=pkg,
-            dram_cap_w=dram,
-            gpu_cap_w=gpu,
-            predicted_frequency_hz=f,
-            predicted_perf=perf,
-            predicted_gpu_clock_hz=clk,
-        )
+        return NodeChoice(n, pkg, dram, gpu, f, perf, clk)
 
     def phase_overrides(self) -> dict[str, int]:
         """Per-phase concurrency overrides for stagnant phases (§V-B.1).

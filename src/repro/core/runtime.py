@@ -420,7 +420,7 @@ class PowerBoundedRuntime:
                     f"floor at the pinned concurrency {n_threads}"
                 )
             # re-recommend threads for the reduced per-node share
-            cfg = bundle.recommender.recommend(budget_w / n_nodes)
+            cfg = bundle.recommender.choose(budget_w / n_nodes)
             n_threads = cfg.n_threads
             lo, hi = bounds_at(n_threads)
         factors = self._factors[list(node_ids)]

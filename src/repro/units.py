@@ -31,7 +31,6 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_fraction",
-    "close",
 ]
 
 GHZ = 1.0e9
@@ -89,8 +88,3 @@ def check_fraction(value: float, name: str) -> float:
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
-
-
-def close(a: float, b: float) -> bool:
-    """Tolerant float comparison used by invariant checks."""
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)

@@ -115,7 +115,7 @@ class TestThreeDomainProperties:
         ):
             granted = cfg.pkg_cap_w + cfg.dram_cap_w + cfg.gpu_cap_w
             assert granted <= slot_budget * (1.0 + 1e-9) + 1e-6
-            if cfg.has_gpu_grant and cfg.predicted_gpu_clock_hz > 0:
+            if cfg.gpu_cap_w > 0.0 and cfg.predicted_gpu_clock_hz > 0:
                 # an active device grant is a real ladder level
                 spec = clip.engine.cluster.spec.node_specs[0]
                 assert cfg.predicted_gpu_clock_hz in spec.gpu_level_clocks_hz

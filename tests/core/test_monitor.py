@@ -36,6 +36,23 @@ class TestAudit:
         assert audit.total_capped_w == sum(sum(row) for row in audit.caps)
         assert audit == monitor.audit("test", "app", 1e6, caps)
 
+    def test_packed_caps_audit_as_their_tuples(self, monitor):
+        for n in (3, 40):  # the scalar checks and the array pass
+            caps = ((-5.0, 40.0),) + tuple(
+                (150.0 + i, 40.0, 90.0) if i % 2 else (150.0 + i, 40.0)
+                for i in range(1, n)
+            )
+            want = monitor.audit("test", "app", 4e3, caps, node_lo_w=30.0)
+            packed = monitor.audit(
+                "test", "app", 4e3, want.packed_caps, node_lo_w=30.0,
+                cap_arity=want.cap_arity,
+            )
+            assert packed == want and not packed.ok
+            # the record keeps the caller's buffer as it is
+            assert packed.packed_caps is want.packed_caps
+        with pytest.raises(ValueError, match="packed caps"):
+            monitor.audit("test", "app", 1e3, want.packed_caps, cap_arity=b"\x02")
+
     def test_sum_over_budget_flagged(self, monitor):
         audit = monitor.audit("test", "app", 300.0, ((150.0, 40.0), (150.0, 40.0)))
         assert not audit.ok

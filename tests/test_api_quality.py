@@ -749,6 +749,11 @@ UNSET_OPTIONS_BY_DESIGN = {
         "input from outside the program: mirrors an optional field of "
         "POST /v1/jobs/<id>/outcome, which takes this or performance"
     ),
+    "repro.sim.engine.ExecutionConfig(gpu_cap_w=)": (
+        "the uniform device cap beside pkg_cap_w/dram_cap_w for a hand-built "
+        "config; decisions pass per-slot caps, and the batch kernel's GPU "
+        "cases pin the uniform device throttle"
+    ),
 }
 
 

@@ -47,10 +47,6 @@ class TestValidators:
         with pytest.raises(errors.SchedulingError, match="budget"):
             units.check_positive(bad, "budget", errors.SchedulingError)
 
-    def test_close(self):
-        assert units.close(1.0, 1.0 + 1e-12)
-        assert not units.close(1.0, 1.01)
-
 
 class TestErrorHierarchy:
     def test_all_derive_from_clip_error(self):
