@@ -7,9 +7,11 @@ because cap writes get dropped, firmware drifts, and models err — and
 the :class:`PowerEnforcementWatchdog` does the same for the
 power-bounded runtime:
 
-* after every segment it sums each participating node's meter reading
-  (the fallible, possibly lying sensor path) and compares it against
-  the job's committed cap total plus a configurable **guard band**;
+* after every segment it gathers the participating nodes' meter
+  readings from the cluster's bank in one pass (the fallible, possibly
+  lying sensor path: each node's telemetry fault still corrupts its own
+  reading), sums them in rank order and compares the total against
+  the job's facility budget plus a configurable **guard band**;
 * on a breach it climbs an escalation ladder of *transactional*
   corrections — (1) re-issue the committed caps through the verified
   write path (repairs dropped/partial writes), (2) re-coordinate at a
@@ -115,13 +117,13 @@ class PowerEnforcementWatchdog:
         no-false-breach direction; a breach is still detected as long
         as *some* sensor sees the overdraw.
         """
-        cluster = self._runtime.scheduler.engine.cluster
+        bank = self._runtime.scheduler.engine.cluster.cap_bank
         total = 0.0
         seen = False
-        for rank, node_id in enumerate(job.node_ids):
-            reading = cluster.node(node_id).meter.read_capped_power_w()
+        readings = bank.read_capped_w(job.node_ids)
+        for caps, reading in zip(job.per_node_caps, readings):
             if reading is None:
-                total += float(sum(job.per_node_caps[rank]))
+                total += float(sum(caps))
             else:
                 total += float(reading)
                 seen = True

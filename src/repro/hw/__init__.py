@@ -9,11 +9,12 @@ detail CLIP actually interacts with:
 * :mod:`repro.hw.dvfs` — the discrete frequency ladder and P-states,
 * :mod:`repro.hw.power` — the ground-truth analytic power model,
 * :mod:`repro.hw.rapl` — RAPL-like power domains (PKG / DRAM) with
-  energy counters and cap enforcement,
+  energy counters and cap enforcement, held for the whole fleet in one
+  register bank,
 * :mod:`repro.hw.numa` — NUMA topology and remote-access penalties,
 * :mod:`repro.hw.counters` — synthesis of the Table-I hardware events,
 * :mod:`repro.hw.variability` — manufacturing variability,
-* :mod:`repro.hw.meter` — sampled power traces,
+* :mod:`repro.hw.meter` — the node power meter and sensor faults,
 * :mod:`repro.hw.node` / :mod:`repro.hw.cluster` — composition.
 
 The substrate is *analytic*: instead of cycle-level simulation it
@@ -36,12 +37,12 @@ from repro.hw.specs import (
     mixed_testbed,
 )
 from repro.hw.dvfs import FrequencyLadder
-from repro.hw.power import PowerModel, PowerBreakdown
+from repro.hw.power import PowerModel
 from repro.hw.rapl import RaplDomain, RaplInterface, Domain
 from repro.hw.numa import NumaTopology, AffinityKind
 from repro.hw.counters import EventCounters, EVENT_NAMES
 from repro.hw.variability import VariabilityModel
-from repro.hw.meter import PowerMeter, PowerSample
+from repro.hw.meter import PowerMeter
 from repro.hw.node import SimulatedNode
 from repro.hw.cluster import SimulatedCluster
 
@@ -59,7 +60,6 @@ __all__ = [
     "mixed_testbed",
     "FrequencyLadder",
     "PowerModel",
-    "PowerBreakdown",
     "RaplDomain",
     "RaplInterface",
     "Domain",
@@ -69,7 +69,6 @@ __all__ = [
     "EVENT_NAMES",
     "VariabilityModel",
     "PowerMeter",
-    "PowerSample",
     "SimulatedNode",
     "SimulatedCluster",
 ]

@@ -3,9 +3,10 @@
 This is the full stand-in for the paper's 8-node Haswell testbed.  It
 owns the :class:`~repro.hw.variability.VariabilityModel`, instantiates
 one :class:`~repro.hw.node.SimulatedNode` per slot with its drawn
-efficiency factor, binds every node's RAPL registers to one row of a
-:class:`~repro.hw.rapl.CapBank`, and exposes the aggregate power-range
-facts the cluster-level allocator needs.
+efficiency factor, each born in its row of one
+:class:`~repro.hw.rapl.CapBank` (registers, counters and meter), and
+exposes the aggregate power-range facts the cluster-level allocator
+needs.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ class SimulatedCluster:
         self._variability = VariabilityModel(
             spec.n_nodes, sigma=spec.variability_sigma, seed=spec.variability_seed
         )
+        self._cap_bank = CapBank(spec.n_nodes)
         self._nodes = [
-            SimulatedNode(node_spec, node_id=i, efficiency=f)
+            SimulatedNode(node_spec, node_id=i, efficiency=f, bank=self._cap_bank)
             for i, (node_spec, f) in enumerate(
                 zip(spec.node_specs, self._variability.factors)
             )
         ]
-        self._cap_bank = CapBank(len(self._nodes))
-        for i, node in enumerate(self._nodes):
-            self._cap_bank.bind(i, node.rapl)
         self._failed: set[int] = set()
 
     @classmethod
@@ -60,7 +59,7 @@ class SimulatedCluster:
 
     @property
     def cap_bank(self) -> CapBank:
-        """Every node's cap registers as arrays, one row per node id."""
+        """Every node's hardware state as arrays, one row per node id."""
         return self._cap_bank
 
     @property
@@ -74,24 +73,26 @@ class SimulatedCluster:
         Models field events — thermal-paste degradation, a failing fan
         forcing higher leakage — by replacing the node with one whose
         efficiency multiplier is scaled by *factor* (> 1 means more
-        watts for the same work).  Caps, meters, and DVFS state reset
-        with the replacement, as they would across the implied
-        maintenance reboot.  Returns the new node.
+        watts for the same work).  The slot's bank row resets in place
+        with the replacement — caps, counters, meter and fault models —
+        as it would across the implied maintenance reboot; the replaced
+        node object views the same row, so callers drop it.  Returns the
+        new node.
         """
-        if not 0 <= node_id < self.n_nodes:
-            raise SpecError(f"node id {node_id} outside [0, {self.n_nodes})")
+        old = self.node(node_id)
         if factor <= 0:
             raise SpecError(f"degradation factor must be > 0, got {factor}")
-        old = self._nodes[node_id]
-        # rebuild from the failed node's *own* spec — in a mixed cluster
-        # a degraded Broadwell slot must come back as a Broadwell
-        replacement = SimulatedNode(
-            old.spec, node_id=node_id,
-            efficiency=old.efficiency * factor,
+        return self._refill(old, old.efficiency * factor)
+
+    def _refill(self, old: SimulatedNode, efficiency: float) -> SimulatedNode:
+        # rebuild from the node's *own* spec — in a mixed cluster a
+        # Broadwell slot must come back as a Broadwell
+        node = SimulatedNode(
+            old.spec, node_id=old.node_id, efficiency=efficiency,
+            bank=self._cap_bank,
         )
-        self._nodes[node_id] = replacement
-        self._cap_bank.bind(node_id, replacement.rapl)
-        return replacement
+        self._nodes[old.node_id] = node
+        return node
 
     # -- node failure state (fault injection) ---------------------------
 
@@ -110,20 +111,14 @@ class SimulatedCluster:
         """Return a failed node to service after its implied reboot.
 
         The slot is refilled with a fresh node at the same efficiency
-        factor — caps, meters, and DVFS state reset across the reboot,
-        exactly as in :meth:`degrade_node`.  Returns the new node.
+        factor, its bank row reset in place across the reboot, exactly
+        as in :meth:`degrade_node`.  Returns the new node.
         """
-        if not 0 <= node_id < self.n_nodes:
-            raise SpecError(f"node id {node_id} outside [0, {self.n_nodes})")
+        old = self.node(node_id)
         if node_id not in self._failed:
             raise NodeFailureError(f"node {node_id} is not failed")
-        old = self._nodes[node_id]
-        self._nodes[node_id] = SimulatedNode(
-            old.spec, node_id=node_id, efficiency=old.efficiency
-        )
-        self._cap_bank.bind(node_id, self._nodes[node_id].rapl)
         self._failed.discard(node_id)
-        return self._nodes[node_id]
+        return self._refill(old, old.efficiency)
 
     def is_available(self, node_id: int) -> bool:
         """Whether the node is in service (exists and is not failed)."""
@@ -158,9 +153,9 @@ class SimulatedCluster:
         return self._nodes[node_id]
 
     def reset(self) -> None:
-        """Reset every node (caps, meters, DVFS)."""
-        for n in self._nodes:
-            n.reset()
+        """Reset every node (caps, meters, fault models) in one pass
+        over the bank; RAPL energy and throttle counters keep counting."""
+        self._cap_bank.clear()
 
     # -- aggregate power facts used by cluster-level allocation ---------
 

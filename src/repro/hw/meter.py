@@ -1,30 +1,28 @@
-"""Sampled power measurement.
+"""Node power metering.
 
-The paper's helper tools include "a power meter reader" (§IV-B.4) that
-records power traces for jobs.  :class:`PowerMeter` plays that role for
-the simulated testbed: the execution engine reports each steady-state
-interval, and the meter resamples it onto a fixed grid so traces look
-like what a physical meter (or RAPL polling loop) produces.
+The paper's helper tools include "a power meter reader" (§IV-B.4).
+:class:`PowerMeter` plays that role for the simulated testbed: the
+execution engine reports each run's steady-state interval, and the
+meter integrates wall energy and keeps the last interval's power in
+the capped domains — what the enforcement watchdog compares against a
+job's caps.  The meter is a view over one row of the node's
+:class:`~repro.hw.rapl.CapBank`.
 
 Real sensors also lie.  Polling loops miss windows, I2C buses glitch,
 and BMC firmware serves cached values.  :class:`TelemetryFault` models
-that *read-side* corruption: the recorded trace stays ground truth
-(energy accounting is exact as before), but the watchdog-facing
-:meth:`PowerMeter.read_capped_power_w` can return noisy, stale, or
-dropped values, seeded for reproducibility.
+that *read-side* corruption: energy accounting stays exact, but the
+watchdog-facing :meth:`PowerMeter.read_capped_power_w` can return
+noisy, stale, or dropped values, seeded for reproducibility.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-import numpy as np
-
-from repro.hw.power import PowerBreakdown
+from repro.hw.rapl import CapBank
 from repro.units import check_fraction, check_non_negative
 
-__all__ = ["PowerSample", "PowerMeter", "TelemetryFault"]
+__all__ = ["PowerMeter", "TelemetryFault"]
 
 
 class TelemetryFault:
@@ -81,116 +79,48 @@ class TelemetryFault:
         return value
 
 
-@dataclass(frozen=True)
-class PowerSample:
-    """One meter reading."""
-
-    t_s: float
-    pkg_w: float
-    dram_w: float
-    other_w: float
-
-    @property
-    def total_w(self) -> float:
-        """Wall power at the sample instant."""
-        return self.pkg_w + self.dram_w + self.other_w
-
-
-#: Polling period of :meth:`PowerMeter.samples`, seconds.
-SAMPLE_PERIOD_S = 0.1
-
-
 class PowerMeter:
-    """Accumulates piecewise-constant power intervals into a trace."""
+    """Wall-power meter of one node: a view over its bank row."""
 
-    def __init__(self):
-        self._t = 0.0
-        self._energy_j = 0.0
-        self._intervals: list[tuple[float, float, PowerBreakdown]] = []
-        self._telemetry: TelemetryFault | None = None
+    def __init__(self, bank: CapBank, row: int):
+        self._bank, self._row = bank, row
 
     @property
     def telemetry(self) -> TelemetryFault | None:
         """Active read-side corruption, or ``None`` for a honest sensor."""
-        return self._telemetry
+        return self._bank.telemetry[self._row]
 
     @telemetry.setter
     def telemetry(self, fault: TelemetryFault | None) -> None:
-        self._telemetry = fault
+        self._bank.telemetry[self._row] = fault
 
     @property
     def elapsed_s(self) -> float:
         """Total recorded time."""
-        return self._t
+        return self._bank._elapsed[self._row]
 
     @property
     def energy_j(self) -> float:
         """Exact integrated wall energy over all intervals."""
-        return self._energy_j
+        return self._bank._wall[self._row]
 
-    def record(self, breakdown: PowerBreakdown, dt_s: float) -> None:
-        """Append a steady-state interval of *dt_s* seconds."""
+    def record(self, capped_w: float, energy_j: float, dt_s: float) -> None:
+        """Account a steady-state interval of *dt_s* seconds that drew
+        *energy_j* at the wall and *capped_w* in the capped domains
+        (PKG + DRAM, plus GPU when present)."""
         check_non_negative(dt_s, "dt")
         if dt_s == 0.0:
             return
-        self._intervals.append((self._t, self._t + dt_s, breakdown))
-        self._t += dt_s
-        self._energy_j += breakdown.total_w * dt_s
-
-    def capped_power_w(self) -> float:
-        """Truthful capped-domain power of the most recent interval.
-
-        Sums exactly the domains that caps govern (PKG + DRAM, plus GPU
-        when present) and excludes the uncapped component draw — the
-        quantity enforcement compares against a node's issued caps.
-        """
-        if not self._intervals:
-            return 0.0
-        return self._intervals[-1][2].capped_w
+        bank, row = self._bank, self._row
+        bank._elapsed[row] += dt_s
+        bank._wall[row] += energy_j
+        bank._capped[row] = capped_w
 
     def read_capped_power_w(self) -> float | None:
-        """Sensor reading of :meth:`capped_power_w`, possibly corrupted.
+        """Sensor reading of the last interval's capped-domain power.
 
         This is the *watchdog-facing* read path: with a telemetry fault
         installed the value may be noisy, stale, or lost (``None``).
-        The recorded trace and energy accounting stay truthful either
-        way.
+        Energy accounting stays truthful either way.
         """
-        truth = self.capped_power_w()
-        if self._telemetry is None:
-            return truth
-        return self._telemetry.corrupt(truth)
-
-    def peak_power_w(self) -> float:
-        """Highest interval wall power."""
-        if not self._intervals:
-            return 0.0
-        return max(b.total_w for _, _, b in self._intervals)
-
-    def samples(self) -> list[PowerSample]:
-        """Resample the trace on the meter's fixed period.
-
-        Each sample reports the power of the interval containing the
-        sample instant, matching a polling meter's behaviour.
-        """
-        out: list[PowerSample] = []
-        if not self._intervals:
-            return out
-        times = np.arange(0.0, self._t, SAMPLE_PERIOD_S)
-        starts = np.array([s for s, _, _ in self._intervals])
-        idx = np.searchsorted(starts, times, side="right") - 1
-        for t, i in zip(times, idx):
-            b = self._intervals[int(i)][2]
-            out.append(
-                PowerSample(
-                    t_s=float(t), pkg_w=b.pkg_w, dram_w=b.dram_w, other_w=b.other_w
-                )
-            )
-        return out
-
-    def reset(self) -> None:
-        """Clear the trace, counters, and any telemetry fault."""
-        self._t = 0.0
-        self._energy_j = 0.0
-        self._intervals.clear()
-        self._telemetry = None
+        return self._bank.read_capped_w((self._row,))[0]

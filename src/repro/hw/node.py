@@ -3,7 +3,9 @@
 :class:`SimulatedNode` composes the per-node substrate pieces — power
 model (with this node's variability factor), RAPL interface, NUMA
 topology, and a power meter — behind the small
-surface the execution engine and CLIP's helper tools use.
+surface the execution engine and CLIP's helper tools use.  The node's
+registers, counters and meter readings live in one row of a
+:class:`~repro.hw.rapl.CapBank`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from repro.hw.meter import PowerMeter
 from repro.hw.numa import NumaTopology
 from repro.hw.power import PowerModel
-from repro.hw.rapl import Domain, RaplInterface
+from repro.hw.rapl import CapBank, Domain, RaplInterface
 from repro.hw.specs import NodeSpec
 
 __all__ = ["SimulatedNode"]
@@ -28,15 +30,22 @@ class SimulatedNode:
         Position in the cluster (also used in the default name).
     efficiency:
         Manufacturing-variability multiplier for this part.
+    bank:
+        The fleet bank whose row *node_id* this node's state lives in,
+        reset as a new node's; a one-row bank of its own when omitted.
     """
 
-    def __init__(self, spec: NodeSpec, node_id: int = 0, efficiency: float = 1.0):
+    def __init__(
+        self, spec: NodeSpec, node_id: int = 0, efficiency: float = 1.0,
+        bank: CapBank | None = None,
+    ):
         self._spec = spec
         self._node_id = node_id
         self._power_model = PowerModel(spec, efficiency=efficiency)
-        self._rapl = RaplInterface(self._power_model)
+        self._bank, self._row = (CapBank(1), 0) if bank is None else (bank, node_id)
+        self._rapl = RaplInterface(self._power_model, self._bank, self._row)
         self._numa = NumaTopology(spec)
-        self._meter = PowerMeter()
+        self._meter = PowerMeter(self._bank, self._row)
 
     # -- identity ------------------------------------------------------
 
@@ -106,7 +115,5 @@ class SimulatedNode:
             self._rapl.set_cap(Domain.GPU, gpu_w)
 
     def reset(self) -> None:
-        """Clear caps, traces and injected faults."""
-        self._rapl.clear_caps()
-        self._rapl.reset_actuation()
-        self._meter.reset()
+        """Clear caps, the meter and injected faults."""
+        self._bank.clear(self._row)

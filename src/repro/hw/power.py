@@ -25,8 +25,6 @@ always evaluated by :func:`freq_power_factor` (see its docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import SpecError
@@ -35,7 +33,6 @@ from repro.units import check_non_negative
 
 __all__ = [
     "PowerModel",
-    "PowerBreakdown",
     "freq_power_factor",
     "ladder_power_factors",
 ]
@@ -65,49 +62,6 @@ def freq_power_factor(socket: SocketSpec, f) -> float:
 def ladder_power_factors(socket: SocketSpec) -> tuple[float, ...]:
     """:func:`freq_power_factor` at every frequency of the socket's ladder."""
     return tuple(freq_power_factor(socket, f) for f in socket.freq_ladder)
-
-
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Instantaneous node power split by RAPL-visible domain (watts).
-
-    ``gpu_w`` is ``None`` on CPU-only nodes — the domain is *absent*,
-    not zero, so consumers can distinguish "no accelerator" from "an
-    idle accelerator".  All domain arithmetic (totals, scaling) is
-    table-driven over :data:`CAPPED_DOMAIN_FIELDS`: a new domain added
-    to the table participates in every aggregate automatically and can
-    never be silently dropped from a total.
-    """
-
-    pkg_w: float
-    dram_w: float
-    other_w: float
-    gpu_w: float | None = None
-
-    #: Cappable domain fields, in summation order.  ``other_w`` stays
-    #: outside: it is real wall power but no RAPL domain controls it.
-    CAPPED_DOMAIN_FIELDS = ("pkg_w", "dram_w", "gpu_w")
-
-    def present_domains(self) -> tuple[tuple[str, float], ...]:
-        """The cappable domains this node actually has, in table order."""
-        return tuple(
-            (name, value)
-            for name in self.CAPPED_DOMAIN_FIELDS
-            if (value := getattr(self, name)) is not None
-        )
-
-    @property
-    def total_w(self) -> float:
-        """Wall power of the node."""
-        return self.capped_w + self.other_w
-
-    @property
-    def capped_w(self) -> float:
-        """Power under cap-domain control (PKG + DRAM [+ GPU])."""
-        total = 0.0
-        for _, value in self.present_domains():
-            total = total + value
-        return total
 
 
 class PowerModel:

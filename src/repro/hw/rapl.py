@@ -13,9 +13,11 @@ paper caps — ``PKG`` (all packages of a node) and ``DRAM``:
   ladder frequency and memory level that fit under the caps, which is
   how hardware RAPL actually behaves (it lowers the effective frequency
   until the running average obeys the limit);
-* :class:`CapBank` — every node's limit registers as arrays, so a
+* :class:`CapBank` — every node's hardware state as arrays: per domain
+  the limit, energy-status and throttle registers side by side, per
+  node the write-path counters, fault models and wall meter.  A
   fleet-wide cap set is written with array operations; the two classes
-  above are views over one of its rows.
+  above and :class:`~repro.hw.meter.PowerMeter` are views over a row.
 
 The simulated counters are exact integrators of the analytic power
 model, so tests can assert energy conservation to float precision.
@@ -90,15 +92,20 @@ _NAN = float("nan")
 
 
 class CapBank:
-    """The cap registers of a fleet as arrays, one row per node.
+    """The hardware state of a fleet as arrays, one row per node.
 
-    The register-file view of RAPL, one column per
-    :data:`CAP_TUPLE_DOMAINS` entry: programmed (``cap_w``) and
-    enforced limits (NaN where uncapped or absent), domain maxima,
-    each row's domain count, the write-path counters and a ``faulty``
-    mask of rows whose policy is not
-    :data:`~repro.hw.actuation.PERFECT_ACTUATION`.
-    :class:`RaplInterface` and :class:`RaplDomain` are views over a row.
+    RAPL's register file, one column per :data:`CAP_TUPLE_DOMAINS`
+    entry: programmed (``cap_w``) and enforced limits (NaN where
+    uncapped or absent), domain maxima, the unwrapped energy
+    (``energy_j``), the wrapping energy-status register
+    (``energy_raw``) and the throttle count (``throttles``).  Per row:
+    the domain count, the write-path counters, each row's actuation
+    policy and telemetry fault with a ``faulty`` mask of rows whose
+    policy is not :data:`~repro.hw.actuation.PERFECT_ACTUATION`, and the
+    wall meter — energy (``wall_j``), elapsed time (``elapsed_s``) and
+    the last interval's capped-domain power (``capped_w``).
+    :class:`RaplInterface`, :class:`RaplDomain` and
+    :class:`~repro.hw.meter.PowerMeter` are views over a row.
 
     The registers and counters live in flat :class:`array.array`
     buffers, which the per-node views index at Python speed; the
@@ -106,33 +113,70 @@ class CapBank:
     whole-fleet operations.
     """
 
-    _FIELDS = ("cap_w", "enforced_w", "max_w", "n_domains", "counts",
-               "backoff_s", "faulty")
-
     def __init__(self, n_rows: int):
         width = len(CAP_TUPLE_DOMAINS)
-        self._cap = array("d", [_NAN]) * (n_rows * width)
-        self._enforced = array("d", [_NAN]) * (n_rows * width)
-        self._max = array("d", [0.0]) * (n_rows * width)
-        self._counts = array("q", [0]) * (n_rows * len(_COUNTERS))
-        self._backoff = array("d", [0.0]) * n_rows
-        self.cap_w = np.frombuffer(self._cap).reshape(n_rows, width)
-        self.enforced_w = np.frombuffer(self._enforced).reshape(n_rows, width)
-        self.max_w = np.frombuffer(self._max).reshape(n_rows, width)
-        self.counts = np.frombuffer(self._counts, dtype=np.int64).reshape(n_rows, -1)
-        self.backoff_s = np.frombuffer(self._backoff)
+
+        def column(typecode: str, fill, shape):
+            buf = array(typecode, [fill]) * int(np.prod(shape))
+            return buf, np.frombuffer(buf, dtype=typecode).reshape(shape)
+
+        cells = (n_rows, width)
+        self._cap, self.cap_w = column("d", _NAN, cells)
+        self._enforced, self.enforced_w = column("d", _NAN, cells)
+        self._max, self.max_w = column("d", 0.0, cells)
+        self._energy, self.energy_j = column("d", 0.0, cells)
+        self._raw, self.energy_raw = column("q", 0, cells)
+        self._throttles, self.throttles = column("q", 0, cells)
+        self._counts, self.counts = column("q", 0, (n_rows, len(_COUNTERS)))
+        self._backoff, self.backoff_s = column("d", 0.0, n_rows)
+        self._wall, self.wall_j = column("d", 0.0, n_rows)
+        self._elapsed, self.elapsed_s = column("d", 0.0, n_rows)
+        self._capped, self.capped_w = column("d", 0.0, n_rows)
         self.n_domains = np.zeros(n_rows, dtype=np.intp)
         self.faulty = np.zeros(n_rows, dtype=bool)
+        self.policies = np.full(n_rows, PERFECT_ACTUATION, dtype=object)
+        self.telemetry = np.full(n_rows, None, dtype=object)
         self._views: list[RaplInterface | None] = [None] * n_rows
 
-    def bind(self, row: int, rapl: "RaplInterface") -> None:
-        """Make *rapl* the view of *row*, carrying its state in; the
-        node it replaces keeps its state in a bank of its own."""
-        old = self._views[row]
-        if old is not None and old is not rapl:
-            old._move(CapBank(1), 0)
-        rapl._move(self, row)
+    def attach(self, row: int, rapl: "RaplInterface", maxima: dict) -> None:
+        """Make *rapl* the view of *row*, reset as a new node's: limits
+        and every counter cleared, the domain maxima set."""
+        self.clear(row)
+        for col in (self.max_w, self.energy_j, self.energy_raw, self.throttles):
+            col[row] = 0
+        for d, max_w in maxima.items():
+            self.max_w[row, _COLUMN[d]] = check_positive(max_w, "max_power_w")
+        self.n_domains[row] = len(maxima)
         self._views[row] = rapl
+
+    def clear(self, row: int | None = None) -> None:
+        """Clear one row (every row for ``None``) as a node reset does:
+        limits, write-path counters, actuation and telemetry faults and
+        the wall meter.  The RAPL energy and throttle counters keep
+        counting, as the hardware's do."""
+        rows = slice(None) if row is None else row
+        self.cap_w[rows] = self.enforced_w[rows] = _NAN
+        self.counts[rows] = 0
+        self.backoff_s[rows] = self.wall_j[rows] = 0.0
+        self.elapsed_s[rows] = self.capped_w[rows] = 0.0
+        self.faulty[rows] = False
+        self.policies[rows] = PERFECT_ACTUATION
+        self.telemetry[rows] = None
+
+    def read_capped_w(self, rows) -> list[float | None]:
+        """Sensor readings of *rows*' last capped-domain power.
+
+        One gather of the rows; each row's telemetry fault then
+        corrupts its own reading, in the order of *rows* (``None`` = a
+        lost reading).
+        """
+        rows = list(rows)
+        readings = self.capped_w[rows].tolist()
+        faults = self.telemetry[rows].tolist()
+        return [
+            reading if fault is None else fault.corrupt(reading)
+            for reading, fault in zip(readings, faults)
+        ]
 
     def commit(self, rows, caps, force: bool = False) -> None:
         """Write one cap tuple per row, every row or none.
@@ -214,36 +258,19 @@ class RaplDomain:
     value is what the silicon actually honours.  Under perfect
     actuation the two are identical; a drifted write makes them
     diverge, which is exactly the failure mode readback verification
-    cannot see.  Both live in a :class:`CapBank` row (a bank of its own
-    for a domain built standalone); the energy and throttle counters
-    live here.
+    cannot see.  The limits, the energy counters and the throttle count
+    live in *row* of *bank*; :class:`RaplInterface` builds one view per
+    domain of its node.
     """
 
-    def __init__(self, domain: Domain, max_power_w: float):
-        bank = CapBank(1)
-        bank.max_w[0, _COLUMN[domain]] = check_positive(
-            max_power_w, "max_power_w"
-        )
-        self._setup(domain, bank)
-
-    @classmethod
-    def _view(cls, domain: Domain, bank: CapBank) -> "RaplDomain":
-        reg = cls.__new__(cls)
-        reg._setup(domain, bank)
-        return reg
-
-    def _setup(self, domain: Domain, bank: CapBank) -> None:
+    def __init__(self, domain: Domain, bank: CapBank, row: int):
         self._domain = domain
-        self._col = _COLUMN[domain]
-        self._bind(bank, 0)
-        self._raw_energy = 0  # register value, wraps at ENERGY_WRAP
-        self._total_energy_j = 0.0  # unwrapped, for tests/metrics
-        self._throttle_events = 0
-
-    def _bind(self, bank: CapBank, row: int) -> None:
-        # the row's registers, at their flat buffer position
+        # the row's registers and counters, at their flat buffer position
         self._cap, self._enforced, self._max = bank._cap, bank._enforced, bank._max
-        self._at = row * len(CAP_TUPLE_DOMAINS) + self._col
+        self._energy, self._raw, self._throttles = (
+            bank._energy, bank._raw, bank._throttles
+        )
+        self._at = row * len(CAP_TUPLE_DOMAINS) + _COLUMN[domain]
 
     @property
     def domain(self) -> Domain:
@@ -279,7 +306,7 @@ class RaplDomain:
     @property
     def throttle_events(self) -> int:
         """How many cap resolutions required throttling below demand."""
-        return self._throttle_events
+        return self._throttles[self._at]
 
     def set_cap(self, watts: float | None) -> None:
         """Program the power limit perfectly; ``None`` clears it.
@@ -303,25 +330,26 @@ class RaplDomain:
 
     def read_energy_register(self) -> int:
         """Raw energy-status register (wraps like the hardware MSR)."""
-        return self._raw_energy
+        return self._raw[self._at]
 
     @property
     def energy_j(self) -> float:
         """Unwrapped accumulated energy in joules."""
-        return self._total_energy_j
+        return self._energy[self._at]
 
     def accumulate(self, power_w: float, dt_s: float) -> None:
         """Integrate *power_w* over *dt_s* into the counters."""
         check_non_negative(power_w, "power")
         check_non_negative(dt_s, "dt")
         joules = power_w * dt_s
-        self._total_energy_j += joules
+        at = self._at
+        self._energy[at] += joules
         ticks = int(round(joules / ENERGY_UNIT_J))
-        self._raw_energy = (self._raw_energy + ticks) % ENERGY_WRAP
+        self._raw[at] = (self._raw[at] + ticks) % ENERGY_WRAP
 
     def note_throttled(self) -> None:
         """Record that honoring the cap required throttling."""
-        self._throttle_events += 1
+        self._throttles[self._at] += 1
 
 
 @dataclass(frozen=True)
@@ -384,9 +412,12 @@ class RaplInterface:
         The node's ground-truth power model (includes its variability
         multiplier, so an inefficient part throttles earlier — the
         effect §III-B.2 coordinates away).
+    bank, row:
+        The bank row this node's registers live in, reset as a new
+        node's.
     """
 
-    def __init__(self, power_model: PowerModel):
+    def __init__(self, power_model: PowerModel, bank: CapBank, row: int):
         self._model = power_model
         node = power_model.node
         self._ladder = FrequencyLadder.from_socket(node.socket)
@@ -403,24 +434,10 @@ class RaplInterface:
         if node.has_gpu:
             maxima[Domain.GPU] = node.p_gpu_max_w
             self._gpu_ladder = FrequencyLadder.from_gpu(node.gpu)
-        # A bank of its own until a cluster binds this node to a row of
-        # the fleet's bank (:meth:`CapBank.bind`).
-        self._bank, self._row = CapBank(1), 0
-        self._counts, self._counts_at = self._bank._counts, 0
-        self._domains = {d: RaplDomain._view(d, self._bank) for d in maxima}
-        for d, max_w in maxima.items():
-            self._bank.max_w[0, _COLUMN[d]] = check_positive(max_w, "max_power_w")
-        self._bank.n_domains[0] = len(maxima)
-        self.actuation = PERFECT_ACTUATION
-
-    def _move(self, bank: CapBank, row: int) -> None:
-        """Carry this node's row into *row* of *bank* and view it there."""
-        for name in CapBank._FIELDS:
-            getattr(bank, name)[row] = getattr(self._bank, name)[self._row]
+        bank.attach(row, self, maxima)
         self._bank, self._row = bank, row
         self._counts, self._counts_at = bank._counts, row * len(_COUNTERS)
-        for reg in self._domains.values():
-            reg._bind(bank, row)
+        self._domains = {d: RaplDomain(d, bank, row) for d in maxima}
 
     def _count(self, counter: int, n: int = 1) -> None:
         self._counts[self._counts_at + counter] += n
@@ -429,11 +446,6 @@ class RaplInterface:
     def model(self) -> PowerModel:
         """The underlying ground-truth power model."""
         return self._model
-
-    @property
-    def has_gpu_domain(self) -> bool:
-        """Whether this node exposes the GPU power domain."""
-        return Domain.GPU in self._domains
 
     def domain(self, domain: Domain) -> RaplDomain:
         """Access one domain's registers.
@@ -451,11 +463,11 @@ class RaplInterface:
     @property
     def actuation(self) -> ActuationPolicy:
         """Policy deciding the fate of every routed cap write."""
-        return self._actuation
+        return self._bank.policies[self._row]
 
     @actuation.setter
     def actuation(self, policy: ActuationPolicy) -> None:
-        self._actuation = policy
+        self._bank.policies[self._row] = policy
         self._bank.faulty[self._row] = policy is not PERFECT_ACTUATION
 
     @property
@@ -467,12 +479,6 @@ class RaplInterface:
         stats = dict(zip(_COUNTERS, self._counts[at:at + len(_COUNTERS)]))
         stats["backoff_s"] = self._bank._backoff[self._row]
         return stats
-
-    def reset_actuation(self) -> None:
-        """Restore perfect actuation and zero the write-path counters."""
-        self.actuation = PERFECT_ACTUATION
-        self._bank.counts[self._row] = 0
-        self._bank.backoff_s[self._row] = 0.0
 
     def set_cap(self, domain: Domain, watts: float | None) -> bool:
         """Program a domain power limit through the actuation policy.
@@ -494,7 +500,7 @@ class RaplInterface:
         check_non_negative(requested, "cap")
         counts, at = self._counts, self._counts_at
         counts[at + _WRITES] += 1
-        result = self._actuation.apply(
+        result = self._bank.policies[self._row].apply(
             reg.domain.value, requested, reg.effective_cap_w
         )
         if result.kind == "drop":
@@ -607,11 +613,6 @@ class RaplInterface:
     def caps(self) -> dict[Domain, float | None]:
         """Currently programmed caps."""
         return {d: reg.cap_w for d, reg in self._domains.items()}
-
-    def clear_caps(self) -> None:
-        """Remove every domain cap."""
-        for reg in self._domains.values():
-            reg.set_cap(None)
 
     # ------------------------------------------------------------------
     # cap resolution
@@ -815,11 +816,9 @@ class RaplInterface:
 
     def accumulate(self, point: OperatingPoint, dt_s: float) -> None:
         """Integrate a steady-state interval into the energy counters."""
-        self._domains[Domain.PKG].accumulate(point.pkg_power_w, dt_s)
-        self._domains[Domain.DRAM].accumulate(point.dram_power_w, dt_s)
-        gpu = self._domains.get(Domain.GPU)
-        if gpu is not None:
-            gpu.accumulate(point.gpu_power_w, dt_s)
+        powers = (point.pkg_power_w, point.dram_power_w, point.gpu_power_w)
+        for reg, power_w in zip(self._domains.values(), powers):
+            reg.accumulate(power_w, dt_s)
 
     def energy_j(self, domain: Domain) -> float:
         """Unwrapped accumulated energy of *domain* in joules."""

@@ -132,32 +132,6 @@ class ServeClient:
         """``GET /v1/jobs/<id>``."""
         return self._checked("GET", f"/v1/jobs/{job_id}")
 
-    def record_outcome(
-        self,
-        job_id: str,
-        *,
-        performance: float | None = None,
-        measured_time_s: float | None = None,
-        measured_power_w: float | None = None,
-        flags: tuple[str, ...] = (),
-    ) -> dict:
-        """``POST /v1/jobs/<id>/outcome`` — report a measured result.
-
-        Give either cluster *performance* (iterations/s) or
-        *measured_time_s* (seconds per iteration); the daemon feeds
-        the observation back to the scheduler's learning layer.
-        """
-        payload: dict = {}
-        if performance is not None:
-            payload["performance"] = performance
-        if measured_time_s is not None:
-            payload["measured_time_s"] = measured_time_s
-        if measured_power_w is not None:
-            payload["measured_power_w"] = measured_power_w
-        if flags:
-            payload["flags"] = list(flags)
-        return self._checked("POST", f"/v1/jobs/{job_id}/outcome", payload)
-
     def telemetry(self, events: int) -> list[dict]:
         """Read *events* snapshots from ``/v1/telemetry/stream``, one
         every :data:`TELEMETRY_INTERVAL_S`.

@@ -29,7 +29,6 @@ from repro.errors import NodeFailureError, SchedulingError
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.counters import synthesize_counters
 from repro.hw.numa import AffinityKind
-from repro.hw.power import PowerBreakdown
 from repro.sim.affinity import Placement, make_placement, placement_for
 from repro.sim.mpi import CommModel
 from repro.sim.trace import NodeRunRecord, RunResult
@@ -366,9 +365,7 @@ class ExecutionEngine:
                 avg_gpu = rec.operating_point.gpu_power_w * busy_frac + idle_gpu * (
                     1.0 - busy_frac
                 )
-                node_energy = (
-                    avg_pkg + avg_dram + avg_gpu + spec.p_other_w
-                ) * total_time
+                capped_w = avg_pkg + avg_dram + avg_gpu
                 peak += (
                     rec.operating_point.pkg_power_w
                     + rec.operating_point.dram_power_w
@@ -376,25 +373,18 @@ class ExecutionEngine:
                 )
             else:
                 avg_gpu = 0.0
-                node_energy = (avg_pkg + avg_dram + spec.p_other_w) * total_time
+                capped_w = avg_pkg + avg_dram
                 peak += (
                     rec.operating_point.pkg_power_w
                     + rec.operating_point.dram_power_w
                 )
+            node_energy = (capped_w + spec.p_other_w) * total_time
             energy += node_energy
             if execute:
                 node.rapl.accumulate(
                     rec.operating_point, iterations * rec.t_iter_s
                 )
-                node.meter.record(
-                    PowerBreakdown(
-                        pkg_w=avg_pkg,
-                        dram_w=avg_dram,
-                        other_w=spec.p_other_w,
-                        gpu_w=avg_gpu if spec.has_gpu else None,
-                    ),
-                    total_time,
-                )
+                node.meter.record(capped_w, node_energy, total_time)
             final_records.append(
                 NodeRunRecord(
                     node_id=rec.node_id,

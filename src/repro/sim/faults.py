@@ -153,8 +153,9 @@ class FaultInjector:
     cluster directly for failure/recovery/degradation — unless a
     runtime is passed to :meth:`advance_to`, in which case node events
     route through the runtime so its jobs shrink or park.  Actuation
-    and telemetry events install seeded fault models on the target
-    nodes' RAPL interfaces and meters; a ``crash`` event raises
+    and telemetry events install seeded fault models in the target
+    nodes' rows of the cluster's :class:`~repro.hw.rapl.CapBank`
+    (through the RAPL and meter views); a ``crash`` event raises
     :class:`~repro.errors.RuntimeCrashError` *after* recording itself
     as fired, so a restored runtime can resume the same script.
     """
@@ -180,7 +181,8 @@ class FaultInjector:
         self.fired: list[FaultEvent] = []
         # one mutable FaultyActuation / TelemetryFault per touched node,
         # so repeated events compose instead of resetting RNG streams
-        # (until the node is replaced: its successor starts fresh)
+        # (until the node is replaced or reset: its bank row is cleared
+        # in place, so the successor starts fresh)
         self._actuation: dict[int, FaultyActuation] = {}
         self._telemetry: dict[int, TelemetryFault] = {}
 

@@ -21,7 +21,8 @@ from repro.core.watchdog import (
 )
 from repro.hw.actuation import FaultyActuation
 from repro.hw.cluster import SimulatedCluster
-from repro.hw.meter import TelemetryFault
+from repro.hw.meter import PowerMeter, TelemetryFault
+from repro.hw.rapl import CapBank
 from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import get_app
 
@@ -64,6 +65,25 @@ class TestObservation:
         assert not obs.breach
         assert obs.action == "none"
         assert obs.measured_w <= obs.allowed_w + obs.guard_band_w
+
+    def test_one_bank_gather_per_observation(self, runtime, monkeypatch):
+        dog = PowerEnforcementWatchdog(runtime)
+        job = runtime.launch(get_app("comd"), 1200.0, n_nodes=4)
+        gathers = []
+        gather = CapBank.read_capped_w
+
+        def counted(bank, rows):
+            gathers.append(list(rows))
+            return gather(bank, rows)
+
+        def per_node_read(meter):
+            raise AssertionError("the watchdog read one meter at a time")
+
+        monkeypatch.setattr(CapBank, "read_capped_w", counted)
+        monkeypatch.setattr(PowerMeter, "read_capped_power_w", per_node_read)
+        runtime.advance(job, 10)
+        assert len(gathers) == len(dog.observations) > 0
+        assert all(rows == list(job.node_ids) for rows in gathers)
 
     def test_blind_when_every_sensor_drops(self, runtime):
         dog = PowerEnforcementWatchdog(runtime)

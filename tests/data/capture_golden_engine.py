@@ -152,7 +152,7 @@ SWING_SEED = 2017
 def _node_effects(node) -> dict:
     """What a run leaves behind on one node's RAPL registers and meter."""
     domains = [Domain.PKG, Domain.DRAM]
-    if node.rapl.has_gpu_domain:
+    if node.spec.has_gpu:
         domains.append(Domain.GPU)
     return {
         "node_id": node.node_id,

@@ -11,10 +11,11 @@ import pytest
 from repro.errors import ActuationError
 from repro.hw.actuation import PERFECT_ACTUATION, ActuationResult, FaultyActuation
 from repro.hw.meter import PowerMeter, TelemetryFault
-from repro.hw.power import PowerBreakdown, PowerModel
+from repro.hw.power import PowerModel
 from repro.hw.rapl import (
     CAP_TUPLE_DOMAINS,
     MAX_CAP_RETRIES,
+    CapBank,
     Domain,
     RaplInterface,
 )
@@ -25,7 +26,7 @@ NODE = haswell_node()
 
 @pytest.fixture()
 def rapl():
-    return RaplInterface(PowerModel(NODE))
+    return RaplInterface(PowerModel(NODE), CapBank(1), 0)
 
 
 class TestActuationPolicies:
@@ -133,7 +134,7 @@ class TestSnapshotRollback:
         rapl.actuation = FaultyActuation(seed=1, drift_prob=1.0, drift_frac=0.2)
         rapl.set_cap(Domain.PKG, 100.0)
         snap = rapl.snapshot_caps()
-        rapl.reset_actuation()
+        rapl.actuation = PERFECT_ACTUATION
         rapl.set_cap(Domain.PKG, 50.0)
         rapl.restore_caps(snap)
         reg = rapl.domain(Domain.PKG)
@@ -170,9 +171,11 @@ class TestTelemetryFault:
         assert fault.corrupt(250.0) == pytest.approx(250.0)  # expired
 
     def test_meter_read_path_is_corrupted_but_trace_is_truthful(self):
-        meter = PowerMeter()
-        meter.record(PowerBreakdown(pkg_w=80.0, dram_w=20.0, other_w=30.0), 1.0)
-        truthful = meter.capped_power_w()
+        bank = CapBank(1)
+        meter = PowerMeter(bank, 0)
+        meter.record(100.0, 130.0, 1.0)
+        truthful = meter.read_capped_power_w()
         meter.telemetry = TelemetryFault(seed=5, drop_prob=1.0)
         assert meter.read_capped_power_w() is None
-        assert meter.capped_power_w() == pytest.approx(truthful)
+        assert bank.capped_w[0] == pytest.approx(truthful)
+        assert meter.energy_j == 130.0

@@ -10,8 +10,9 @@ Covers the four contracts the bank's array commit must keep:
   leaves: programmed and enforced caps, ``actuation_stats``, each
   policy's RNG state and the exception text;
 * lifecycle — a slot's row is clean after ``degrade_node``,
-  ``recover_node`` and ``cluster.reset()``, and a node built on its own
-  keeps working on a bank of its own;
+  ``recover_node`` and ``cluster.reset()`` (the first two also zero the
+  energy and throttle counters, the reset keeps them counting), and a
+  node built on its own keeps working on a bank of its own;
 * types — every view reads back Python ``float`` / ``None``, never a
   NumPy scalar, because journal and JSON bytes depend on it.
 """
@@ -25,6 +26,7 @@ import pytest
 from repro.errors import ActuationError, PowerDomainError
 from repro.hw.actuation import PERFECT_ACTUATION, FaultyActuation
 from repro.hw.cluster import SimulatedCluster
+from repro.hw.meter import TelemetryFault
 from repro.hw.node import SimulatedNode
 from repro.hw.rapl import Domain
 from repro.hw.specs import ClusterSpec, NodeGroup, gpu_node, haswell_node
@@ -43,7 +45,7 @@ def fleet() -> SimulatedCluster:
 
 
 def arity(cluster: SimulatedCluster, node_id: int) -> int:
-    return 3 if cluster.node(node_id).rapl.has_gpu_domain else 2
+    return 3 if cluster.node(node_id).spec.has_gpu else 2
 
 
 def reference_commit(cluster, node_ids, caps, force=False) -> None:
@@ -87,9 +89,18 @@ def outcome(fn, *args, **kwargs):
     return None
 
 
-def assert_clean_row(cluster: SimulatedCluster, node_id: int) -> None:
+def assert_clean_row(
+    cluster: SimulatedCluster, node_id: int, counters_zeroed: bool = True
+) -> None:
     bank = cluster.cap_bank
-    rapl = cluster.node(node_id).rapl
+    node = cluster.node(node_id)
+    rapl = node.rapl
+    if counters_zeroed:
+        for column in (bank.energy_j, bank.energy_raw, bank.throttles):
+            assert not column[node_id].any()
+    assert node.meter.energy_j == node.meter.elapsed_s == 0.0
+    assert bank.capped_w[node_id] == 0.0
+    assert node.meter.telemetry is None
     assert np.isnan(bank.cap_w[node_id]).all()
     assert np.isnan(bank.enforced_w[node_id]).all()
     assert not bank.counts[node_id].any()
@@ -206,7 +217,7 @@ class TestEquivalence:
                             side.node(node_id).rapl.actuation = FaultyActuation(**params)
                     elif roll < 0.12:
                         for side in (bank_side, ref_side):
-                            side.node(node_id).rapl.reset_actuation()
+                            side.node(node_id).rapl.actuation = PERFECT_ACTUATION
                 ids = rng.sample(range(n), rng.randint(1, n))
                 caps = [
                     tuple(round(rng.uniform(0.0, 320.0), rng.choice((1, 6)))
@@ -239,9 +250,15 @@ class TestLifecycle:
 
     @staticmethod
     def _dirty(cluster, node_id):
-        rapl = cluster.node(node_id).rapl
+        node = cluster.node(node_id)
+        rapl = node.rapl
         caps = (90.0, 20.0, 150.0)[: arity(cluster, node_id)]
         cluster.cap_bank.commit([node_id], [caps])
+        rapl.resolve([12, 12], 1.0, [3e10, 3e10])
+        rapl.domain(Domain.PKG).accumulate(80.0, 2.0)
+        node.meter.record(110.0, 300.0, 2.0)
+        node.meter.telemetry = TelemetryFault(seed=3, noise_frac=0.1)
+        assert cluster.cap_bank.throttles[node_id].any()
         rapl.actuation = FaultyActuation(seed=3, drop_prob=1.0)
         with pytest.raises(ActuationError):
             cluster.cap_bank.commit([node_id], [tuple(c + 1 for c in caps)])
@@ -252,12 +269,8 @@ class TestLifecycle:
     def test_degrade_node_rebinds_a_clean_row(self, node_id):
         cluster = fleet()
         self._dirty(cluster, node_id)
-        old = cluster.node(node_id)
         new = cluster.degrade_node(node_id, 1.2)
-        assert_clean_row(cluster, node_id)
-        # the replaced node keeps its own state, off the fleet's bank
-        assert old.rapl.caps()[Domain.PKG] == 90.0
-        old.rapl.force_caps((10.0, 10.0, 10.0)[: arity(cluster, node_id)])
+        assert cluster.node(node_id) is new
         assert_clean_row(cluster, node_id)
         new.rapl.write_caps_verified((80.0, 20.0, 150.0)[: arity(cluster, node_id)])
         assert cluster.cap_bank.cap_w[node_id, 0] == 80.0
@@ -274,9 +287,13 @@ class TestLifecycle:
         cluster = fleet()
         for node_id in (2, N_GPU + 2):
             self._dirty(cluster, node_id)
+        counters = [cluster.cap_bank.energy_j.copy(), cluster.cap_bank.throttles.copy()]
         cluster.reset()
         for node_id in range(cluster.n_nodes):
-            assert_clean_row(cluster, node_id)
+            assert_clean_row(cluster, node_id, counters_zeroed=False)
+        # RAPL energy and throttle counters keep counting across a reset
+        np.testing.assert_array_equal(cluster.cap_bank.energy_j, counters[0])
+        np.testing.assert_array_equal(cluster.cap_bank.throttles, counters[1])
 
     def test_standalone_node_has_a_bank_of_its_own(self):
         node = SimulatedNode(haswell_node())

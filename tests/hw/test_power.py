@@ -147,35 +147,6 @@ class TestInverseModel:
             PowerModel(NODE, efficiency=0.0)
 
 
-class TestPowerBreakdownDomains:
-    """Table-driven domain accounting on the per-node breakdown."""
-
-    _w = st.floats(min_value=0.0, max_value=500.0, allow_nan=False)
-
-    @given(pkg=_w, dram=_w, other=_w, gpu=st.one_of(st.none(), _w))
-    def test_total_is_sum_of_present_domains(self, pkg, dram, other, gpu):
-        from repro.hw.power import PowerBreakdown
-
-        bd = PowerBreakdown(pkg_w=pkg, dram_w=dram, other_w=other, gpu_w=gpu)
-        present = dict(bd.present_domains())
-        assert bd.capped_w == pytest.approx(sum(present.values()))
-        assert bd.total_w == pytest.approx(sum(present.values()) + other)
-        if gpu is None:
-            assert "gpu_w" not in present  # absent, not zero
-        else:
-            assert present["gpu_w"] == gpu
-
-    def test_capped_domain_table_covers_every_capped_field(self):
-        from dataclasses import fields
-
-        from repro.hw.power import PowerBreakdown
-
-        names = {f.name for f in fields(PowerBreakdown)}
-        table = set(PowerBreakdown.CAPPED_DOMAIN_FIELDS)
-        assert table <= names
-        assert names - table == {"other_w"}
-
-
 # ----------------------------------------------------------------------
 # float branch vs 0-d array branch: bit identity
 # ----------------------------------------------------------------------

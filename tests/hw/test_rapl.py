@@ -9,6 +9,7 @@ from repro.hw.rapl import (
     ENERGY_UNIT_J,
     ENERGY_WRAP,
     MIN_DUTY_CYCLE,
+    CapBank,
     Domain,
     RaplDomain,
     RaplInterface,
@@ -21,27 +22,32 @@ NODE = haswell_node()
 
 @pytest.fixture()
 def rapl():
-    return RaplInterface(PowerModel(NODE))
+    return RaplInterface(PowerModel(NODE), CapBank(1), 0)
+
+
+def _domain(domain: Domain) -> RaplDomain:
+    """One domain's registers on a node of its own (PKG max 240 W)."""
+    return RaplInterface(PowerModel(NODE), CapBank(1), 0).domain(domain)
 
 
 class TestRaplDomain:
     def test_cap_defaults_to_none(self):
-        reg = RaplDomain(Domain.PKG, 240.0)
+        reg = _domain(Domain.PKG)
         assert reg.cap_w is None
         assert reg.effective_cap_w == pytest.approx(240.0)
 
     def test_cap_clipped_to_domain_max(self):
-        reg = RaplDomain(Domain.PKG, 240.0)
+        reg = _domain(Domain.PKG)
         reg.set_cap(500.0)
         assert reg.effective_cap_w == pytest.approx(240.0)
 
     def test_energy_accumulates(self):
-        reg = RaplDomain(Domain.PKG, 240.0)
+        reg = _domain(Domain.PKG)
         reg.accumulate(100.0, 2.0)
         assert reg.energy_j == pytest.approx(200.0)
 
     def test_register_wraps(self):
-        reg = RaplDomain(Domain.PKG, 240.0)
+        reg = _domain(Domain.PKG)
         # enough energy to wrap the 32-bit register at least once
         joules = ENERGY_WRAP * ENERGY_UNIT_J * 1.25
         reg.accumulate(joules, 1.0)
@@ -49,7 +55,7 @@ class TestRaplDomain:
         assert reg.energy_j == pytest.approx(joules)
 
     def test_register_monotone_between_wraps(self):
-        reg = RaplDomain(Domain.DRAM, 56.0)
+        reg = _domain(Domain.DRAM)
         prev = reg.read_energy_register()
         for _ in range(5):
             reg.accumulate(20.0, 0.5)
@@ -58,7 +64,7 @@ class TestRaplDomain:
             prev = cur
 
     def test_clear_cap(self):
-        reg = RaplDomain(Domain.PKG, 240.0)
+        reg = _domain(Domain.PKG)
         reg.set_cap(100.0)
         reg.set_cap(None)
         assert reg.cap_w is None
@@ -139,7 +145,8 @@ class TestResolve:
     def test_clear_caps(self, rapl):
         rapl.set_cap(Domain.PKG, 100.0)
         rapl.set_cap(Domain.DRAM, 20.0)
-        rapl.clear_caps()
+        for d in rapl.caps():
+            rapl.set_cap(d, None)
         assert all(v is None for v in rapl.caps().values())
 
     @settings(max_examples=60)
@@ -150,7 +157,7 @@ class TestResolve:
         n2=st.integers(min_value=0, max_value=12),
     )
     def test_cap_respected_unless_flagged(self, cap, act, n1, n2):
-        rapl = RaplInterface(PowerModel(NODE))
+        rapl = RaplInterface(PowerModel(NODE), CapBank(1), 0)
         rapl.set_cap(Domain.PKG, cap)
         op = rapl.resolve([n1, n2], act, [1e10, 1e10])
         if not op.cpu_cap_violated:
@@ -162,7 +169,7 @@ class TestResolve:
         bw=st.floats(min_value=0.0, max_value=6e10),
     )
     def test_dram_cap_respected_unless_flagged(self, cap, bw):
-        rapl = RaplInterface(PowerModel(NODE))
+        rapl = RaplInterface(PowerModel(NODE), CapBank(1), 0)
         rapl.set_cap(Domain.DRAM, cap)
         op = rapl.resolve([12, 12], 0.5, [bw, bw])
         if not op.mem_cap_violated:

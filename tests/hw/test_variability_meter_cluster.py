@@ -8,8 +8,7 @@ from repro.errors import SpecError
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.meter import PowerMeter
 from repro.hw.node import SimulatedNode
-from repro.hw.power import PowerBreakdown
-from repro.hw.rapl import Domain
+from repro.hw.rapl import CapBank, Domain
 from repro.hw.specs import haswell_node, haswell_testbed
 from repro.hw.variability import VariabilityModel
 
@@ -47,45 +46,36 @@ class TestVariability:
         assert m.spread >= 0.0
 
 
+def _meter() -> PowerMeter:
+    return PowerMeter(CapBank(1), 0)
+
+
 class TestPowerMeter:
     def test_energy_integration(self):
-        meter = PowerMeter()
-        meter.record(PowerBreakdown(100.0, 20.0, 30.0), 2.0)
-        meter.record(PowerBreakdown(50.0, 10.0, 30.0), 1.0)
+        meter = _meter()
+        meter.record(120.0, 150.0 * 2, 2.0)
+        meter.record(60.0, 90.0 * 1, 1.0)
         assert meter.elapsed_s == pytest.approx(3.0)
         assert meter.energy_j == pytest.approx(150 * 2 + 90 * 1)
-
-    def test_peak_power(self):
-        meter = PowerMeter()
-        meter.record(PowerBreakdown(100.0, 0.0, 0.0), 1.0)
-        meter.record(PowerBreakdown(200.0, 0.0, 0.0), 0.1)
-        assert meter.peak_power_w() == pytest.approx(200.0)
-
-    def test_samples_follow_intervals(self):
-        meter = PowerMeter()
-        meter.record(PowerBreakdown(100.0, 0.0, 0.0), 1.0)
-        meter.record(PowerBreakdown(200.0, 0.0, 0.0), 1.0)
-        samples = meter.samples()
-        assert len(samples) == 20
-        assert samples[0].total_w == pytest.approx(100.0)
-        assert samples[-1].total_w == pytest.approx(200.0)
+        assert meter.read_capped_power_w() == 60.0  # the last interval
 
     def test_empty_meter(self):
-        meter = PowerMeter()
-        assert meter.samples() == []
-        assert meter.peak_power_w() == 0.0
+        meter = _meter()
+        assert meter.elapsed_s == meter.energy_j == 0.0
+        assert meter.read_capped_power_w() == 0.0
 
     def test_zero_duration_ignored(self):
-        meter = PowerMeter()
-        meter.record(PowerBreakdown(100.0, 0.0, 0.0), 0.0)
+        meter = _meter()
+        meter.record(100.0, 0.0, 0.0)
         assert meter.elapsed_s == 0.0
+        assert meter.read_capped_power_w() == 0.0
 
     def test_reset(self):
-        meter = PowerMeter()
-        meter.record(PowerBreakdown(100.0, 0.0, 0.0), 1.0)
-        meter.reset()
-        assert meter.elapsed_s == 0.0
-        assert meter.energy_j == 0.0
+        node = SimulatedNode(haswell_node())
+        node.meter.record(100.0, 100.0, 1.0)
+        node.reset()
+        assert node.meter.elapsed_s == 0.0
+        assert node.meter.energy_j == 0.0
 
 
 class TestSimulatedNode:
@@ -105,7 +95,7 @@ class TestSimulatedNode:
     def test_reset_clears_state(self):
         node = SimulatedNode(haswell_node())
         node.set_power_caps(150.0, 25.0)
-        node.meter.record(PowerBreakdown(pkg_w=90.0, dram_w=20.0, other_w=40.0), 1.0)
+        node.meter.record(110.0, 150.0, 1.0)
         node.reset()
         assert all(v is None for v in node.rapl.caps().values())
         assert node.meter.energy_j == 0.0

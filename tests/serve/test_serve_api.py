@@ -289,14 +289,27 @@ class TestErrorCodec:
         assert err.value.status == 400
 
 
+def report_outcome(client, job_id: str, payload: dict) -> tuple[int, dict]:
+    """``POST /v1/jobs/<id>/outcome`` — report a measured result."""
+    return client.request("POST", f"/v1/jobs/{job_id}/outcome", payload)
+
+
+def reported(client, job_id: str, payload: dict) -> dict:
+    """The updated job record of an accepted outcome report."""
+    status, record = report_outcome(client, job_id, payload)
+    assert status == 200, record
+    return record
+
+
 class TestOutcomeReporting:
     def test_outcome_feeds_the_learning_layer(self, client, clip):
         (job,) = client.submit("comd")
         before = client.stats()
         predicted = job["decision"]["allocation"]["predicted_cluster_perf"]
         measured = predicted * 0.9
-        record = client.record_outcome(
-            job["job_id"], performance=measured, measured_power_w=1200.0
+        record = reported(
+            client, job["job_id"],
+            {"performance": measured, "measured_power_w": 1200.0},
         )
         assert record["outcome"]["performance"] == pytest.approx(measured)
         assert record["outcome"]["recorded"] is True
@@ -317,31 +330,26 @@ class TestOutcomeReporting:
 
     def test_outcome_accepts_measured_time(self, client):
         (job,) = client.submit("minimd")
-        record = client.record_outcome(job["job_id"], measured_time_s=2.0)
+        record = reported(client, job["job_id"], {"measured_time_s": 2.0})
         assert record["outcome"]["performance"] == pytest.approx(0.5)
         fetched = client.job(job["job_id"])
         assert fetched["outcome"] == record["outcome"]
 
     def test_unknown_job_outcome_is_404(self, client):
-        status, data = client.request(
-            "POST", "/v1/jobs/j-999999/outcome", {"performance": 1.0}
-        )
+        status, data = report_outcome(client, "j-999999", {"performance": 1.0})
         assert status == 404
         assert "unknown" in data["error"] or "no such" in data["error"]
 
     def test_double_report_is_409(self, client):
         (job,) = client.submit("comd")
-        client.record_outcome(job["job_id"], performance=1.0)
-        with pytest.raises(ServeError) as err:
-            client.record_outcome(job["job_id"], performance=1.0)
-        assert err.value.status == 409
+        reported(client, job["job_id"], {"performance": 1.0})
+        status, data = report_outcome(client, job["job_id"], {"performance": 1.0})
+        assert status == 409, data
 
     def test_bad_outcome_payload_is_400(self, client):
         (job,) = client.submit("comd")
         for payload in ({}, {"performance": -1.0}, {"measured_time_s": 0}):
-            status, _ = client.request(
-                "POST", f"/v1/jobs/{job['job_id']}/outcome", payload
-            )
+            status, _ = report_outcome(client, job["job_id"], payload)
             assert status == 400, payload
 
     @pytest.mark.parametrize(
@@ -366,21 +374,18 @@ class TestOutcomeReporting:
     )
     def test_non_finite_or_non_numeric_outcome_is_400(self, client, payload):
         (job,) = client.submit("comd")
-        status, data = client.request(
-            "POST", f"/v1/jobs/{job['job_id']}/outcome", payload
-        )
+        status, data = report_outcome(client, job["job_id"], payload)
         assert status == 400, (payload, data)
 
     def test_rejected_report_leaves_the_job_reportable(self, client):
         (job,) = client.submit("comd")
-        path = f"/v1/jobs/{job['job_id']}/outcome"
-        status, _ = client.request(
-            "POST", path, {"performance": 1.0, "measured_power_w": "hot"}
+        status, _ = report_outcome(
+            client, job["job_id"], {"performance": 1.0, "measured_power_w": "hot"}
         )
         assert status == 400
         assert client.job(job["job_id"])["outcome"] is None
-        record = client.record_outcome(
-            job["job_id"], performance=1.0, measured_power_w=1200.0
+        record = reported(
+            client, job["job_id"], {"performance": 1.0, "measured_power_w": 1200.0}
         )
         assert record["outcome"]["recorded"] is True
         assert record["outcome"]["measured_power_w"] == 1200.0

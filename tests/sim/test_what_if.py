@@ -31,7 +31,7 @@ class TestWhatIfIsolation:
         for node in cluster.nodes:
             rapl = node.rapl
             domains = [
-                d for d in Domain if d is not Domain.GPU or rapl.has_gpu_domain
+                d for d in Domain if d is not Domain.GPU or node.spec.has_gpu
             ]
             out.append(
                 (

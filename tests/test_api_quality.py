@@ -350,9 +350,9 @@ UNREACHED_NAMES_BY_DESIGN = {
     "repro.hw.rapl.RaplDomain.read_energy_register": (
         "the what-if isolation test checks the raw registers stay put"
     ),
-    "repro.hw.rapl.RaplInterface.has_gpu_domain": (
-        "the golden engine capture and the cap-bank tests pick each "
-        "node's domains with it"
+    "repro.hw.meter.PowerMeter.read_capped_power_w": (
+        "one node's sensor read; the telemetry tests and the hardware "
+        "state equivalence test compare it with the watchdog's gather"
     ),
     "repro.hw.rapl.RaplInterface.force_caps": (
         "the verbatim per-node reference loop of tests/hw/test_cap_bank.py"
@@ -741,14 +741,6 @@ UNSET_OPTIONS_BY_DESIGN = {
             "MemorySpec(n_power_levels=)",
         )
     },
-    "repro.serve.client.ServeClient.record_outcome(performance=)": (
-        "input from outside the program: mirrors an optional field of "
-        "POST /v1/jobs/<id>/outcome, which takes this or measured_time_s"
-    ),
-    "repro.serve.client.ServeClient.record_outcome(measured_time_s=)": (
-        "input from outside the program: mirrors an optional field of "
-        "POST /v1/jobs/<id>/outcome, which takes this or performance"
-    ),
     "repro.sim.engine.ExecutionConfig(gpu_cap_w=)": (
         "the uniform device cap beside pkg_cap_w/dram_cap_w for a hand-built "
         "config; decisions pass per-slot caps, and the batch kernel's GPU "
