@@ -73,10 +73,12 @@ def measure_node_factors(engine: ExecutionEngine) -> np.ndarray:
     legitimately draws different watts than a Haswell, and only the
     within-class silicon spread is manufacturing variability.
 
-    The per-node kernels are scored in **one what-if call**
-    (:meth:`ExecutionEngine.evaluate_many`; an array program on a CPU
-    fleet above :data:`~repro.sim.batch.FLOAT_PATH_MAX_CELLS`
-    available nodes), and the resulting factors
+    The per-node kernels are scored in **one what-if call per hardware
+    class** (:meth:`ExecutionEngine.evaluate_many`; an array program
+    for a CPU-only class above
+    :data:`~repro.sim.batch.FLOAT_PATH_MAX_CELLS` available nodes; a
+    node's result does not depend on the rest of its batch), and the
+    resulting factors
     are cached on the engine keyed by the cluster fingerprint (specs,
     per-node efficiencies, failed set) — ``fail_node`` /
     ``recover_node`` / ``degrade_node`` all change the fingerprint, so
@@ -93,26 +95,24 @@ def measure_node_factors(engine: ExecutionEngine) -> np.ndarray:
     available = cluster.available_node_ids
     if not available:
         raise SchedulingError("cannot calibrate: every node is failed")
-    specs_by_id = [cluster.node(i).spec for i in available]
-    configs = [
-        ExecutionConfig(
-            n_nodes=1,
-            n_threads=node_spec.n_cores // 2,
-            node_ids=(i,),
-            frequency_hz=node_spec.socket.f_nominal,
-        )
-        for i, node_spec in zip(available, specs_by_id)
-    ]
-    results = engine.evaluate_many(_CALIBRATION_APP, configs)
-    powers = np.full(cluster.n_nodes, np.nan)
-    for i, result in zip(available, results):
-        rec = result.nodes[0]
-        powers[i] = rec.operating_point.pkg_power_w + rec.operating_point.dram_power_w
-    # mean-normalize within each hardware class (one class on a
-    # homogeneous cluster)
     slot_class = np.asarray(cluster.spec.slot_class)
+    powers = np.full(cluster.n_nodes, np.nan)
     factors = np.full(cluster.n_nodes, np.nan)
-    for k in range(len(cluster.spec.node_classes)):
+    for k, node_spec in enumerate(cluster.spec.node_classes):
+        ids = [i for i in available if cluster.spec.slot_class[i] == k]
+        configs = [
+            ExecutionConfig(
+                n_nodes=1,
+                n_threads=node_spec.n_cores // 2,
+                node_ids=(i,),
+                frequency_hz=node_spec.socket.f_nominal,
+            )
+            for i in ids
+        ]
+        for i, result in zip(ids, engine.evaluate_many(_CALIBRATION_APP, configs)):
+            op = result.nodes[0].operating_point
+            powers[i] = op.pkg_power_w + op.dram_power_w
+        # mean-normalize within the class
         in_class = slot_class == k
         class_measured = powers[in_class & ~np.isnan(powers)]
         if class_measured.size:

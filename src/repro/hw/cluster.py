@@ -96,16 +96,15 @@ class SimulatedCluster:
 
     # -- node failure state (fault injection) ---------------------------
 
-    def fail_node(self, node_id: int) -> SimulatedNode:
+    def fail_node(self, node_id: int) -> None:
         """Mark one node failed (crash, PSU loss, network partition).
 
         A failed node keeps its slot and identity but may not
-        participate in runs until :meth:`recover_node` brings it back.
-        Returns the failed node so callers can inspect its last state.
+        participate in runs until :meth:`recover_node` refills its
+        slot (and resets its bank row) with a fresh node.
         """
-        node = self.node(node_id)
+        self.node(node_id)  # raises on an id outside the cluster
         self._failed.add(node_id)
-        return node
 
     def recover_node(self, node_id: int) -> SimulatedNode:
         """Return a failed node to service after its implied reboot.

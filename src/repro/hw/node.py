@@ -27,7 +27,7 @@ class SimulatedNode:
     spec:
         Static node description.
     node_id:
-        Position in the cluster (also used in the default name).
+        Position in the cluster.
     efficiency:
         Manufacturing-variability multiplier for this part.
     bank:
@@ -42,10 +42,10 @@ class SimulatedNode:
         self._spec = spec
         self._node_id = node_id
         self._power_model = PowerModel(spec, efficiency=efficiency)
-        self._bank, self._row = (CapBank(1), 0) if bank is None else (bank, node_id)
-        self._rapl = RaplInterface(self._power_model, self._bank, self._row)
+        bank, row = (CapBank(1), 0) if bank is None else (bank, node_id)
+        self._rapl = RaplInterface(self._power_model, bank, row)
         self._numa = NumaTopology(spec)
-        self._meter = PowerMeter(self._bank, self._row)
+        self._meter = PowerMeter(bank, row)
 
     # -- identity ------------------------------------------------------
 
@@ -58,11 +58,6 @@ class SimulatedNode:
     def node_id(self) -> int:
         """Cluster-wide index of this node."""
         return self._node_id
-
-    @property
-    def name(self) -> str:
-        """Human-readable node name."""
-        return f"{self._spec.name}-{self._node_id:02d}"
 
     @property
     def efficiency(self) -> float:
@@ -93,11 +88,6 @@ class SimulatedNode:
 
     # -- convenience ----------------------------------------------------
 
-    @property
-    def n_cores(self) -> int:
-        """Physical cores on the node."""
-        return self._spec.n_cores
-
     def set_power_caps(
         self,
         pkg_w: float | None,
@@ -113,7 +103,3 @@ class SimulatedNode:
         self._rapl.set_cap(Domain.DRAM, dram_w)
         if self._spec.has_gpu:
             self._rapl.set_cap(Domain.GPU, gpu_w)
-
-    def reset(self) -> None:
-        """Clear caps, the meter and injected faults."""
-        self._bank.clear(self._row)

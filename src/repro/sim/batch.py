@@ -5,7 +5,7 @@ benchmark score :class:`~repro.sim.engine.ExecutionConfig` candidates
 without executing them.  The scalar :meth:`ExecutionEngine.run` pays
 Python-loop cost per node, per phase, per fixed-point round; the array
 kernel here pays a fixed cost per call instead.  So
-:meth:`BatchEvaluator.run_many` answers a large batch on a CPU fleet as
+:meth:`BatchEvaluator.run_many` answers a large one-class CPU batch as
 one ``(n_candidates, n_nodes)`` NumPy array program: a vectorized
 replication of the engine's damped fixed-point loop (cap resolution ↔
 timing), numerically identical to the scalar path.  Every expression
@@ -15,16 +15,14 @@ so each (candidate, node) cell freezes at exactly the round the scalar
 loop would have broken.
 
 The kernel covers what its callers send -- the exhaustive oracle and
-the node calibration, both on CPU fleets: classes without an
-accelerator that share one socket count, and no per-phase thread
-overrides.  Hardware constants are tabled per node *class* and gathered
-per (candidate, rank) cell, frequency ladders / ``pow`` tables are
-applied through per-class masks (a scalar exponent per class keeps the
-exact scalar ``np.power`` kernel), and placements are computed once
-per (class, candidate) pair -- so a mixed Haswell + Broadwell fleet
-stays bit-exact against the scalar engine.  Everything else -- a batch
-of at most :data:`FLOAT_PATH_MAX_CELLS` node-cells, a fleet with a GPU
-class or with classes of different socket counts, a batch that sets
+the node calibration, which calibrates one hardware class per call:
+a batch whose every participant belongs to one hardware class without
+an accelerator, and no per-phase thread overrides.  So one call holds
+one set of class constants as scalars (tabled per class on first use:
+the DVFS ladder and its ``pow`` factors), one placement per candidate,
+and one exact scalar ``np.power`` exponent.  Everything else -- a batch
+of at most :data:`FLOAT_PATH_MAX_CELLS` node-cells, a batch that spans
+hardware classes or reaches a GPU class, a batch that sets
 ``phase_threads`` -- runs on the engine's own float code as a what-if
 (docs/performance.md §8).
 
@@ -87,60 +85,14 @@ class BatchEvaluator:
 
     def __init__(self, engine: "ExecutionEngine"):
         self._engine = engine
-        cluster = engine.cluster
-        self._cluster = cluster
-        # the distinct hardware classes, in first-slot order; per-slot
-        # constants are gathered from these per-class tables at
-        # evaluation time, so a mixed cluster runs the same array
-        # program with per-cell coefficients
-        class_list = list(cluster.spec.node_classes)
-        self._class_list = class_list
-        #: Whether the kernel covers this fleet at all (decided once).
-        self.cpu_fleet = (
-            not any(s.has_gpu for s in class_list)
-            and len({s.n_sockets for s in class_list}) == 1
-        )
-        self._slot_class = np.array(cluster.spec.slot_class, dtype=np.int64)
-        self._S = class_list[0].n_sockets
-        self._ladders = [
-            FrequencyLadder.from_socket(s.socket) for s in class_list
-        ]
-        self._freqs_k = [
-            np.asarray(lad.frequencies, dtype=np.float64)
-            for lad in self._ladders
-        ]
-
-        def per_class(fn) -> np.ndarray:
-            return np.array([fn(s) for s in class_list], dtype=np.float64)
-
-        self._inv_k_list = [
-            1.0 / s.socket.core.dyn_exponent for s in class_list
-        ]
-        # (f / f_nom) ** k per ladder frequency, per class, from the
+        self._cluster = engine.cluster
+        self._class_list = engine.cluster.spec.node_classes
+        self._slot_class = engine.cluster.spec.slot_class
+        # per hardware class, built on its first kernel call: the DVFS
+        # ladder, its frequencies and their (f / f_nom) ** k from the
         # power model's scalar rule (the vectorized SIMD pow can differ
-        # from it by 1 ulp)
-        self._pow_ladder_k = [
-            np.array(ladder_power_factors(s.socket)) for s in class_list
-        ]
-        self._c_relmin = per_class(
-            lambda s: freq_power_factor(s.socket, s.socket.f_min)
-        )
-        self._c_f_min = per_class(lambda s: s.socket.f_min)
-        self._c_f_max = per_class(lambda s: s.socket.f_max)
-        self._c_f_nom = per_class(lambda s: s.socket.f_nominal)
-        self._c_p_base_pkg = per_class(lambda s: s.socket.p_base_w)
-        self._c_p_leak = per_class(lambda s: s.socket.core.p_leak_w)
-        self._c_p_dyn = per_class(lambda s: s.socket.core.p_dyn_w)
-        self._c_pkg_max = per_class(lambda s: s.n_sockets * s.socket.tdp_w)
-        self._c_p_base_mem = per_class(lambda s: s.socket.memory.p_base_w)
-        self._c_p_load_mem = per_class(lambda s: s.socket.memory.p_load_max_w)
-        self._c_peak_bw = per_class(lambda s: s.socket.memory.peak_bandwidth)
-        self._c_bw_floor = per_class(
-            lambda s: s.socket.memory.bandwidth_at_level(0)
-        )
-        self._c_ipc = per_class(lambda s: s.socket.core.ipc_peak)
-        self._c_dram_max = per_class(lambda s: s.p_mem_max_w)
-        self._c_p_other = per_class(lambda s: s.p_other_w)
+        # from it by 1 ulp), and that factor at f_min
+        self._ladders: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -153,20 +105,39 @@ class BatchEvaluator:
 
         Returns one :class:`RunResult` per config, in input order.  The
         configs run on the array kernel when they span more than
-        :data:`FLOAT_PATH_MAX_CELLS` node-cells of a CPU fleet and set
-        no ``phase_threads``, else on the engine's float code; both
-        validate every config first, raise the same errors, and give
-        the same bits.
+        :data:`FLOAT_PATH_MAX_CELLS` node-cells, all of one CPU-only
+        hardware class, and set no ``phase_threads``; else on the
+        engine's float code.  Both validate every config first, raise
+        the same errors, and give the same bits.
         """
         if not configs:
             return []
         if (
-            not self.cpu_fleet
-            or sum(c.n_nodes for c in configs) <= FLOAT_PATH_MAX_CELLS
+            sum(c.n_nodes for c in configs) <= FLOAT_PATH_MAX_CELLS
             or any(c.phase_threads for c in configs)
+            or self._cpu_class(configs) is None
         ):
             return self._engine._what_if(app, configs)
         return self._evaluate(app, configs)
+
+    def _cpu_class(self, configs: list["ExecutionConfig"]) -> int | None:
+        """The hardware class every participant of *configs* belongs to.
+
+        ``None`` when they span classes, when that class has a GPU, or
+        when a config names a slot the cluster lacks (validation then
+        raises the error).
+        """
+        slot_class = self._slot_class
+        n = len(slot_class)
+        classes = {
+            slot_class[i] if 0 <= i < n else None
+            for cfg in configs
+            for i in (range(cfg.n_nodes) if cfg.node_ids is None else cfg.node_ids)
+        }
+        if len(classes) != 1:
+            return None
+        (k,) = classes
+        return None if k is None or self._class_list[k].has_gpu else k
 
     # ------------------------------------------------------------------
     # the vectorized array program
@@ -177,21 +148,12 @@ class BatchEvaluator:
         app: WorkloadCharacteristics,
         configs: list["ExecutionConfig"],
     ) -> list[RunResult]:
-        if not self.cpu_fleet:
-            raise ValueError(
-                "the array kernel covers CPU fleets whose classes share "
-                "one socket count; use ExecutionEngine.evaluate_many"
-            )
         if any(c.phase_threads for c in configs):
             raise ValueError(
                 "the array kernel takes no phase_threads; use "
                 "ExecutionEngine.evaluate_many"
             )
         cluster = self._cluster
-        class_list = self._class_list
-        slot_class = self._slot_class
-        K = len(class_list)
-        S = self._S
         C = len(configs)
 
         # -- validation, shared with the float what-if path -------------
@@ -199,6 +161,33 @@ class BatchEvaluator:
             tuple(n.node_id for n in self._engine._what_if_participants(cfg))
             for cfg in configs
         ]
+        k = self._cpu_class(configs)
+        if k is None:
+            raise ValueError(
+                "the array kernel takes one CPU-only hardware class per "
+                "call; use ExecutionEngine.evaluate_many"
+            )
+        spec = self._class_list[k]
+        socket = spec.socket
+        if k not in self._ladders:
+            ladder = FrequencyLadder.from_socket(socket)
+            self._ladders[k] = (
+                ladder,
+                np.asarray(ladder.frequencies, dtype=np.float64),
+                np.array(ladder_power_factors(socket)),
+                freq_power_factor(socket, socket.f_min),
+            )
+        ladder, freqs, pow_ladder, relmin = self._ladders[k]
+        S = spec.n_sockets
+        f_min, f_max, f_nom = socket.f_min, socket.f_max, socket.f_nominal
+        p_base_pkg = socket.p_base_w
+        p_leak, p_dyn = socket.core.p_leak_w, socket.core.p_dyn_w
+        p_base_mem = socket.memory.p_base_w
+        p_load_mem = socket.memory.p_load_max_w
+        peak_bw = socket.memory.peak_bandwidth
+        bw_floor = socket.memory.bandwidth_at_level(0)
+        inv_k = 1.0 / socket.core.dyn_exponent
+        p_other = spec.p_other_w
 
         NN = max(len(ids) for ids in participants_ids)
         mask = np.zeros((C, NN), dtype=bool)
@@ -206,34 +195,12 @@ class BatchEvaluator:
         for c, ids in enumerate(participants_ids):
             mask[c, : len(ids)] = True
             node_index[c, : len(ids)] = ids
-            # pad inactive lanes with the config's own first participant:
-            # padded lanes are masked out of every result, but gathering
-            # them from a class that has no placement for this config
-            # would leave zero threads-per-socket and breed inf/NaN noise
-            node_index[c, len(ids):] = ids[0]
-
         eff_all = np.array([n.efficiency for n in cluster.nodes])
         eff = eff_all[node_index]  # (C, NN)
 
-        # per-cell hardware class + constants gathered from class tables
-        cls = slot_class[node_index]  # (C, NN)
-        cls_eq = [cls == k for k in range(K)]
-        cfg_idx = np.arange(C)[:, None]
-        f_min = self._c_f_min[cls]
-        f_max = self._c_f_max[cls]
-        f_nom = self._c_f_nom[cls]
-        p_base_pkg = self._c_p_base_pkg[cls]
-        p_leak = self._c_p_leak[cls]
-        p_dyn = self._c_p_dyn[cls]
-        p_base_mem = self._c_p_base_mem[cls]
-        p_load_mem = self._c_p_load_mem[cls]
-        peak_bw = self._c_peak_bw[cls]
-        bw_floor = self._c_bw_floor[cls]
-        relmin_k = self._c_relmin[cls]
-
         # caps -> effective domain limits, like RaplDomain.effective_cap_w
-        pkg_cap = self._c_pkg_max[cls].copy()
-        dram_cap = self._c_dram_max[cls].copy()
+        pkg_cap = np.full((C, NN), S * socket.tdp_w)
+        dram_cap = np.full((C, NN), spec.p_mem_max_w)
         for c, cfg in enumerate(configs):
             for rank in range(len(participants_ids[c])):
                 p, d = cfg.caps_for(rank)
@@ -242,37 +209,23 @@ class BatchEvaluator:
                 if d is not None:
                     dram_cap[c, rank] = min(d, dram_cap[c, rank])
 
-        # per-(class, config) placements: every node of one hardware
-        # class shares a placement; a mixed run places each class on
-        # its own NUMA shape
-        placements_k: list[dict] = [{} for _ in range(K)]
-        primary_k: list[int] = []
-        for c, (cfg, ids) in enumerate(zip(configs, participants_ids)):
-            primary_k.append(int(slot_class[ids[0]]))
-            for i in ids:
-                k = int(slot_class[i])
-                if c in placements_k[k]:
-                    continue
-                topo = cluster.node(i).numa
-                if cfg.affinity is None:
-                    placement = placement_for(
-                        topo, cfg.n_threads, app.shared_fraction,
-                        app.is_memory_intensive,
-                    )
-                else:
-                    placement = make_placement(
-                        topo, cfg.n_threads, cfg.affinity, app.shared_fraction
-                    )
-                placements_k[k][c] = placement
-
-        tps_full_k = np.zeros((K, C, S), dtype=np.int64)
-        remote_k = np.zeros((K, C))
-        for k in range(K):
-            for c, placement in placements_k[k].items():
-                tps_full_k[k, c] = placement.threads_per_socket
-                remote_k[k, c] = placement.remote_fraction
-        tps_full = tps_full_k[cls, cfg_idx]  # (C, NN, S)
-        remote = remote_k[cls, cfg_idx]  # (C, NN)
+        # one placement per config: every node of a class shares it
+        placements = []
+        for cfg, ids in zip(configs, participants_ids):
+            topo = cluster.node(ids[0]).numa
+            if cfg.affinity is None:
+                placements.append(placement_for(
+                    topo, cfg.n_threads, app.shared_fraction,
+                    app.is_memory_intensive,
+                ))
+            else:
+                placements.append(make_placement(
+                    topo, cfg.n_threads, cfg.affinity, app.shared_fraction
+                ))
+        tps_full = np.array(
+            [p.threads_per_socket for p in placements], dtype=np.int64
+        )  # (C, S)
+        remote = np.array([p.remote_fraction for p in placements])  # (C,)
 
         n_threads = np.array([cfg.n_threads for cfg in configs], dtype=np.int64)
         iterations = np.array(
@@ -281,15 +234,12 @@ class BatchEvaluator:
         # strong scaling: the global problem divided over the nodes
         work_fraction = np.array([1.0 / cfg.n_nodes for cfg in configs])
 
-        # frequency pins -> quantized demand, like resolve(), against
-        # each participating node's own ladder
-        f_demand = f_max.copy()
-        for c, cfg in enumerate(configs):
-            if cfg.frequency_hz is not None:
-                for rank, i in enumerate(participants_ids[c]):
-                    f_demand[c, rank] = self._ladders[
-                        slot_class[i]
-                    ].quantize_down(cfg.frequency_hz)
+        # frequency pins -> quantized demand, like resolve()
+        f_demand = np.array([
+            f_max if cfg.frequency_hz is None
+            else ladder.quantize_down(cfg.frequency_hz)
+            for cfg in configs
+        ])[:, None]  # (C, 1)
 
         # -- per-phase structures (phase count P is tiny) ----------------
         phases = app.effective_phases()
@@ -314,44 +264,32 @@ class BatchEvaluator:
                 for ph in phases
             ]
         )
-        # phase thread histograms after max_useful clipping.  Per-socket
-        # shapes are per-class; the *totals* (and with them
-        # oversubscription and the odd-count penalty) are class-agnostic
-        # because every placement distributes the full thread count, so
-        # they are taken from each config's primary (rank-0) class.
-        tps_phase_k = np.zeros((K, C, P, S), dtype=np.int64)
+        # phase thread histograms after max_useful clipping, with the
+        # oversubscription and odd-count penalties their totals imply
+        tps_phase = np.zeros((C, P, S), dtype=np.int64)
         oversub = np.ones((C, P))
         n_phase = np.zeros((C, P), dtype=np.int64)
-        for c in range(C):
-            for k in range(K):
-                placement = placements_k[k].get(c)
-                if placement is None:
-                    continue
-                primary = k == primary_k[c]
-                for j, ph in enumerate(phases):
-                    tps = np.asarray(
-                        placement.threads_per_socket, dtype=np.int64
-                    )
-                    if ph.max_useful_threads is not None:
-                        excess = int(tps.sum()) - ph.max_useful_threads
-                        if excess > 0 and primary:
-                            oversub[c, j] = 1.0 + PHASE_OVERSUBSCRIPTION_PENALTY * (
-                                excess / ph.max_useful_threads
-                            )
-                        tps = _clip_total_threads(tps, ph.max_useful_threads)
-                    tps_phase_k[k, c, j] = tps
-                    if primary:
-                        n_phase[c, j] = int(tps.sum())
+        for c, placement in enumerate(placements):
+            for j, ph in enumerate(phases):
+                tps = np.asarray(placement.threads_per_socket, dtype=np.int64)
+                if ph.max_useful_threads is not None:
+                    excess = int(tps.sum()) - ph.max_useful_threads
+                    if excess > 0:
+                        oversub[c, j] = 1.0 + PHASE_OVERSUBSCRIPTION_PENALTY * (
+                            excess / ph.max_useful_threads
+                        )
+                    tps = _clip_total_threads(tps, ph.max_useful_threads)
+                tps_phase[c, j] = tps
+                n_phase[c, j] = int(tps.sum())
 
-        tps_phase = tps_phase_k[cls, cfg_idx]  # (C, NN, P, S)
         odd_phase = (n_phase % 2 == 1) & (n_phase > 1)
-        extract = tps_phase * app.per_thread_bw_limit  # (C, NN, P, S)
-        bw_penalty = 1.0 - remote * (1.0 - REMOTE_EFFICIENCY)  # (C, NN)
+        extract = tps_phase * app.per_thread_bw_limit  # (C, P, S)
+        bw_penalty = 1.0 - remote * (1.0 - REMOTE_EFFICIENCY)  # (C,)
         instr_phase = base_instr[None, :] * work_fraction[:, None]  # (C, P)
         serial_instr = instr_phase * app.serial_fraction
         par_instr = instr_phase - serial_instr
         dram_bytes_phase = instr_phase * bpi[None, :]
-        rate_coeff = app.ipc_fraction * self._c_ipc[cls]  # (C, NN)
+        rate_coeff = app.ipc_fraction * socket.core.ipc_peak
         t_sync_phase = sync_cost[None, :] * np.maximum(n_phase - 1, 0)
 
         # scalar path accumulates in phase order starting from 0.0;
@@ -385,10 +323,10 @@ class BatchEvaluator:
                 t_comp = par_instr[:, j, None] / (n_phase[:, j, None] * rate1)
                 bw = (
                     np.minimum(
-                        np.minimum(bw_limit[:, :, None], extract[:, :, j, :]),
+                        np.minimum(bw_limit[:, :, None], extract[:, None, j, :]),
                         peak_u[:, :, None],
                     )
-                    * bw_penalty[:, :, None]
+                    * bw_penalty[:, None, None]
                 )  # (C, NN, S)
                 total_bw = bw.sum(axis=2)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -471,29 +409,17 @@ class BatchEvaluator:
             denom = eff * n_threads[:, None] * p_dyn * act_mean
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.maximum(dyn_budget, 0.0) / denom
-                if K == 1:
-                    rel = np.power(ratio, self._inv_k_list[0])
-                else:
-                    # scalar exponent per class keeps the same pow kernel
-                    # the scalar path uses (vector exponents can differ
-                    # in the last ulp)
-                    rel = np.empty((C, NN))
-                    for k in range(K):
-                        rel = np.where(
-                            cls_eq[k],
-                            np.power(ratio, self._inv_k_list[k]),
-                            rel,
-                        )
+                rel = np.power(ratio, inv_k)
             f_unc = rel * f_nom
             fallback = (dyn_budget < 0) | (f_unc < f_min)
             f_cont = np.where(fallback, f_min, np.minimum(f_unc, f_max))
             # duty-cycle fallback uses the per-socket static/dynamic sums
             core0 = p_leak  # core_power(f=0): dynamic term vanishes
-            core_fmin = p_leak + p_dyn * relmin_k * act_mean
+            core_fmin = p_leak + p_dyn * relmin * act_mean
             static_fb = np.zeros((C, NN))
             pkg_fmin = np.zeros((C, NN))
             for s in range(S):
-                tps_s = tps_full[:, :, s]
+                tps_s = tps_full[:, s, None]
                 static_fb = static_fb + (p_base_pkg + tps_s * core0) * eff
                 pkg_fmin = pkg_fmin + (p_base_pkg + tps_s * core_fmin) * eff
             dyn_fmin = pkg_fmin - static_fb
@@ -506,45 +432,20 @@ class BatchEvaluator:
             cpu_violated = fallback & (
                 pkg_cap < static_fb + MIN_DUTY_CYCLE * np.maximum(dyn_fmin, 0.0)
             )
-            # quantize_down: largest ladder frequency <= f + 1e-6,
-            # against each cell's own class ladder
-            if K == 1:
-                freqs = self._freqs_k[0]
-                idx = np.searchsorted(freqs, f_cont + 1e-6, side="right")
-                f_allowed = freqs[np.maximum(idx - 1, 0)]
-            else:
-                f_allowed = np.empty((C, NN))
-                for k in range(K):
-                    freqs = self._freqs_k[k]
-                    idx = np.searchsorted(freqs, f_cont + 1e-6, side="right")
-                    f_allowed = np.where(
-                        cls_eq[k], freqs[np.maximum(idx - 1, 0)], f_allowed
-                    )
+            # quantize_down: largest ladder frequency <= f + 1e-6
+            idx = np.searchsorted(freqs, f_cont + 1e-6, side="right")
+            f_allowed = freqs[np.maximum(idx - 1, 0)]
             cpu_throttled = (
                 (duty < 1.0) | cpu_violated | (f_allowed < f_demand)
             )
             f = np.minimum(f_demand, f_allowed)
-            # f is always a rung of the cell's own ladder: look its
-            # (f/f_nom)^k up in the per-class scalar-path table instead
-            # of re-running vectorized pow
-            if K == 1:
-                f_idx = np.searchsorted(self._freqs_k[0], f)
-                pow_f = self._pow_ladder_k[0][f_idx]
-            else:
-                pow_f = np.empty((C, NN))
-                for k in range(K):
-                    f_idx = np.clip(
-                        np.searchsorted(self._freqs_k[k], f),
-                        0,
-                        len(self._freqs_k[k]) - 1,
-                    )
-                    pow_f = np.where(
-                        cls_eq[k], self._pow_ladder_k[k][f_idx], pow_f
-                    )
+            # f is always a rung of the ladder: look its (f/f_nom)^k up
+            # in the scalar-path table instead of re-running vectorized pow
+            pow_f = pow_ladder[np.searchsorted(freqs, f)]
             core_f = p_leak + p_dyn * pow_f * act_mean
             pkg_w = np.zeros((C, NN))
             for s in range(S):
-                tps_s = tps_full[:, :, s]
+                tps_s = tps_full[:, s, None]
                 pkg0 = (p_base_pkg + tps_s * core0) * eff
                 pkgf = (p_base_pkg + tps_s * core_f) * eff
                 pkg_w = pkg_w + (pkg0 + (pkgf - pkg0) * duty)
@@ -563,7 +464,9 @@ class BatchEvaluator:
 
         # -- damped fixed point with per-element convergence freezing ----
         state_act = np.full((C, NN), 0.9)
-        state_dem = np.where(tps_full > 0, peak_bw[:, :, None], 0.0)
+        state_dem = np.where(
+            tps_full[:, None, :] > 0, peak_bw, np.zeros((C, NN, S))
+        )
         done = ~mask  # non-participating slots never iterate
         prev_t = np.zeros((C, NN))
         have_prev = False
@@ -611,11 +514,11 @@ class BatchEvaluator:
         t_step = np.where(mask, fz_t, -np.inf).max(axis=1) + comm  # (C,)
         total_time = iterations * t_step
 
-        core_idle = p_leak + p_dyn * relmin_k * _IDLE_ACTIVITY  # (C, NN)
+        core_idle = p_leak + p_dyn * relmin * _IDLE_ACTIVITY
         idle_pkg = np.zeros((C, NN))
         for s in range(S):
             idle_pkg = idle_pkg + (
-                p_base_pkg + tps_full[:, :, s] * core_idle
+                p_base_pkg + tps_full[:, s, None] * core_idle
             ) * eff
         idle_dram = S * ((p_base_mem + p_load_mem * 0.0) * eff)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -624,7 +527,6 @@ class BatchEvaluator:
             )
         avg_pkg = op["pkg_w"] * busy_frac + idle_pkg * (1.0 - busy_frac)
         avg_dram = op["dram_w"] * busy_frac + idle_dram * (1.0 - busy_frac)
-        p_other = self._c_p_other[cls]  # (C, NN)
         node_energy = (avg_pkg + avg_dram + p_other) * total_time[:, None]
         # sequential rank-order sums replicate the scalar accumulation
         energy = np.zeros(C)
@@ -633,26 +535,9 @@ class BatchEvaluator:
             energy = energy + np.where(mask[:, r], node_energy[:, r], 0.0)
             rank_peak = op["pkg_w"][:, r] + op["dram_w"][:, r]
             peak = peak + np.where(mask[:, r], rank_peak, 0.0)
-        # p_other enters peak exactly as the scalar engine adds it:
-        # count * value when all participants share one hardware class,
-        # otherwise one per-rank addition at a time
-        one_shot = np.zeros(C)
-        rank_other = np.zeros((C, NN))
-        is_multi = np.zeros(C, dtype=bool)
-        for c, ids in enumerate(participants_ids):
-            ks = {int(slot_class[i]) for i in ids}
-            if len(ks) == 1:
-                one_shot[c] = len(ids) * self._c_p_other[ks.pop()]
-            else:
-                is_multi[c] = True
-                for r, i in enumerate(ids):
-                    rank_other[c, r] = self._c_p_other[slot_class[i]]
-        peak = peak + one_shot
-        if is_multi.any():
-            for r in range(NN):
-                peak = peak + np.where(
-                    is_multi & mask[:, r], rank_other[:, r], 0.0
-                )
+        # p_other enters peak as the scalar engine adds it for one
+        # hardware class: count * value
+        peak = peak + mask.sum(axis=1) * p_other
         with np.errstate(divide="ignore", invalid="ignore"):
             avg_power = np.where(total_time > 0, energy / total_time, 0.0)
 
@@ -667,8 +552,8 @@ class BatchEvaluator:
         values[:, :, 0] = (app.icache_mpki * instr_run / 1e3)[:, None]
         values[:, :, 1] = reads[:, None]
         values[:, :, 2] = writes[:, None]
-        values[:, :, 3] = misses[:, None] * (1.0 - remote)
-        values[:, :, 4] = misses[:, None] * remote
+        values[:, :, 3] = (misses * (1.0 - remote))[:, None]
+        values[:, :, 4] = (misses * remote)[:, None]
         values[:, :, 5] = n_threads[:, None] * op["f_eff"] * duration
         values[:, :, 6] = instr_run[:, None]
         # noise draws: one generator per (n_nodes, n_threads), ranks
@@ -740,7 +625,7 @@ class BatchEvaluator:
                     app_name=app.name,
                     n_nodes=cfg.n_nodes,
                     n_threads_per_node=cfg.n_threads,
-                    affinity=placements_k[primary_k[c]][c].kind.value,
+                    affinity=placements[c].kind.value,
                     iterations=int(iterations[c]),
                     t_step_s=float(t_step[c]),
                     comm_s=float(comm[c]),

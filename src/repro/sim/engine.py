@@ -177,10 +177,10 @@ class ExecutionEngine:
         come from each config, availability is ignored, and no node
         state changes.  A small batch (at most
         :data:`~repro.sim.batch.FLOAT_PATH_MAX_CELLS` node-cells) runs
-        on :meth:`run`'s own float code, as does any batch on a fleet
-        with a GPU class or one that sets ``phase_threads``; a larger
-        one on a CPU fleet runs as a single ``(n_candidates, n_nodes)``
-        array program.
+        on :meth:`run`'s own float code, as does any batch that spans
+        hardware classes, reaches a GPU class or sets ``phase_threads``;
+        a larger one on one CPU-only class runs as a single
+        ``(n_candidates, n_nodes)`` array program.
         """
         if self._batch is None:
             from repro.sim.batch import BatchEvaluator

@@ -28,7 +28,7 @@ from repro.hw.actuation import PERFECT_ACTUATION, FaultyActuation
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.meter import TelemetryFault
 from repro.hw.node import SimulatedNode
-from repro.hw.rapl import Domain
+from repro.hw.rapl import CapBank, Domain
 from repro.hw.specs import ClusterSpec, NodeGroup, gpu_node, haswell_node
 
 #: GPU slots first, then CPU-only slots: both cap arities in one bank.
@@ -303,8 +303,13 @@ class TestLifecycle:
         assert set(other.rapl.caps().values()) == {None}
         op = node.rapl.resolve([12, 12], 1.0, [3e10, 3e10])
         assert op.pkg_power_w <= 100.0 * (1 + 1e-9)
-        node.reset()
-        assert set(node.rapl.caps().values()) == {None}
+        # a node built on a caller's bank lives in row node_id of it
+        bank = CapBank(3)
+        banked = SimulatedNode(haswell_node(), node_id=2, bank=bank)
+        banked.set_power_caps(100.0, 25.0)
+        assert bank.cap_w[2, 0] == 100.0
+        bank.clear(2)
+        assert set(banked.rapl.caps().values()) == {None}
 
 
 class TestTypes:

@@ -71,9 +71,10 @@ class TestPowerMeter:
         assert meter.read_capped_power_w() == 0.0
 
     def test_reset(self):
-        node = SimulatedNode(haswell_node())
+        bank = CapBank(1)
+        node = SimulatedNode(haswell_node(), bank=bank)
         node.meter.record(100.0, 100.0, 1.0)
-        node.reset()
+        bank.clear(0)
         assert node.meter.elapsed_s == 0.0
         assert node.meter.energy_j == 0.0
 
@@ -82,9 +83,9 @@ class TestSimulatedNode:
     def test_composition(self):
         node = SimulatedNode(haswell_node(), node_id=3, efficiency=1.05)
         assert node.node_id == 3
-        assert node.n_cores == 24
+        assert node.spec.n_cores == 24
         assert node.efficiency == pytest.approx(1.05)
-        assert "03" in node.name
+        assert node.spec.name == "haswell"
 
     def test_set_power_caps(self):
         node = SimulatedNode(haswell_node())
@@ -93,10 +94,11 @@ class TestSimulatedNode:
         assert node.rapl.caps()[Domain.DRAM] == pytest.approx(25.0)
 
     def test_reset_clears_state(self):
-        node = SimulatedNode(haswell_node())
+        bank = CapBank(2)
+        node = SimulatedNode(haswell_node(), node_id=1, bank=bank)
         node.set_power_caps(150.0, 25.0)
         node.meter.record(110.0, 150.0, 1.0)
-        node.reset()
+        bank.clear(1)
         assert all(v is None for v in node.rapl.caps().values())
         assert node.meter.energy_j == 0.0
 

@@ -1,13 +1,14 @@
 """What-if evaluation: exact equivalence with ``run``.
 
-``evaluate_many`` answers on two paths: large batches on a CPU fleet
-run the vectorized array kernel, everything else the engine's own float
-code as a what-if.  Both must agree *bit-exactly* with
-``ExecutionEngine.run`` — every ``RunResult`` field, including the
+``evaluate_many`` answers on two paths: large batches of one CPU-only
+hardware class run the vectorized array kernel, everything else the
+engine's own float code as a what-if.  Both must agree *bit-exactly*
+with ``ExecutionEngine.run`` — every ``RunResult`` field, including the
 synthesized PMU counters — so the equivalence cases check the public
 call and the kernel called directly (which refuses inputs outside its
-domain), a property checks the float what-if against the kernel, error
-for error, and another checks it against ``run`` on the GPU fleets.
+domain), a property checks the float what-if against the kernel on
+one-class configs and against ``run`` on class-spanning ones, error for
+error, and another checks it against ``run`` on the GPU fleets.
 """
 
 import dataclasses
@@ -53,15 +54,26 @@ def kernel(engine, app, config):
 
 
 def in_kernel_domain(engine, config):
-    """Whether the array kernel covers *config* on *engine*'s fleet."""
-    return BatchEvaluator(engine).cpu_fleet and not config.phase_threads
+    """Whether the array kernel covers *config*: every slot it names
+    belongs to one hardware class without a GPU, and no phase override.
+
+    Slots outside the cluster are left out: both paths raise on them.
+    """
+    spec = engine.cluster.spec
+    ids = range(config.n_nodes) if config.node_ids is None else config.node_ids
+    classes = {spec.slot_class[i] for i in ids if i < spec.n_nodes}
+    return (
+        len(classes) == 1
+        and not spec.node_classes[classes.pop()].has_gpu
+        and not config.phase_threads
+    )
 
 
 def assert_all_paths_match_run(engine, app, config):
     """``run``, ``evaluate_many`` and the kernel give the same bits.
 
-    Outside the kernel's domain (a GPU fleet, a phase override) the
-    kernel refuses the config instead.
+    Outside the kernel's domain (a GPU class, a class-spanning config,
+    a phase override) the kernel refuses the config instead.
     """
     scalar = engine.run(app, config)
     (batch,) = engine.evaluate_many(app, [config])
@@ -471,23 +483,28 @@ def what_if_cases(
 ):
     """(engine, app, config) drawn over every knob the kernel handles.
 
+    On a fleet of several hardware classes, about half the draws take
+    their nodes from one class, and the rest from the whole fleet.
     About one draw in five carries one of *flaws* on purpose: too many
     nodes or threads, an out-of-range node id, a negative cap, or a
-    phase override wider than the node.  The defaults stay inside the
-    kernel's domain: CPU fleets, no phase overrides.
+    phase override wider than the node.  The defaults draw no phase
+    overrides and only CPU fleets.
     """
     engine = _property_engine(draw(st.sampled_from(testbeds)))
     cluster = engine.cluster
-    max_cores = max(s.n_cores for s in cluster.spec.node_specs)
+    slot_class = cluster.spec.slot_class
+    slots = range(cluster.n_nodes)
+    if len(cluster.spec.node_classes) > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, len(cluster.spec.node_classes) - 1))
+        slots = [i for i in slots if slot_class[i] == k]
+    max_cores = max(cluster.spec.node_specs[i].n_cores for i in slots)
     flaw = draw(st.sampled_from((None,) * 16 + tuple(flaws)))
     app = draw(st.sampled_from(_APPS))
-    n_nodes = draw(st.integers(1, cluster.n_nodes))
+    n_nodes = draw(st.integers(1, len(slots)))
     n_threads = draw(st.integers(1, max_cores))
     node_ids = None
-    if draw(st.booleans()):
-        node_ids = tuple(
-            draw(st.permutations(range(cluster.n_nodes)))[:n_nodes]
-        )
+    if len(slots) < cluster.n_nodes or draw(st.booleans()):
+        node_ids = tuple(draw(st.permutations(slots))[:n_nodes])
     caps = {}
     if draw(st.booleans()):
         caps["per_node_caps"] = tuple(
@@ -535,7 +552,9 @@ def _outcome(fn):
 
 class TestFloatWhatIfMatchesKernel:
     """The float what-if and the array kernel: bit for bit, error for
-    error, on both CPU testbed kinds with a degraded node."""
+    error, on both CPU testbed kinds with a degraded node.  A config
+    that spans the mixed fleet's classes is outside the kernel's
+    domain, so there the float what-if is checked against ``run``."""
 
     @settings(
         max_examples=300,
@@ -546,11 +565,18 @@ class TestFloatWhatIfMatchesKernel:
     def test_float_what_if_equals_kernel(self, case):
         engine, app, config = case
         floats = _outcome(lambda: engine._what_if(app, [config])[0])
-        array = _outcome(lambda: kernel(engine, app, config))
-        if isinstance(floats, type) or isinstance(array, type):
-            assert floats is array
+        if in_kernel_domain(engine, config):
+            other = _outcome(lambda: kernel(engine, app, config))
+        elif config.gpu_cap_w is not None and config.gpu_cap_w < 0:
+            # run checks a cap only as it programs one, and a CPU node
+            # has no GPU domain to program: the what-if alone refuses it
+            other = ValueError
         else:
-            assert_identical(floats, array)
+            other = _outcome(lambda: engine.run(app, config))
+        if isinstance(floats, type) or isinstance(other, type):
+            assert floats is other
+        else:
+            assert_identical(floats, other)
 
 
 class TestFloatWhatIfMatchesRunOnGpuFleets:

@@ -1,11 +1,13 @@
 """Which what-if batches reach the array kernel.
 
-The kernel covers what its callers send: node calibration and the
-exhaustive oracle's grid on CPU fleets.  Those make exactly one kernel
-call each; a GPU fleet's calibration and a batch that sets
+The kernel covers what its callers send: node calibration, one call
+per hardware class, and the exhaustive oracle's grid, each on one
+CPU-only class.  A class of more than six nodes makes one kernel call;
+a GPU fleet's calibration, a small class and a batch that sets
 ``phase_threads`` make none and still equal ``run`` bit for bit; and
-the kernel called directly refuses what it does not cover instead of
-ignoring the device or the override.
+the kernel called directly refuses what it does not cover -- a GPU
+class, a batch spanning classes, a phase override -- instead of
+ignoring the device, the second class or the override.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from repro.hw.specs import (
     mixed_gpu_testbed,
     mixed_testbed,
 )
-from repro.sim.batch import FLOAT_PATH_MAX_CELLS, BatchEvaluator
+from repro.sim.batch import BatchEvaluator
 from repro.sim.engine import ExecutionConfig, ExecutionEngine
 from repro.workloads.apps import get_app
 from tests.sim.test_batch import assert_identical
@@ -67,9 +69,11 @@ class TestKernelTraffic:
         measure_node_factors(_engine(haswell_testbed(racks=128)))
         assert kernel_calls == [1024]
 
-    def test_mixed_calibration_is_one_kernel_call(self, kernel_calls):
-        measure_node_factors(_engine(mixed_testbed()))
-        assert kernel_calls == [8]
+    def test_mixed_fleet_calibration_is_one_kernel_call_per_class(
+        self, kernel_calls
+    ):
+        measure_node_factors(_engine(mixed_testbed(racks=128)))
+        assert kernel_calls == [512, 512]
 
     def test_oracle_grid_is_one_kernel_call(self, kernel_calls):
         oracle = OracleScheduler(_engine(haswell_testbed()))
@@ -86,11 +90,26 @@ class TestFloatTraffic:
         seen = what_ifs(engine)
         measure_node_factors(engine)
         assert kernel_calls == []
-        ((app, configs, results),) = seen
-        assert sum(c.n_nodes for c in configs) > FLOAT_PATH_MAX_CELLS
+        # one batch per hardware class: the gpu testbed's one class of
+        # 8 nodes, the mixed-gpu testbed's two classes of 4
+        spec = engine.cluster.spec
+        assert [sum(c.n_nodes for c in configs) for _, configs, _ in seen] == [
+            spec.slot_class.count(k) for k in range(len(spec.node_classes))
+        ]
         executed = _engine(factory())
-        for cfg, result in zip(configs, results):
-            assert_identical(result, executed.run(app, cfg))
+        for app, configs, results in seen:
+            for cfg, result in zip(configs, results):
+                assert_identical(result, executed.run(app, cfg))
+
+    def test_small_class_calibration_skips_the_kernel(
+        self, kernel_calls, what_ifs
+    ):
+        engine = _engine(mixed_testbed())
+        seen = what_ifs(engine)
+        measure_node_factors(engine)
+        assert kernel_calls == []
+        # four one-node configs per class, at most FLOAT_PATH_MAX_CELLS
+        assert [len(configs) for _, configs, _ in seen] == [4, 4]
 
     def test_phase_override_batch_skips_the_kernel(self, kernel_calls):
         engine = _engine(haswell_testbed())
@@ -112,9 +131,24 @@ class TestKernelRefusesOutsideItsDomain:
     @pytest.mark.parametrize("factory", [gpu_testbed, mixed_gpu_testbed])
     def test_gpu_fleet(self, factory):
         engine = _engine(factory())
-        cfg = ExecutionConfig(n_nodes=8, n_threads=12, iterations=2)
-        with pytest.raises(ValueError, match="CPU fleets"):
+        # slots 0-3 carry a GPU on both testbeds
+        cfg = ExecutionConfig(n_nodes=4, n_threads=12, iterations=2)
+        with pytest.raises(ValueError, match="one CPU-only hardware class"):
             BatchEvaluator(engine)._evaluate(get_app("lulesh-gpu"), [cfg])
+
+    def test_class_spanning_batch(self, kernel_calls):
+        engine = _engine(mixed_testbed())
+        haswell = ExecutionConfig(n_nodes=4, n_threads=12, iterations=2)
+        broadwell = ExecutionConfig(
+            n_nodes=4, n_threads=12, node_ids=(4, 5, 6, 7), iterations=2
+        )
+        with pytest.raises(ValueError, match="one CPU-only hardware class"):
+            BatchEvaluator(engine)._evaluate(get_app("comd"), [haswell, broadwell])
+        # evaluate_many answers the same batch on the float path
+        results = engine.evaluate_many(get_app("comd"), [haswell, broadwell])
+        assert kernel_calls == [2]  # the refused direct call only
+        for cfg, result in zip((haswell, broadwell), results):
+            assert_identical(result, engine.run(get_app("comd"), cfg))
 
     def test_phase_override(self):
         engine = _engine(haswell_testbed())
